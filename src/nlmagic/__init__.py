@@ -52,7 +52,6 @@ from .rcm import (
     estimate_rdm_purity,
     estimate_sre,
     estimate_stabilizer_purity,
-    hamming_xor_weight,
     marginalize,
     sample_local_cliffords,
 )

@@ -69,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use every Clifford tuple exactly once",
     )
-    p_est.add_argument(
-        "--workers", type=int, default=1, help="simulation threads (output identical)"
-    )
 
     p_mit = sub.add_parser("mitigate", help="readout error mitigation")
     add_common(p_mit)
@@ -149,7 +146,7 @@ def _cmd_rcm_estimate(args) -> int:
     if args.exhaustive:
         n = scenario.build_circuit().num_qubits
         scenario = dataclasses.replace(scenario, n_rand=exhaustive_size(n))
-    return _emit(run_scenario(scenario, workers=args.workers), args)
+    return _emit(run_scenario(scenario), args)
 
 
 def _cmd_mitigate(args) -> int:

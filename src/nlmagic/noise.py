@@ -94,18 +94,23 @@ def depolarize(rho: DensityMatrix, p_dep: float) -> DensityMatrix:
 
 
 def clean_probability_vector(p, atol: float = 1e-12) -> np.ndarray:
-    """Validate and normalize an outcome probability vector.
+    """Validate and normalize an outcome probability vector, or each row of
+    a two-dimensional array of them.
 
-    Entries within ``-atol`` of zero are clamped to 0 and the vector is
-    renormalized; anything more negative is rejected.
+    Entries within ``-atol`` of zero are clamped to 0 and each vector is
+    renormalized; anything more negative, or a sum off 1 by more than
+    1e-9, is rejected.
     """
-    v = np.asarray(p, dtype=float).ravel()
+    v = np.asarray(p, dtype=float)
+    if v.ndim != 2:
+        v = v.ravel()
     if (v < -atol).any():
         raise ValueError(f"probability entry {v.min():.3e} below -{atol:.0e}")
     v = np.clip(v, 0.0, None)
-    total = v.sum()
-    if abs(total - 1.0) > _ATOL_COLUMN:
-        raise ValueError(f"probabilities sum to {total}, not 1")
+    total = v.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > _ATOL_COLUMN
+    if off.any():
+        raise ValueError(f"probabilities sum to {total[off][0]}, not 1")
     return v / total
 
 
@@ -118,18 +123,16 @@ def apply_readout_noise(p, lam: CalibrationMatrix) -> np.ndarray:
 
 
 def sample_shots(p, n_shot: int, seed) -> np.ndarray:
-    """Empirical frequencies of ``n_shot`` multinomial draws, seeded.
+    """Empirical frequencies of ``n_shot`` multinomial draws, seeded, from
+    one outcome vector or from each row of an array of them.
 
-    ``seed`` may be an integer or a prepared ``numpy.random.SeedSequence``
-    (callers fanning out over samples derive one sequence per sample).
+    ``seed`` is anything ``numpy.random.default_rng`` accepts, such as an
+    integer or a prepared ``numpy.random.SeedSequence``.
     """
     if n_shot < 1:
         raise ValueError("n_shot must be >= 1")
     v = clean_probability_vector(p)
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n_shot, v)
+    counts = np.random.default_rng(seed).multinomial(n_shot, v)
     return counts / float(n_shot)
 
 

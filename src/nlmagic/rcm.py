@@ -1,19 +1,31 @@
 """Randomized Clifford measurements for purity and stabilizer purity.
 
-The protocol applies random tensor products of single-qubit Cliffords,
-records the computational-basis outcome distribution for each draw, and
-combines pairs and quadruples of outcome strings with (-2)^(-Hamming)
-weights. Writing ``g(u) = sum_s p(s) p(s XOR u)`` for the XOR
-autocorrelation of one outcome vector, the two per-draw statistics are
+The protocol applies random tensor products of single-qubit Cliffords and
+records the computational-basis outcome distribution p of each draw. All
+of it goes through the Walsh transform of p,
 
-    X_P = d * sum_u (-2)^(-|u|) g(u)
-    X_W = sum_{u,v} (-2)^(-|u XOR v|) g(u) g(v)
+    q(k) = sum_s (-1)^(k.s) p(s) = Tr(C^dag Z^k C rho),
+
+with Z^k the Z string on the qubits set in k. For each of the 24 Cliffords
+C^dag Z C is a signed Pauli, so q of a draw is a signed gather from the 4^N
+Pauli expectations of rho, and p = WHT(q) / d.
+
+Pairs and quadruples of outcome strings are weighted by (-2)^-|XOR|, the
+tensor power of W = [[1, -1/2], [-1/2, 1]]. With h = [[1, 1], [1, -1]],
+h W h = diag(1, 3), and the XOR autocorrelation g(u) = sum_s p(s) p(s XOR u)
+has transform q^2, so the two per-draw statistics are
+
+    X_P = d sum_{s,s'} (-2)^-|s XOR s'| p(s) p(s') = d^-1 sum_k 3^|k| q(k)^2
+    X_W = sum_{u,v} (-2)^-|u XOR v| g(u) g(v)       = d^-2 sum_k 3^|k| q(k)^4
 
 whose averages over the Clifford ensemble equal Tr(rho^2) and
-d^-2 sum_P Tr(P rho)^4. Means, sample standard deviations (the N-1 form)
-and sampling errors s/sqrt(N) are reported for every estimator. The same
-shot data serves both statistics; the O(1/N_shot) plug-in bias is accepted
-and quantified in tests rather than corrected.
+d^-2 sum_P Tr(P rho)^4. The reduced purity on qubits A is X_P of the
+marginal, whose transform is q on the k supported on A. Statistics take one
+outcome vector or an array with one row per draw. Means, sample standard
+deviations (the N-1 form) and sampling errors s/sqrt(N) are reported for
+every estimator. The same shot data serves both statistics; the
+O(1/N_shot) plug-in bias is accepted and quantified in tests rather than
+corrected.
 """
 
 from __future__ import annotations
@@ -21,13 +33,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .circuits import single_qubit_clifford_group
 from .noise import NoiseConfig, clean_probability_vector, sample_shots
-from .qcore import DensityMatrix, tensor_all
+from .qcore import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, pauli_expectations
 
 _LN2 = float(np.log(2.0))
 
@@ -57,7 +69,12 @@ class EstimateWithError:
         if v.size < 2:
             raise ValueError("need at least two samples")
         std = float(v.std(ddof=1))
-        return cls(float(v.mean()), std, std / np.sqrt(v.size), int(v.size))
+        return cls(float(v.mean()), std, float(std / np.sqrt(v.size)), int(v.size))
+
+
+def _check_ids(ids: np.ndarray) -> None:
+    if (ids < 0).any() or (ids >= 24).any():
+        raise ValueError("Clifford ids must lie in [0, 24)")
 
 
 @dataclass(frozen=True)
@@ -78,9 +95,8 @@ class RcmDataset:
             raise ValueError("variance estimation needs at least two samples")
         if probs.shape[1] != 2 ** ids.shape[1]:
             raise ValueError("probability vectors do not match the qubit count")
-        if (ids < 0).any() or (ids >= 24).any():
-            raise ValueError("Clifford ids must lie in [0, 24)")
-        probs = np.array([clean_probability_vector(p) for p in probs])
+        _check_ids(ids)
+        probs = clean_probability_vector(probs)
         ids.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "clifford_ids", ids)
@@ -138,114 +154,104 @@ def exhaustive_size(n_qubits: int) -> int:
     return 24**n_qubits
 
 
-def collect_dataset(
-    rho: DensityMatrix,
-    tuples: Iterable[Sequence[int]],
-    noise: NoiseConfig,
-    workers: int = 1,
-) -> RcmDataset:
-    """Simulate the measurement stage for each Clifford draw.
+@lru_cache(maxsize=1)
+def _clifford_z_images() -> tuple[np.ndarray, np.ndarray]:
+    """Per Clifford id, the Pauli (1, 2, 3 for X, Y, Z) and sign of C^dag Z C."""
+    paulis, signs = [], []
+    for c in single_qubit_clifford_group():
+        image = c.matrix.conj().T @ PAULI_Z @ c.matrix
+        overlaps = [np.trace(s @ image).real / 2 for s in (PAULI_X, PAULI_Y, PAULI_Z)]
+        a = int(np.argmax(np.abs(overlaps)))
+        paulis.append(a + 1)
+        signs.append(np.sign(overlaps[a]))
+    return np.array(paulis), np.array(signs)
 
-    For every id tuple the local Clifford product is applied to ``rho``,
-    the diagonal Born probabilities are read off, readout corruption is
-    applied if configured, and finite shots are drawn if configured. Shot
-    seeds derive from (noise.seed, sample index) and results are written
-    back by index, so the output is bit-identical for any ``workers``.
+
+@lru_cache(maxsize=8)
+def _walsh_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hadamard matrix H[k, s] = (-1)^(k.s) and the weights 3^|k| at dimension d."""
+    if d < 2 or d & (d - 1):
+        raise ValueError(f"outcome vectors must have a power-of-two length, not {d}")
+    h, w = np.ones((1, 1)), np.ones(1)
+    for _ in range(d.bit_length() - 1):
+        h, w = np.kron(h, [[1.0, 1.0], [1.0, -1.0]]), np.kron(w, [1.0, 3.0])
+    h.flags.writeable = False
+    w.flags.writeable = False
+    return h, w
+
+
+def _born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
+    """q(k) = Tr(C^dag Z^k C rho) of every draw, shape (n_draws, d).
+
+    Qubit j of Walsh index k carries C_j^dag Z C_j = sign * Pauli when its
+    bit is set and I otherwise, so q(k) is the signed Pauli expectation at
+    the lexicographic index sum_j Pauli_j 4^(N-1-j) over the set bits.
     """
-    group = single_qubit_clifford_group()
-    ids = np.array(list(tuples), dtype=int)
-    vectors = np.empty((ids.shape[0], rho.dim))
-
-    def fill(k: int) -> None:
-        c = tensor_all(*(group[i].matrix for i in ids[k]))
-        p = np.einsum("ij,jk,ik->i", c, rho.matrix, c.conj()).real
-        p = clean_probability_vector(p)
-        if noise.readout_lambda is not None:
-            p = clean_probability_vector(noise.readout_lambda.matrix @ p)
-        if noise.n_shot is not None:
-            p = sample_shots(p, noise.n_shot, _sample_seed(noise.seed, k))
-        vectors[k] = p
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(ids.shape[0])))
-    else:
-        for k in range(ids.shape[0]):
-            fill(k)
-    return RcmDataset(ids, vectors, noise.n_shot, noise.seed)
+    n = rho.num_qubits
+    if ids.ndim != 2 or ids.shape[1] != n:
+        raise ValueError(f"every draw needs one Clifford id per qubit ({n})")
+    _check_ids(ids)
+    paulis, signs = _clifford_z_images()
+    place = np.arange(n - 1, -1, -1)
+    bits = (np.arange(2**n)[:, None] >> place) & 1
+    index = (paulis[ids] * 4**place) @ bits.T
+    flips = (signs[ids] < 0).astype(int) @ bits.T
+    return np.where(flips % 2, -1.0, 1.0) * pauli_expectations(rho)[index]
 
 
-def _sample_seed(seed: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+def collect_dataset(rho: DensityMatrix, tuples: np.ndarray, noise: NoiseConfig) -> RcmDataset:
+    """Simulate the measurement stage for all Clifford draws at once.
+
+    ``tuples`` holds one row of Clifford ids per draw. Born probabilities
+    come from one Pauli gather and one Walsh transform, readout (if set) is
+    one product with the calibration matrix, and shots (if set) are one
+    multinomial call seeded from ``SeedSequence(noise.seed, spawn_key=(1,))``,
+    a stream apart from the Clifford draws. Rounding negatives are clipped
+    by ``sample_shots`` and by the dataset, not before readout.
+    """
+    ids = np.array(tuples, dtype=int)
+    hadamard, _ = _walsh_tables(rho.dim)
+    probs = _born_walsh(rho, ids) @ hadamard / rho.dim
+    if noise.readout_lambda is not None:
+        probs = probs @ noise.readout_lambda.matrix.T
+    if noise.n_shot is not None:
+        seed = np.random.SeedSequence(noise.seed, spawn_key=(1,))
+        probs = sample_shots(probs, noise.n_shot, seed)
+    return RcmDataset(ids, probs, noise.n_shot, noise.seed)
 
 
-def hamming_xor_weight(strings: Sequence[str]) -> int:
-    """Hamming weight of the bitwise XOR of k equal-length bitstrings."""
-    if len(strings) not in (2, 4):
-        raise ValueError("XOR weight is used for 2 or 4 strings")
-    length = len(strings[0])
-    if any(len(s) != length for s in strings):
-        raise ValueError("bitstrings must have equal length")
-    acc = 0
-    for s in strings:
-        acc ^= int(s, 2)
-    return bin(acc).count("1")
+def _walsh_moment(p, power: int):
+    """d^(-power/2) sum_k 3^|k| q(k)^power, power 2 or 4, of one outcome
+    vector (a float) or of each row of an array of them."""
+    v = np.asarray(p, dtype=float)
+    hadamard, weights = _walsh_tables(v.shape[-1])
+    q2 = np.square(v @ hadamard)
+    # q ** 4 would call pow() per entry; squaring twice is far cheaper.
+    x = (q2 if power == 2 else np.square(q2)) @ weights / v.shape[-1] ** (power // 2)
+    return x if x.ndim else float(x)
 
 
-@lru_cache(maxsize=8)
-def _xor_index(d: int) -> np.ndarray:
-    u = np.arange(d)
-    table = u[:, None] ^ u[None, :]
-    table.flags.writeable = False
-    return table
+def purity_statistic(p):
+    """Pair statistic d * sum (-2)^-|s1 XOR s2| P(s1) P(s2) = d^-1 sum_k 3^|k| q(k)^2."""
+    return _walsh_moment(p, 2)
 
 
-@lru_cache(maxsize=8)
-def _neg_half_weights(d: int) -> np.ndarray:
-    w = np.array([(-2.0) ** (-bin(u).count("1")) for u in range(d)])
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=8)
-def _pair_weight_matrix(d: int) -> np.ndarray:
-    w = _neg_half_weights(d)[_xor_index(d)]
-    w.flags.writeable = False
-    return w
-
-
-def _autocorrelation(p: np.ndarray) -> np.ndarray:
-    return (p[_xor_index(p.size)] * p[None, :]).sum(axis=1)
-
-
-def purity_statistic(p: np.ndarray) -> float:
-    """Per-draw pair statistic d * sum (-2)^-|s1 XOR s2| P(s1) P(s2)."""
-    d = p.size
-    g = _autocorrelation(p)
-    return float(d * (_neg_half_weights(d) * g).sum())
-
-
-def stabilizer_purity_statistic(p: np.ndarray) -> float:
-    """Per-draw quadruple statistic with (-2)^-|s1 XOR s2 XOR s3 XOR s4| weights.
+def stabilizer_purity_statistic(p):
+    """Quadruple statistic with (-2)^-|s1 XOR s2 XOR s3 XOR s4| weights,
+    d^-2 sum_k 3^|k| q(k)^4.
 
     The sign and normalization are fixed so that the exhaustive
     exact-probability average reproduces d^-2 sum_P Tr(P rho)^4.
     """
-    d = p.size
-    g = _autocorrelation(p)
-    return float(g @ _pair_weight_matrix(d) @ g)
+    return _walsh_moment(p, 4)
 
 
 def estimate_purity(ds: RcmDataset) -> EstimateWithError:
-    values = np.array([purity_statistic(p) for p in ds.prob_vectors])
-    return EstimateWithError.from_samples(values)
+    return EstimateWithError.from_samples(purity_statistic(ds.prob_vectors))
 
 
 def estimate_stabilizer_purity(ds: RcmDataset) -> EstimateWithError:
-    values = np.array([stabilizer_purity_statistic(p) for p in ds.prob_vectors])
-    return EstimateWithError.from_samples(values)
+    return EstimateWithError.from_samples(stabilizer_purity_statistic(ds.prob_vectors))
 
 
 def estimate_sre(ds: RcmDataset) -> EstimateWithError:
@@ -275,26 +281,24 @@ def estimate_sre(ds: RcmDataset) -> EstimateWithError:
 
 
 def marginalize(p: np.ndarray, keep: set[int], num_qubits: Optional[int] = None) -> np.ndarray:
-    """Marginal outcome distribution on the kept qubits.
+    """Marginal outcome distribution on the kept qubits, of a vector or of each row.
 
     P(s_A) = sum_{s_B} P(s_A, s_B), with kept qubits keeping their order.
     """
     v = np.asarray(p, dtype=float)
-    n = num_qubits or int(round(np.log2(v.size)))
+    rows = v.shape[:1] if v.ndim == 2 else ()
+    n = num_qubits or int(round(np.log2(v.shape[-1] if rows else v.size)))
     keep_sorted = sorted(keep)
     if not keep_sorted or len(keep_sorted) >= n:
         raise ValueError("keep must be a nonempty proper subset of the qubits")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
         raise ValueError(f"qubit indices {keep_sorted} out of range")
-    t = v.reshape((2,) * n)
-    axes = tuple(q for q in range(n) if q not in keep_sorted)
-    return t.sum(axis=axes).ravel()
+    t = v.reshape(rows + (2,) * n)
+    axes = tuple(len(rows) + q for q in range(n) if q not in keep_sorted)
+    return t.sum(axis=axes).reshape(rows + (-1,))
 
 
 def estimate_rdm_purity(ds: RcmDataset, keep: set[int]) -> EstimateWithError:
     """Purity of the reduced state from marginals of the same outcome data."""
-    n = ds.num_qubits
-    values = np.array(
-        [purity_statistic(marginalize(p, keep, n)) for p in ds.prob_vectors]
-    )
-    return EstimateWithError.from_samples(values)
+    marginals = marginalize(ds.prob_vectors, keep, ds.num_qubits)
+    return EstimateWithError.from_samples(purity_statistic(marginals))

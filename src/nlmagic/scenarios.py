@@ -175,7 +175,7 @@ class ReportFlag:
 
     @property
     def passed(self) -> bool:
-        return abs(self.value - self.target) <= self.tol
+        return bool(abs(self.value - self.target) <= self.tol)
 
 
 @dataclass
@@ -255,12 +255,8 @@ def _flag_tol(est: EstimateWithError, n_shot: Optional[int]) -> float:
     return 3.0 * est.sampling_error + floor
 
 
-def run_scenario(scenario: Scenario, workers: int = 1) -> Report:
-    """Prepare, corrupt, measure, estimate, and compare against the oracle.
-
-    ``workers`` only parallelizes the per-draw simulation; reports are
-    byte-identical for any value.
-    """
+def run_scenario(scenario: Scenario) -> Report:
+    """Prepare, corrupt, measure, estimate, and compare against the oracle."""
     circuit = scenario.build_circuit()
     rho = run_circuit(circuit, NoiseConfig(p_dep_cz=scenario.p_dep_cz))
     n = circuit.num_qubits
@@ -272,7 +268,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> Report:
         n_shot=scenario.n_shot,
         seed=scenario.seed,
     )
-    ds = collect_dataset(rho, tuples, noise, workers=workers)
+    ds = collect_dataset(rho, tuples, noise)
     if scenario.mitigation and scenario.readout is not None:
         vectors = np.array(
             [mitigate_least_squares(p, scenario.readout) for p in ds.prob_vectors]
