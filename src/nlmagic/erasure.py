@@ -5,11 +5,13 @@ U_B = Rz(delta) Ry(eta) Rz(phi) are applied to a two-qubit state and the
 remaining stabilizer Renyi entropy is minimized. For a noise-free pure
 state the floor of this landscape is exactly the state's non-local magic.
 
-Grid evaluation works in the Pauli-correlation picture: a local unitary
-acts on the 4x4 correlation matrix T[a, b] = Tr(rho sigma_a (x) sigma_b)
-by orthogonal rotation of each side, so a whole grid of candidate
-rotations reduces to small batched matrix products instead of repeated
-4x4 conjugations.
+Everything works in the Pauli-correlation picture: a local unitary acts
+on the 4x4 correlation matrix T[a, b] = Tr(rho sigma_a (x) sigma_b) by an
+orthogonal Pauli-transfer matrix on each side, T -> R_A T R_B^T. For
+U = Rz(a) Ry(b) Rz(g) that matrix is the closed-form product
+Rz4(a) Ry4(b) Rz4(g) of plane rotations by the same angles, in the (X, Y)
+plane for Rz and the (Z, X) plane for Ry, so a whole grid of candidate
+rotations reduces to batched cos/sin and small matrix products.
 """
 
 from __future__ import annotations
@@ -20,17 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .circuits import ry_matrix, rz_matrix
-from .qcore import DensityMatrix, expectations_from_matrix, tensor
+from .magic import m2_from_expectations
+from .qcore import DensityMatrix, expectations_from_matrix
 
 _TWO_PI = 2.0 * np.pi
-
-_SIGMA = [
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
+_EYE4 = np.eye(4)
 
 
 def _wrap(angle: float) -> float:
@@ -81,55 +77,46 @@ class ErasureResult:
     phi_grid: Optional[np.ndarray] = None
 
 
-def local_unitary(angles: ErasureAngles) -> np.ndarray:
-    u_a = rz_matrix(angles.alpha) @ ry_matrix(angles.beta) @ rz_matrix(angles.gamma)
-    u_b = rz_matrix(angles.delta) @ ry_matrix(angles.eta) @ rz_matrix(angles.phi)
-    return tensor(u_a, u_b)
-
-
 def _correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     return expectations_from_matrix(rho.matrix, 2).reshape(4, 4)
 
 
-def _pauli_rotation(u: np.ndarray) -> np.ndarray:
-    """4x4 block rotation R with U^dag sigma_a U = sum_b R[a, b] sigma_b."""
-    r = np.zeros((4, 4))
-    r[0, 0] = 1.0
-    for a in range(1, 4):
-        conj = u.conj().T @ _SIGMA[a] @ u
-        for b in range(1, 4):
-            r[a, b] = 0.5 * np.trace(_SIGMA[b] @ conj).real
+def _plane_rotation(theta, i: int, j: int) -> np.ndarray:
+    """Identity except R[i, i] = R[j, j] = cos(theta), R[j, i] = -R[i, j] = sin(theta)."""
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    r = np.empty(theta.shape + (4, 4))
+    r[...] = _EYE4
+    r[..., i, i] = r[..., j, j] = c
+    r[..., i, j] = -s
+    r[..., j, i] = s
     return r
 
 
+def pauli_rotation(alpha, beta, gamma) -> np.ndarray:
+    """Pauli-transfer matrix R of U = Rz(alpha) Ry(beta) Rz(gamma).
+
+    U^dag sigma_a U = sum_b R[a, b] sigma_b. Broadcasts over array angles,
+    giving shape (..., 4, 4).
+    """
+    return _plane_rotation(alpha, 1, 2) @ _plane_rotation(beta, 3, 1) @ _plane_rotation(gamma, 1, 2)
+
+
 def _m2_from_correlations(t: np.ndarray) -> np.ndarray:
-    t2 = t**2
-    flat = t2.reshape(*t.shape[:-2], 16)
-    w = (t2**2).reshape(*t.shape[:-2], 16).sum(axis=-1) / 16.0
-    p = flat.sum(axis=-1) / 4.0
-    return -np.log2(w) + np.log2(p) - 2.0
+    return m2_from_expectations(t.reshape(*t.shape[:-2], 16), 4)
+
+
+def _m2_at(x: np.ndarray, t: np.ndarray) -> float:
+    """M2 of correlations t after the rotations with the six angles x."""
+    r = pauli_rotation(*np.reshape(x, (2, 3)).T)
+    return float(_m2_from_correlations(r[0] @ t @ r[1].T))
 
 
 def erasure_objective(rho: DensityMatrix, angles: ErasureAngles) -> float:
     """M2 after applying the local rotations to the state."""
     if rho.num_qubits != 2:
         raise ValueError("erasure is defined for two-qubit states")
-    t = _correlation_matrix(rho)
-    ra = _pauli_rotation(
-        rz_matrix(angles.alpha) @ ry_matrix(angles.beta) @ rz_matrix(angles.gamma)
-    )
-    rb = _pauli_rotation(
-        rz_matrix(angles.delta) @ ry_matrix(angles.eta) @ rz_matrix(angles.phi)
-    )
-    rotated = ra @ t @ rb.T
-    return float(_m2_from_correlations(rotated))
-
-
-def _objective_vector(x: np.ndarray, t: np.ndarray) -> float:
-    ra = _pauli_rotation(rz_matrix(x[0]) @ ry_matrix(x[1]) @ rz_matrix(x[2]))
-    rb = _pauli_rotation(rz_matrix(x[3]) @ ry_matrix(x[4]) @ rz_matrix(x[5]))
-    rotated = ra @ t @ rb.T
-    return float(_m2_from_correlations(rotated))
+    return _m2_at(angles.as_array(), _correlation_matrix(rho))
 
 
 def _grid_candidates() -> np.ndarray:
@@ -145,15 +132,6 @@ def _grid_candidates() -> np.ndarray:
     return combos.reshape(3, -1).T
 
 
-def _side_rotations(candidates: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            _pauli_rotation(rz_matrix(a) @ ry_matrix(b) @ rz_matrix(g))
-            for a, b, g in candidates
-        ]
-    )
-
-
 def optimize_erasure(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> ErasureResult:
     """Two-stage minimization of the erasure objective.
 
@@ -166,17 +144,13 @@ def optimize_erasure(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> Erasur
         raise ValueError("erasure is defined for two-qubit states")
     t = _correlation_matrix(rho)
     candidates = _grid_candidates()
-    rots = _side_rotations(candidates)
+    rots = pauli_rotation(*candidates.T)
     n_cand = len(candidates)
 
     # All pair values in chunks: rotated correlations for side A fixed.
     values = np.empty((n_cand, n_cand))
     for i in range(n_cand):
-        rotated = np.einsum("ij,Bbj->Bib", rots[i] @ t, rots)
-        t2 = rotated**2
-        w = (t2**2).reshape(n_cand, 16).sum(axis=1) / 16.0
-        p = t2.reshape(n_cand, 16).sum(axis=1) / 4.0
-        values[i] = -np.log2(w) + np.log2(p) - 2.0
+        values[i] = _m2_from_correlations(np.einsum("ij,Bbj->Bib", rots[i] @ t, rots))
     evaluations = n_cand * n_cand
 
     flat_order = np.argsort(values, axis=None)
@@ -199,7 +173,7 @@ def optimize_erasure(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> Erasur
         if refine_left <= 0:
             break
         res = minimize(
-            _objective_vector,
+            _m2_at,
             x0,
             args=(t,),
             method="Nelder-Mead",
@@ -240,14 +214,10 @@ def sweep_landscape(
     if gammas.size == 0 or phis.size == 0:
         raise ValueError("grids must be non-empty")
     t = _correlation_matrix(rho)
-    ra = np.array([_pauli_rotation(rz_matrix(g)) for g in gammas])
-    rb = np.array([_pauli_rotation(rz_matrix(f)) for f in phis])
-    rotated = np.einsum("Aai,ij,Bbj->ABab", ra, t, rb)
-    t2 = rotated**2
-    w = (t2**2).reshape(gammas.size, phis.size, 16).sum(axis=2) / 16.0
-    p = t2.reshape(gammas.size, phis.size, 16).sum(axis=2) / 4.0
-    landscape = -np.log2(w) + np.log2(p) - 2.0
-    gi, pi = np.unravel_index(np.argmin(landscape), landscape.shape)
+    ra = pauli_rotation(0.0, 0.0, gammas)
+    rb = pauli_rotation(0.0, 0.0, phis)
+    landscape = _m2_from_correlations(np.einsum("Aai,ij,Bbj->ABab", ra, t, rb))
+    gi, pi = np.unravel_index(first_minimum(landscape), landscape.shape)
     angles = ErasureAngles(gamma=float(gammas[gi]), phi=float(phis[pi]))
     return ErasureResult(
         angles=angles,
@@ -258,6 +228,14 @@ def sweep_landscape(
         gamma_grid=gammas,
         phi_grid=phis,
     )
+
+
+def first_minimum(values: np.ndarray) -> int:
+    """Flat index of the first entry, in row-major order, within 1e-12 of
+    the minimum. Symmetric landscapes have several minima equal up to
+    rounding; this picks the same one whatever the rounding."""
+    flat = np.ravel(values)
+    return int(np.flatnonzero(flat <= flat.min() + 1e-12)[0])
 
 
 def landscape_to_csv(result: ErasureResult) -> str:

@@ -91,23 +91,22 @@ def schmidt_spectrum(rho: DensityMatrix) -> SchmidtSpectrum:
 
 
 def stabilizer_purity_exact(rho: DensityMatrix) -> float:
-    """W(rho) = d^-2 sum_P Tr(P rho)^4 by direct Pauli enumeration."""
+    """W(rho) = d^-2 sum_P Tr(P rho)^4 over the contracted Pauli spectrum."""
     t = expectations_from_matrix(rho.matrix, rho.num_qubits)
     return float((t**4).sum()) / rho.dim**2
 
 
 def sre_exact(rho: DensityMatrix) -> float:
     """Degree-2 stabilizer Renyi entropy, mixed-state convention."""
-    return _sre_from_matrix(rho.matrix, rho.num_qubits)
+    return float(m2_from_expectations(expectations_from_matrix(rho.matrix, rho.num_qubits), rho.dim))
 
 
-def _sre_from_matrix(mat: np.ndarray, num_qubits: int) -> float:
-    d = 2**num_qubits
-    t = expectations_from_matrix(mat, num_qubits)
+def m2_from_expectations(t: np.ndarray, dim: int) -> np.ndarray:
+    """M2 from Pauli expectations along the last axis of ``t`` (batched)."""
     t2 = t**2
-    w = float((t2**2).sum()) / d**2
-    pur = float(t2.sum()) / d
-    return float(-np.log2(w) + np.log2(pur) - np.log2(d))
+    w = (t2**2).sum(axis=-1) / dim**2
+    pur = t2.sum(axis=-1) / dim
+    return -np.log2(w) + np.log2(pur) - np.log2(dim)
 
 
 def magic_report(rho: DensityMatrix, m2_nonlocal: Optional[float] = None) -> MagicReport:
@@ -130,7 +129,8 @@ def nonlocal_magic_schmidt(lam: float) -> float:
     """M_NL = -log2(4 (lam-1) lam (1-2 lam)^2 + 1) for Schmidt weight lam."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    return float(-np.log2(4.0 * (lam - 1.0) * lam * (1.0 - 2.0 * lam) ** 2 + 1.0))
+    # 0.0 - log2(1) is +0.0, where -log2(1) would be -0.0.
+    return float(0.0 - np.log2(4.0 * (lam - 1.0) * lam * (1.0 - 2.0 * lam) ** 2 + 1.0))
 
 
 def nonlocal_magic_theta(theta: float) -> float:
@@ -143,7 +143,7 @@ def nonlocal_magic_from_rdm_purity(p_a: float) -> float:
     if not 0.5 - 1e-12 <= p_a <= 1.0 + 1e-12:
         raise ValueError("single-qubit reduced purity must lie in [0.5, 1]")
     p_a = min(max(p_a, 0.5), 1.0)
-    return float(-np.log2(4.0 * p_a**2 - 6.0 * p_a + 3.0))
+    return float(0.0 - np.log2(4.0 * p_a**2 - 6.0 * p_a + 3.0))
 
 
 def rdm_purity_noisy(lam: float, p_dep: float) -> float:

@@ -70,20 +70,6 @@ class NoiseConfig:
             raise ValueError("n_shot must be a positive integer")
 
 
-def error_prob_from_survival(p_dep: float) -> float:
-    """Convert a survival probability to the error probability 1 - p.
-
-    Closed-form noisy curves are written in terms of the error probability
-    while the channel itself is parametrized by survival; keeping the
-    conversion in one place avoids sign mistakes.
-    """
-    return 1.0 - p_dep
-
-
-def survival_from_error_prob(p_err: float) -> float:
-    return 1.0 - p_err
-
-
 def depolarize(rho: DensityMatrix, p_dep: float) -> DensityMatrix:
     """Global depolarizing channel p*rho + (1-p)*I/d on the full register."""
     if not 0.0 <= p_dep <= 1.0:

@@ -78,3 +78,9 @@ def test_table1_bytes_repeat_in_one_process(capsys):
     second = run(capsys, ["report", "table1", "--seed", "0"])
     assert first[0] == 0
     assert first == second
+
+
+def test_table1_prints_no_negative_zero(capsys):
+    code, out, _ = run(capsys, ["report", "table1", "--seed", "0"])
+    assert code == 0
+    assert "-0.000000" not in out

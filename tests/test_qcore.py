@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmagic import DensityMatrix, partial_trace, pauli_expectations, purity, tensor
-from nlmagic.qcore import PAULI_I, PAULI_X, PAULI_Z, all_pauli_strings
+from nlmagic.qcore import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Z,
+    all_pauli_strings,
+    apply_per_qubit,
+    pauli_matrix_stack,
+)
 
 from helpers import random_mixed, random_pure
 
@@ -120,3 +129,37 @@ def test_density_matrix_immutable():
     rho = DensityMatrix.from_state_vector([1, 0])
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# The contracted Pauli spectrum against the explicit 4^N matrix stack.
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_contracted_spectrum_matches_matrix_stack(num_qubits, pure, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_pure(rng, num_qubits) if pure else random_mixed(rng, num_qubits)
+    t = pauli_expectations(rho)
+    reference = np.einsum("pij,ji->p", pauli_matrix_stack(num_qubits), rho.matrix).real
+    assert t.dtype == np.float64 and t.shape == (4**num_qubits,)
+    assert np.max(np.abs(t - reference)) <= 1e-12
+    assert abs((t**2).sum() - rho.dim * purity(rho)) <= 1e-12
+
+
+def test_contracted_spectrum_lexicographic_order():
+    # |0> (x) |+>: only I, Z on qubit 0 and I, X on qubit 1 are nonzero.
+    rho = DensityMatrix.from_state_vector([1, 1, 0, 0])
+    t = pauli_expectations(rho)
+    letters = [p.letters for p in all_pauli_strings(2)]
+    nonzero = {letters[k] for k in np.flatnonzero(np.abs(t) > 1e-12)}
+    assert nonzero == {"II", "IX", "ZI", "ZX"}
+
+
+def test_apply_per_qubit_matches_kronecker_product():
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(4, 4))
+    t = rng.normal(size=(3, 4, 4, 4))
+    out = apply_per_qubit(m, t, 3)
+    full = np.kron(np.kron(m, m), m)
+    np.testing.assert_allclose(out.reshape(3, 64), t.reshape(3, 64) @ full.T, atol=1e-12)
