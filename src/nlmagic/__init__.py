@@ -24,7 +24,6 @@ from .circuits import (
 from .noise import (
     CalibrationMatrix,
     NoiseConfig,
-    apply_readout_noise,
     depolarize,
     sample_shots,
     synth_calibration_matrix,

@@ -21,7 +21,7 @@ import numpy as np
 from .benchfit import avg_gate_fidelity, decay_curve_from_csv, fit_exp_decay
 from .circuits import run_circuit
 from .erasure import landscape_to_csv, sweep_landscape
-from .magic import sre_exact, stabilizer_purity_exact
+from .magic import magic_report
 from .mitigation import (
     InitializationCounts,
     calibration_from_counts,
@@ -128,12 +128,11 @@ def _emit(report: Report, args) -> int:
 def _cmd_magic_exact(args) -> int:
     scenario = _load_scenario(args)
     rho = run_circuit(scenario.build_circuit(), NoiseConfig(p_dep_cz=scenario.p_dep_cz))
+    oracles = magic_report(rho)
     report = Report(name=f"{scenario.name}-exact", seed=scenario.seed)
-    report.values.append(ReportValue("purity", "oracle", purity(rho)))
-    report.values.append(
-        ReportValue("stab_purity", "oracle", stabilizer_purity_exact(rho))
-    )
-    report.values.append(ReportValue("sre", "oracle", sre_exact(rho)))
+    report.values.append(ReportValue("purity", "oracle", oracles.purity))
+    report.values.append(ReportValue("stab_purity", "oracle", oracles.stabilizer_purity))
+    report.values.append(ReportValue("sre", "oracle", oracles.m2))
     if rho.num_qubits == 2:
         report.values.append(
             ReportValue("rdm_purity[0]", "oracle", purity(partial_trace(rho, {0})))
@@ -163,8 +162,7 @@ def _cmd_mitigate(args) -> int:
     report = Report(name="mitigate", seed=0)
     report.values.append(ReportValue("readout_fidelity", "oracle", readout_fidelity(cal)))
     rows = []
-    for i, p in enumerate(vectors):
-        mitigated = mitigate_least_squares(np.array(p, dtype=float), cal)
+    for i, mitigated in enumerate(mitigate_least_squares(np.array(vectors, dtype=float), cal)):
         rows.append([float(i)] + [float(x) for x in mitigated])
         for j, x in enumerate(mitigated):
             report.values.append(ReportValue(f"p{i}[{j}]", "estimate", float(x)))

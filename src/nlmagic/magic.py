@@ -92,8 +92,11 @@ def schmidt_spectrum(rho: DensityMatrix) -> SchmidtSpectrum:
 
 def stabilizer_purity_exact(rho: DensityMatrix) -> float:
     """W(rho) = d^-2 sum_P Tr(P rho)^4 over the contracted Pauli spectrum."""
-    t = expectations_from_matrix(rho.matrix, rho.num_qubits)
-    return float((t**4).sum()) / rho.dim**2
+    return _stabilizer_purity(expectations_from_matrix(rho.matrix, rho.num_qubits), rho.dim)
+
+
+def _stabilizer_purity(t: np.ndarray, dim: int) -> float:
+    return float((t**4).sum()) / dim**2
 
 
 def sre_exact(rho: DensityMatrix) -> float:
@@ -110,14 +113,18 @@ def m2_from_expectations(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 def magic_report(rho: DensityMatrix, m2_nonlocal: Optional[float] = None) -> MagicReport:
-    m2 = sre_exact(rho)
-    local = None if m2_nonlocal is None else local_magic(rho, m2_nonlocal)
+    """Purity, W and M2 of ``rho`` (W and M2 from one Pauli spectrum), and
+    the local part of M2 when the non-local part is given."""
+    t = expectations_from_matrix(rho.matrix, rho.num_qubits)
+    m2 = float(m2_from_expectations(t, rho.dim))
+    if m2_nonlocal is not None and m2_nonlocal > m2 + 1e-9:
+        raise ValueError(f"non-local magic {m2_nonlocal} exceeds total {m2}")
     return MagicReport(
         purity=purity(rho),
-        stabilizer_purity=stabilizer_purity_exact(rho),
+        stabilizer_purity=_stabilizer_purity(t, rho.dim),
         m2=m2,
         m2_nonlocal=m2_nonlocal,
-        m2_local=local,
+        m2_local=None if m2_nonlocal is None else m2 - m2_nonlocal,
     )
 
 
@@ -197,10 +204,7 @@ def sre_nlm_depolarized(p_err: float, theta: float) -> float:
 
 def local_magic(rho: DensityMatrix, nl: float) -> float:
     """Locally erasable magic: total M2 minus the non-local part."""
-    total = sre_exact(rho)
-    if nl > total + 1e-9:
-        raise ValueError(f"non-local magic {nl} exceeds total {total}")
-    return total - nl
+    return magic_report(rho, nl).m2_local
 
 
 # ---------------------------------------------------------------------------

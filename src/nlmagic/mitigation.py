@@ -1,19 +1,23 @@
 """Readout calibration estimation and constrained least-squares mitigation.
 
 Inverting the calibration matrix can push probability vectors out of the
-simplex, so the mitigated vector is instead the simplex-constrained
-minimizer of || Lambda p - p_exp ||^2. The solver is projected gradient
-descent with an exact Euclidean projection onto the simplex and a fixed
-step 1/L, where L is the largest squared singular value of Lambda obtained
-by power iteration. At dimension <= 8 this is fast, deterministic and
-always feasible.
+simplex, so the mitigated vector is the exact minimizer of
+|| Lambda p - b ||^2 over the simplex, found by a primal active-set method.
+Every row of a (K, d) batch starts at the uniform vector with all
+coordinates free. A step solves the KKT system [Lambda^T Lambda, 1; 1^T, 0]
+of the free face, pinned coordinates held at 0. A feasible face optimum is
+taken, and the pinned coordinate with the most negative multiplier
+g_i + mu (g the gradient, mu the sum multiplier) is freed; the row stops
+when none is below -1e-14 of the problem's scale. An infeasible one is
+approached until a coordinate reaches zero, which is then pinned. A row
+whose Lambda^-1 b lies in the simplex stops after one step. The rows still
+moving share one batched ``np.linalg.solve`` per step.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .noise import CalibrationMatrix
 
 
 class ConvergenceError(RuntimeError):
-    """The solver hit its iteration cap before the objective settled."""
+    """The solver hit its step cap before every row reached the optimum."""
 
 
 @dataclass(frozen=True)
@@ -69,72 +73,74 @@ def readout_fidelity(lam: CalibrationMatrix) -> float:
     return float(np.mean(np.diag(lam.matrix)))
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    x = np.asarray(v, dtype=float).ravel()
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, x.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[cond][-1] / rho
-    return np.clip(x - tau, 0.0, None)
+def mitigate_least_squares(p_exp, lam: CalibrationMatrix, *, full_output: bool = False):
+    """argmin_{p >= 0, sum p = 1} || Lambda p - b ||_2^2 for one vector b or
+    each row of a (K, d) array, returned in the input's shape.
 
-
-def _largest_squared_singular_value(m: np.ndarray, iters: int = 200) -> float:
-    gram = m.T @ m
-    v = np.ones(m.shape[1]) / np.sqrt(m.shape[1])
-    for _ in range(iters):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(v @ gram @ v)
-
-
-def mitigate_least_squares(
-    p_exp,
-    lam: CalibrationMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    full_output: bool = False,
-):
-    """argmin_{p >= 0, sum p = 1} || Lambda p - p_exp ||_2^2.
-
-    ``tol`` bounds the objective decrease per iteration at which the solver
-    stops. Raises ConvergenceError if the cap is reached while the objective
-    is still moving. With ``full_output`` the objective history is returned
-    alongside the minimizer for diagnostics.
+    ``full_output`` adds ``{"iterations": active-set steps summed over rows,
+    "kkt_residual": largest KKT violation}``. Raises ValueError on a
+    dimension mismatch, ConvergenceError after 10 d + 10 steps.
     """
-    b = np.asarray(p_exp, dtype=float).ravel()
+    b = np.asarray(p_exp, dtype=float)
     m = lam.matrix
-    if m.shape[0] != b.size:
+    d = m.shape[0]
+    if b.ndim not in (1, 2) or b.shape[-1] != d:
         raise ValueError("calibration matrix and vector dimensions differ")
-    lip = _largest_squared_singular_value(m)
-    step = 1.0 / lip if lip > 0 else 1.0
-    p = project_to_simplex(b)
-    resid = m @ p - b
-    obj = float(resid @ resid)
-    history = [obj]
-    converged = False
-    for _ in range(max_iter):
-        grad = m.T @ resid
-        p_next = project_to_simplex(p - step * grad)
-        resid_next = m @ p_next - b
-        obj_next = float(resid_next @ resid_next)
-        decrease = obj - obj_next
-        p, resid, obj = p_next, resid_next, obj_next
-        history.append(obj)
-        # The fixed step guarantees descent analytically, so a decrease below
-        # tol (including float-level negatives) means the iteration stalled.
-        if decrease < tol:
-            converged = True
+    gram = m.T @ m
+    c = b.reshape(-1, d) @ m  # row k is Lambda^T b_k
+    k = c.shape[0]
+    tol = 1e-14 * (np.abs(gram).max() + np.abs(c).max(axis=1, initial=0.0))
+    bordered = np.block([[gram, np.ones((d, 1))], [np.ones((1, d)), np.zeros((1, 1))]])
+    rhs = np.hstack([c, np.ones((k, 1))])
+    p = np.full((k, d), 1.0 / d)
+    free = np.ones((k, d + 1), dtype=bool)  # column d: the sum constraint, always on
+    mu = np.zeros(k)
+    iterations = 0
+    moving = np.arange(k)
+    for _ in range(10 * d + 10):
+        if moving.size == 0:
             break
-    if not converged:
+        f = free[moving]
+        # The bordered system on the free face; a pinned coordinate solves x_i = 0.
+        kkt = np.where(f[:, :, None] & f[:, None, :], bordered, np.eye(d + 1) * ~f[:, None, :])
+        sol = np.linalg.solve(kkt, np.where(f, rhs[moving], 0.0)[..., None])[..., 0]
+        target = sol[:, :d]
+        iterations += moving.size
+
+        # Feasible rows move to the face optimum and price the pinned
+        # coordinates; the most negative multiplier is freed, none ends the row.
+        ok = (target >= 0.0).all(axis=1)
+        at = moving[ok]
+        p[at] = target[ok]
+        mu[at] = sol[ok, d]
+        mult = p[at] @ gram - c[at] + mu[at, None]
+        mult[free[at, :d]] = np.inf
+        enter = mult.argmin(axis=1)
+        improves = mult[np.arange(at.size), enter] < -tol[at]
+        free[at[improves], enter[improves]] = True
+
+        # Infeasible rows step towards the face optimum until a coordinate
+        # reaches zero, and pin it.
+        out = moving[~ok]
+        cur, tgt = p[out], target[~ok]
+        neg = tgt < 0.0
+        ratio = np.full(cur.shape, np.inf)
+        ratio[neg] = cur[neg] / (cur[neg] - tgt[neg])
+        alpha = ratio.min(axis=1, keepdims=True)
+        nxt = cur + alpha * (tgt - cur)
+        hit = (ratio <= alpha) | (nxt <= 0.0)
+        nxt[hit] = 0.0
+        p[out] = nxt
+        free[out, :d] &= ~hit
+
+        moving = np.concatenate([at[improves], out])
+    if moving.size:
         raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (objective {obj:.3e})"
+            f"{moving.size} of {k} rows still moving after {10 * d + 10} active-set steps"
         )
-    if full_output:
-        return p, {"objective": history, "iterations": len(history) - 1}
-    return p
+    p_out = p.reshape(b.shape)
+    if not full_output:
+        return p_out
+    mult = p @ gram - c + mu[:, None]
+    residual = np.abs(np.c_[np.minimum(p, mult), p.sum(axis=1) - 1.0]).max(initial=0.0)
+    return p_out, {"iterations": iterations, "kkt_residual": float(residual)}

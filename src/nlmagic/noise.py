@@ -100,14 +100,6 @@ def clean_probability_vector(p, atol: float = 1e-12) -> np.ndarray:
     return v / total
 
 
-def apply_readout_noise(p, lam: CalibrationMatrix) -> np.ndarray:
-    """Corrupt ideal outcome probabilities: p_exp = Lambda @ p_ideal."""
-    v = clean_probability_vector(p)
-    if lam.dim != v.size:
-        raise ValueError(f"calibration dim {lam.dim} does not match vector size {v.size}")
-    return clean_probability_vector(lam.matrix @ v)
-
-
 def sample_shots(p, n_shot: int, seed) -> np.ndarray:
     """Empirical frequencies of ``n_shot`` multinomial draws, seeded, from
     one outcome vector or from each row of an array of them.

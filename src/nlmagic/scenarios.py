@@ -270,10 +270,7 @@ def run_scenario(scenario: Scenario) -> Report:
     )
     ds = collect_dataset(rho, tuples, noise)
     if scenario.mitigation and scenario.readout is not None:
-        vectors = np.array(
-            [mitigate_least_squares(p, scenario.readout) for p in ds.prob_vectors]
-        )
-        ds = ds.with_vectors(vectors)
+        ds = ds.with_vectors(mitigate_least_squares(ds.prob_vectors, scenario.readout))
 
     report = Report(name=scenario.name, seed=scenario.seed)
     for est_spec in scenario.estimators:

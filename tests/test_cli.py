@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from nlmagic import CalibrationMatrix, magic, mitigate_least_squares
 from nlmagic.cli import main
 
 SCENARIO = {
@@ -84,3 +86,36 @@ def test_table1_prints_no_negative_zero(capsys):
     code, out, _ = run(capsys, ["report", "table1", "--seed", "0"])
     assert code == 0
     assert "-0.000000" not in out
+
+
+CALIBRATION = [
+    [0.9, 0.05, 0.04, 0.01],
+    [0.05, 0.85, 0.01, 0.06],
+    [0.04, 0.02, 0.88, 0.05],
+    [0.01, 0.08, 0.07, 0.88],
+]
+READOUT = [[0.6, 0.3, 0.1, 0.0], [0.0, 0.02, 0.08, 0.9], [0.25, 0.25, 0.25, 0.25]]
+
+
+@pytest.mark.parametrize("probabilities", [READOUT[0], READOUT], ids=["one-vector", "vectors"])
+def test_mitigate_json(probabilities, tmp_path, capsys):
+    path = tmp_path / "mitigate.json"
+    path.write_text(json.dumps({"calibration": CALIBRATION, "probabilities": probabilities}))
+    code, out, err = run(capsys, ["mitigate", "--input", str(path), "--format", "json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    vectors = probabilities if isinstance(probabilities[0], list) else [probabilities]
+    expected = mitigate_least_squares(np.array(vectors), CalibrationMatrix(np.array(CALIBRATION)))
+    rows = payload["curves"]["mitigated"]["rows"]
+    assert [row[0] for row in rows] == list(range(len(vectors)))
+    np.testing.assert_array_equal([row[1:] for row in rows], expected)
+
+
+def test_magic_exact_computes_one_pauli_spectrum(scenario_path, monkeypatch, capsys):
+    calls = []
+    real = magic.expectations_from_matrix
+    monkeypatch.setattr(magic, "expectations_from_matrix", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, ["magic", "exact", "--scenario", str(scenario_path)])
+    assert code == 0
+    assert len(calls) == 1
+    assert "stab_purity" in out

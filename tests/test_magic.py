@@ -11,12 +11,15 @@ from nlmagic import (
     nonlocal_magic_from_rdm_purity,
     nonlocal_magic_schmidt,
     optimize_erasure,
+    purity,
     report_fig4,
     run_circuit,
     sre_exact,
     sre_nlm_depolarized,
+    stabilizer_purity_exact,
     state_circuit,
 )
+from nlmagic import magic
 from nlmagic.qcore import pauli_matrix_stack
 
 from helpers import random_pure
@@ -50,3 +53,15 @@ def test_oracles_build_no_pauli_matrix_stack():
     optimize_erasure(rho, OptConfig(seed=0))
     report_fig4()
     assert pauli_matrix_stack.cache_info().currsize == 0
+
+
+def test_magic_report_computes_one_pauli_spectrum(monkeypatch):
+    rho = depolarize(run_circuit(state_circuit("m")), 0.95)
+    expected = (purity(rho), stabilizer_purity_exact(rho), sre_exact(rho))
+    calls = []
+    real = magic.expectations_from_matrix
+    monkeypatch.setattr(magic, "expectations_from_matrix", lambda *a: calls.append(a) or real(*a))
+    report = magic_report(rho, 0.1)
+    assert len(calls) == 1
+    assert (report.purity, report.stabilizer_purity, report.m2) == expected
+    assert report.m2_local == report.m2 - 0.1
