@@ -23,7 +23,6 @@ from .circuits import (
 )
 from .noise import (
     CalibrationMatrix,
-    NoiseConfig,
     depolarize,
     sample_shots,
     synth_calibration_matrix,
@@ -81,6 +80,7 @@ from .scenarios import (
     Report,
     Scenario,
     calibrate_p_dep,
+    measure,
     report_fig3,
     report_fig4,
     report_table1,

@@ -130,10 +130,12 @@ def fit_exp_decay(curve: DecayCurve, max_iter: int = 200) -> DecayFit:
             if cost_new <= cost:
                 break
             scale *= 0.5
-        if cost - cost_new < 1e-16 and np.linalg.norm(step) * scale < 1e-12:
-            a, p, b, r, cost = a_new, p_new, b_new, r_new, cost_new
-            break
+        else:
+            break  # no step length lowers the cost: keep the current point
+        converged = cost - cost_new < 1e-16 and np.linalg.norm(step) * scale < 1e-12
         a, p, b, r, cost = a_new, p_new, b_new, r_new, cost_new
+        if converged:
+            break
     if not 0.0 < p <= 1.0:
         raise FitFailureError(f"fitted decay base {p} outside (0, 1]")
     rms = float(np.sqrt(cost / n.size))

@@ -9,14 +9,13 @@ depolarizing channel attaches to the CZ inside it.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .noise import NoiseConfig, depolarize
+from .noise import depolarize
 from .qcore import ATOL_STRUCT, DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, tensor_all
 
 GATE_KINDS = frozenset(
@@ -136,13 +135,16 @@ def _expand_cnot(g: GateSpec) -> list[GateSpec]:
     ]
 
 
-def run_circuit(circuit: Circuit, noise: Optional[NoiseConfig] = None) -> DensityMatrix:
+def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
     """Apply the circuit to |0...0> by unitary conjugation.
 
     After every CZ (including the CZ inside an expanded CNOT) the global
-    depolarizing channel is applied with the configured survival probability.
+    depolarizing channel is applied with survival probability ``p_dep_cz``:
+    the state passes unchanged with probability p and is replaced by the
+    maximally mixed state otherwise.
     """
-    noise = noise or NoiseConfig()
+    if not 0.0 <= p_dep_cz <= 1.0:
+        raise ValueError("p_dep_cz must lie in [0, 1]")
     n = circuit.num_qubits
     d = 2**n
     state = np.zeros((d, d), dtype=complex)
@@ -156,8 +158,8 @@ def run_circuit(circuit: Circuit, noise: Optional[NoiseConfig] = None) -> Densit
         else:
             u = _embed_single(gate_matrix(g), g.qubits[0], n)
         state = u @ state @ u.conj().T
-        if g.kind == "CZ" and noise.p_dep_cz < 1.0:
-            state = depolarize(DensityMatrix(state), noise.p_dep_cz).matrix.copy()
+        if g.kind == "CZ" and p_dep_cz < 1.0:
+            state = depolarize(DensityMatrix(state), p_dep_cz).matrix.copy()
     return DensityMatrix(state)
 
 

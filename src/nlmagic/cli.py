@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .benchfit import avg_gate_fidelity, decay_curve_from_csv, fit_exp_decay
-from .circuits import run_circuit
 from .erasure import landscape_to_csv, sweep_landscape
 from .magic import magic_report
 from .mitigation import (
@@ -28,12 +28,11 @@ from .mitigation import (
     mitigate_least_squares,
     readout_fidelity,
 )
-from .noise import CalibrationMatrix, NoiseConfig
+from .noise import CalibrationMatrix
 from .qcore import partial_trace, purity
 from .rcm import exhaustive_size
 from .scenarios import (
     Report,
-    ReportFlag,
     ReportValue,
     Scenario,
     report_fig3,
@@ -43,7 +42,10 @@ from .scenarios import (
 )
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(prog="nlmagic")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -127,7 +129,7 @@ def _emit(report: Report, args) -> int:
 
 def _cmd_magic_exact(args) -> int:
     scenario = _load_scenario(args)
-    rho = run_circuit(scenario.build_circuit(), NoiseConfig(p_dep_cz=scenario.p_dep_cz))
+    rho = scenario.prepare()
     oracles = magic_report(rho)
     report = Report(name=f"{scenario.name}-exact", seed=scenario.seed)
     report.values.append(ReportValue("purity", "oracle", oracles.purity))
@@ -175,7 +177,7 @@ def _cmd_mitigate(args) -> int:
 
 def _cmd_erase_sweep(args) -> int:
     scenario = _load_scenario(args)
-    rho = run_circuit(scenario.build_circuit(), NoiseConfig(p_dep_cz=scenario.p_dep_cz))
+    rho = scenario.prepare()
     grid = np.deg2rad(np.arange(0.0, 360.0, args.step_deg))
     result = sweep_landscape(rho, grid, grid)
     report = Report(name=f"{scenario.name}-sweep", seed=scenario.seed)
@@ -206,23 +208,11 @@ def _cmd_fit_rb(args) -> int:
 
 def _cmd_report(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    if args.action == "table1":
-        kwargs = {}
-        if args.n_rand is not None:
-            kwargs["n_rand"] = args.n_rand
-        if args.n_shot is not None:
-            kwargs["n_shot"] = args.n_shot
-        report = report_table1(p_dep=args.p_dep, seed=seed, **kwargs)
-    elif args.action == "fig3":
-        kwargs = {}
-        if args.n_rand is not None:
-            kwargs["n_rand"] = args.n_rand
-        if args.n_shot is not None:
-            kwargs["n_shot"] = args.n_shot
-        report = report_fig3(p_dep=args.p_dep, seed=seed, **kwargs)
-    else:
-        report = report_fig4(seed=seed)
-    return _emit(report, args)
+    if args.action == "fig4":
+        return _emit(report_fig4(seed=seed), args)
+    build = report_table1 if args.action == "table1" else report_fig3
+    kwargs = {k: getattr(args, k) for k in ("n_rand", "n_shot") if getattr(args, k) is not None}
+    return _emit(build(p_dep=args.p_dep, seed=seed, **kwargs), args)
 
 
 def main(argv=None) -> int:

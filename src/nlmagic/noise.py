@@ -8,9 +8,8 @@ calibration matrix, and finite-shot multinomial sampling.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,34 +39,6 @@ class CalibrationMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps(self.matrix.tolist())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationMatrix":
-        return cls(np.array(json.loads(text), dtype=float))
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Knobs for the simulated pipeline.
-
-    ``p_dep_cz`` is a survival probability: the state passes each two-qubit
-    gate unchanged with probability p and is replaced by the maximally mixed
-    state otherwise. ``n_shot`` of None means exact Born probabilities.
-    """
-
-    p_dep_cz: float = 1.0
-    readout_lambda: Optional[CalibrationMatrix] = None
-    n_shot: Optional[int] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_dep_cz <= 1.0:
-            raise ValueError("p_dep_cz must lie in [0, 1]")
-        if self.n_shot is not None and self.n_shot < 1:
-            raise ValueError("n_shot must be a positive integer")
 
 
 def depolarize(rho: DensityMatrix, p_dep: float) -> DensityMatrix:

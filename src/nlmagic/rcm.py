@@ -30,7 +30,6 @@ corrected.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -38,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .circuits import single_qubit_clifford_group
-from .noise import NoiseConfig, clean_probability_vector, sample_shots
+from .noise import CalibrationMatrix, clean_probability_vector, sample_shots
 from .qcore import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, pauli_expectations
 
 _LN2 = float(np.log(2.0))
@@ -83,8 +82,6 @@ class RcmDataset:
 
     clifford_ids: np.ndarray
     prob_vectors: np.ndarray
-    n_shot: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
         ids = np.array(self.clifford_ids, dtype=int)
@@ -111,28 +108,7 @@ class RcmDataset:
         return self.clifford_ids.shape[1]
 
     def with_vectors(self, prob_vectors: np.ndarray) -> "RcmDataset":
-        return RcmDataset(self.clifford_ids, prob_vectors, self.n_shot, self.seed)
-
-    def to_json(self) -> str:
-        payload = {
-            "version": 1,
-            "num_qubits": self.num_qubits,
-            "clifford_ids": self.clifford_ids.tolist(),
-            "prob_vectors": self.prob_vectors.tolist(),
-            "n_shot": self.n_shot,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RcmDataset":
-        payload = json.loads(text)
-        return cls(
-            np.array(payload["clifford_ids"], dtype=int),
-            np.array(payload["prob_vectors"], dtype=float),
-            payload.get("n_shot"),
-            payload.get("seed", 0),
-        )
+        return RcmDataset(self.clifford_ids, prob_vectors)
 
 
 def sample_local_cliffords(n_qubits: int, n_rand: int, seed: int) -> np.ndarray:
@@ -199,25 +175,36 @@ def _born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
     return np.where(flips % 2, -1.0, 1.0) * pauli_expectations(rho)[index]
 
 
-def collect_dataset(rho: DensityMatrix, tuples: np.ndarray, noise: NoiseConfig) -> RcmDataset:
+def collect_dataset(
+    rho: DensityMatrix,
+    tuples: np.ndarray,
+    readout: Optional[CalibrationMatrix] = None,
+    n_shot: Optional[int] = None,
+    seed: int = 0,
+) -> RcmDataset:
     """Simulate the measurement stage for all Clifford draws at once.
 
     ``tuples`` holds one row of Clifford ids per draw. Born probabilities
-    come from one Pauli gather and one Walsh transform, readout (if set) is
-    one product with the calibration matrix, and shots (if set) are one
-    multinomial call seeded from ``SeedSequence(noise.seed, spawn_key=(1,))``,
-    a stream apart from the Clifford draws. Rounding negatives are clipped
-    by ``sample_shots`` and by the dataset, not before readout.
+    come from one Pauli gather and one Walsh transform, ``readout`` (if
+    given) is one product with the calibration matrix, and ``n_shot`` shots
+    (if given; None means exact Born probabilities) are one multinomial call
+    seeded from ``SeedSequence(seed, spawn_key=(1,))``, a stream apart from
+    the Clifford draws. Rounding negatives are clipped by ``sample_shots``
+    and by the dataset, not before readout.
     """
     ids = np.array(tuples, dtype=int)
     hadamard, _ = _walsh_tables(rho.dim)
     probs = _born_walsh(rho, ids) @ hadamard / rho.dim
-    if noise.readout_lambda is not None:
-        probs = probs @ noise.readout_lambda.matrix.T
-    if noise.n_shot is not None:
-        seed = np.random.SeedSequence(noise.seed, spawn_key=(1,))
-        probs = sample_shots(probs, noise.n_shot, seed)
-    return RcmDataset(ids, probs, noise.n_shot, noise.seed)
+    if readout is not None:
+        if readout.dim != rho.dim:
+            raise ValueError(
+                f"readout calibration is {readout.dim}x{readout.dim}, "
+                f"but the {rho.num_qubits}-qubit register has {rho.dim} outcomes"
+            )
+        probs = probs @ readout.matrix.T
+    if n_shot is not None:
+        probs = sample_shots(probs, n_shot, np.random.SeedSequence(seed, spawn_key=(1,)))
+    return RcmDataset(ids, probs)
 
 
 def _walsh_moment(p, power: int):

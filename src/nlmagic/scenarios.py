@@ -1,7 +1,9 @@
 """Scenario-driven pipelines and reference reports.
 
 A scenario bundles a preparation (catalogue id or explicit gate list),
-a noise configuration, and a list of estimators; running it produces a
+a noise configuration, and a list of estimators. ``measure`` is the one
+prepare -> measure -> mitigate -> estimate stage; ``run_scenario`` and the
+bundled table1 and fig3 reports turn its estimates and oracles into a
 report holding every number with its provenance (estimate, oracle, theory
 or anchor) and pass/fail flags with explicit tolerances. Angles are
 degrees in files and radians in memory. Reports serialize to stable JSON:
@@ -27,7 +29,7 @@ from .magic import (
     stabilizer_purity_exact,
 )
 from .mitigation import mitigate_least_squares
-from .noise import CalibrationMatrix, NoiseConfig, synth_calibration_matrix
+from .noise import CalibrationMatrix, synth_calibration_matrix
 from .qcore import DensityMatrix, partial_trace, purity
 from .rcm import (
     EstimateWithError,
@@ -36,7 +38,6 @@ from .rcm import (
     estimate_rdm_purity,
     estimate_sre,
     estimate_stabilizer_purity,
-    exhaustive_size,
     sample_local_cliffords,
 )
 
@@ -88,6 +89,8 @@ class Scenario:
             raise ValueError("exactly one of state_id or circuit must be given")
         if not self.estimators:
             raise ValueError("estimator list must be non-empty")
+        if self.mitigation and self.readout is None:
+            raise ValueError("mitigation needs a readout calibration matrix")
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
     def build_circuit(self) -> Circuit:
@@ -95,30 +98,28 @@ class Scenario:
             return self.circuit
         return state_circuit(self.state_id, self.state_params)
 
+    def prepare(self) -> DensityMatrix:
+        """The state the circuit prepares under the depolarizing noise."""
+        return run_circuit(self.build_circuit(), self.p_dep_cz)
+
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         payload = json.loads(text)
         if payload.get("version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario version {payload.get('version')}")
-        state = payload.get("state")
+        state = payload.get("state") or {}
+        params = {
+            k.removesuffix("_deg"): np.deg2rad(v) if k.endswith("_deg") else v
+            for k, v in state.get("params", {}).items()
+        }
         circuit = None
-        state_id = None
-        params: dict = {}
-        if state and "id" in state:
-            state_id = state["id"]
-            params = {
-                k.removesuffix("_deg"): np.deg2rad(v) if k.endswith("_deg") else v
-                for k, v in state.get("params", {}).items()
-            }
-        elif state and "circuit" in state:
+        if "circuit" in state:
             spec = state["circuit"]
             gates = []
             for g in spec["gates"]:
                 angles = tuple(np.deg2rad(a) for a in g.get("angles_deg", ()))
                 gates.append(GateSpec(g["kind"], tuple(g["qubits"]), angles))
             circuit = Circuit(spec["num_qubits"], tuple(gates))
-        else:
-            raise ValueError("scenario needs a state id or an explicit circuit")
         noise = payload.get("noise", {})
         readout = None
         ro_spec = noise.get("readout")
@@ -139,7 +140,7 @@ class Scenario:
                 raise ValueError(f"unknown estimator spec {e!r}")
         return cls(
             name=payload.get("name", "scenario"),
-            state_id=state_id,
+            state_id=state.get("id"),
             state_params=params,
             circuit=circuit,
             p_dep_cz=noise.get("p_dep_cz", 1.0),
@@ -255,48 +256,47 @@ def _flag_tol(est: EstimateWithError, n_shot: Optional[int]) -> float:
     return 3.0 * est.sampling_error + floor
 
 
-def run_scenario(scenario: Scenario) -> Report:
-    """Prepare, corrupt, measure, estimate, and compare against the oracle."""
-    circuit = scenario.build_circuit()
-    rho = run_circuit(circuit, NoiseConfig(p_dep_cz=scenario.p_dep_cz))
-    n = circuit.num_qubits
-    n_rand = scenario.n_rand
-    tuples = sample_local_cliffords(n, n_rand, scenario.seed)
-    noise = NoiseConfig(
-        p_dep_cz=scenario.p_dep_cz,
-        readout_lambda=scenario.readout,
-        n_shot=scenario.n_shot,
-        seed=scenario.seed,
-    )
-    ds = collect_dataset(rho, tuples, noise)
-    if scenario.mitigation and scenario.readout is not None:
-        ds = ds.with_vectors(mitigate_least_squares(ds.prob_vectors, scenario.readout))
+def measure(scenario: Scenario) -> dict:
+    """Prepare, measure under random local Cliffords, mitigate readout if
+    asked, and estimate.
 
-    report = Report(name=scenario.name, seed=scenario.seed)
+    Returns ``{label: (estimate, oracle)}`` in estimator order, the oracle
+    being the exact value on the prepared state.
+    """
+    rho = scenario.prepare()
+    tuples = sample_local_cliffords(rho.num_qubits, scenario.n_rand, scenario.seed)
+    ds = collect_dataset(rho, tuples, scenario.readout, scenario.n_shot, scenario.seed)
+    if scenario.mitigation:
+        ds = ds.with_vectors(mitigate_least_squares(ds.prob_vectors, scenario.readout))
+    results = {}
     for est_spec in scenario.estimators:
+        label = est_spec
         if est_spec == "purity":
-            est = estimate_purity(ds)
-            oracle = purity(rho)
-            label = "purity"
+            est, oracle = estimate_purity(ds), purity(rho)
         elif est_spec == "stab_purity":
-            est = estimate_stabilizer_purity(ds)
-            oracle = stabilizer_purity_exact(rho)
-            label = "stab_purity"
+            est, oracle = estimate_stabilizer_purity(ds), stabilizer_purity_exact(rho)
         elif est_spec == "sre":
-            est = estimate_sre(ds)
-            oracle = sre_exact(rho)
-            label = "sre"
+            est, oracle = estimate_sre(ds), sre_exact(rho)
         elif isinstance(est_spec, tuple) and est_spec[0] == "rdm_purity":
             keep = set(est_spec[1])
-            est = estimate_rdm_purity(ds, keep)
-            oracle = purity(partial_trace(rho, keep))
             label = f"rdm_purity[{','.join(str(q) for q in sorted(keep))}]"
+            est, oracle = estimate_rdm_purity(ds, keep), purity(partial_trace(rho, keep))
         else:
             raise ValueError(f"unknown estimator {est_spec!r}")
+        if label in results:
+            raise ValueError(f"estimator {label} is listed twice")
+        results[label] = (est, float(oracle))
+    return results
+
+
+def run_scenario(scenario: Scenario) -> Report:
+    """Run the scenario's measurement and compare every estimate with its oracle."""
+    report = Report(name=scenario.name, seed=scenario.seed)
+    for label, (est, oracle) in measure(scenario).items():
         report.values.append(ReportValue.from_estimate(label, est))
-        report.values.append(ReportValue(label, "oracle", float(oracle)))
+        report.values.append(ReportValue(label, "oracle", oracle))
         report.flags.append(
-            ReportFlag(f"{label} vs oracle", est.mean, float(oracle), _flag_tol(est, scenario.n_shot))
+            ReportFlag(f"{label} vs oracle", est.mean, oracle, _flag_tol(est, scenario.n_shot))
         )
     return report
 
@@ -335,30 +335,19 @@ def report_table1(
             seed=seed + idx,
             estimators=("purity", "sre", ("rdm_purity", (0,))),
         )
-        rho = run_circuit(scenario.build_circuit(), NoiseConfig(p_dep_cz=p_dep))
-        tuples = sample_local_cliffords(2, n_rand, scenario.seed)
-        ds = collect_dataset(
-            rho,
-            tuples,
-            NoiseConfig(p_dep_cz=p_dep, n_shot=n_shot, seed=scenario.seed),
-        )
-        pur_est = estimate_purity(ds)
-        sre_est = estimate_sre(ds)
-        rdm_est = estimate_rdm_purity(ds, {0})
-        report.values.append(ReportValue.from_estimate(f"{state_id}.purity", pur_est))
-        report.values.append(ReportValue(f"{state_id}.purity", "oracle", purity(rho)))
-        report.values.append(ReportValue.from_estimate(f"{state_id}.sre", sre_est))
-        report.values.append(ReportValue(f"{state_id}.sre", "oracle", sre_exact(rho)))
-        report.values.append(
-            ReportValue(f"{state_id}.purity", "anchor", TABLE1_PURITY_ANCHOR)
-        )
-        report.values.append(
-            ReportValue(f"{state_id}.sre", "anchor", TABLE1_MAGIC_ANCHORS[state_id])
-        )
+        results = measure(scenario)
+        anchors = {"purity": TABLE1_PURITY_ANCHOR, "sre": TABLE1_MAGIC_ANCHORS[state_id]}
+        for key in anchors:
+            est, oracle = results[key]
+            report.values.append(ReportValue.from_estimate(f"{state_id}.{key}", est))
+            report.values.append(ReportValue(f"{state_id}.{key}", "oracle", oracle))
+        for key, anchor in anchors.items():
+            report.values.append(ReportValue(f"{state_id}.{key}", "anchor", anchor))
+        rdm_est, rdm_oracle = results["rdm_purity[0]"]
         report.values.append(ReportValue.from_estimate(f"{state_id}.rdm_purity[0]", rdm_est))
         nl_est = _nl_from_rdm(rdm_est, p_dep)
         report.values.append(ReportValue(f"{state_id}.nonlocal_magic_rdm", "estimate", nl_est))
-        nl_oracle = nonlocal_magic_noisy(purity(partial_trace(rho, {0})), p_dep)
+        nl_oracle = nonlocal_magic_noisy(rdm_oracle, p_dep)
         report.values.append(
             ReportValue(f"{state_id}.nonlocal_magic_rdm", "oracle", nl_oracle)
         )
@@ -367,10 +356,12 @@ def report_table1(
         # the anchor. The estimate is checked at its own statistical scale;
         # its intrinsic spread at 400 draws (about 0.04) is wider than the
         # calibration tolerance.
+        pur_est, pur_oracle = results["purity"]
+        sre_est, _ = results["sre"]
         report.flags.append(
             ReportFlag(
                 f"{state_id}.purity(theory) vs anchor",
-                purity(rho),
+                pur_oracle,
                 TABLE1_PURITY_ANCHOR,
                 TABLE1_PURITY_TOL,
             )
@@ -423,16 +414,19 @@ def report_fig3(
     rows = []
     for idx, theta_deg in enumerate(theta_grid_deg):
         theta = float(np.deg2rad(theta_deg))
-        scenario_seed = seed + idx
-        rho = run_circuit(
-            state_circuit("nlm", {"theta": theta}), NoiseConfig(p_dep_cz=p_dep)
+        scenario = Scenario(
+            name=f"nlm(theta={theta_deg})",
+            state_id="nlm",
+            state_params={"theta": theta},
+            p_dep_cz=p_dep,
+            n_shot=n_shot,
+            n_rand=n_rand,
+            seed=seed + idx,
+            estimators=("sre", ("rdm_purity", (0,))),
         )
-        tuples = sample_local_cliffords(2, n_rand, scenario_seed)
-        ds = collect_dataset(
-            rho, tuples, NoiseConfig(p_dep_cz=p_dep, n_shot=n_shot, seed=scenario_seed)
-        )
-        sre_est = estimate_sre(ds)
-        rdm_est = estimate_rdm_purity(ds, {0})
+        results = measure(scenario)
+        sre_est, _ = results["sre"]
+        rdm_est, _ = results["rdm_purity[0]"]
         theory = sre_nlm_depolarized(p_err, theta)
         nl_est = _nl_from_rdm(rdm_est, p_dep)
         nl_theory = nonlocal_magic_theta(theta)
@@ -451,7 +445,7 @@ def report_fig3(
                 f"sre(theta={theta_deg}) within 3 errors of theory",
                 sre_est.mean,
                 theory,
-                3.0 * sre_est.sampling_error + (5e-3 if n_shot else 1e-9),
+                _flag_tol(sre_est, n_shot),
             )
         )
     report.curves["fig3"] = {
@@ -477,8 +471,8 @@ def report_fig4(seed: int = 0, grid_step_deg: float = SWEEP_GRID_STEP_DEG) -> Re
     """
     grid = np.deg2rad(np.arange(0.0, 360.0, grid_step_deg))
     base = state_circuit("m")
-    noisy = run_circuit(base, NoiseConfig(p_dep_cz=SWEEP_P_DEP))
-    clean = run_circuit(base, NoiseConfig())
+    noisy = run_circuit(base, SWEEP_P_DEP)
+    clean = run_circuit(base)
     noisy_sweep = sweep_landscape(noisy, grid, grid)
     clean_sweep = sweep_landscape(clean, grid, grid)
     nl_oracle = nonlocal_magic_theta(schmidt_spectrum(clean).theta)

@@ -4,7 +4,6 @@ import pytest
 from nlmagic import (
     Circuit,
     GateSpec,
-    NoiseConfig,
     clifford_cardinality,
     gate_matrix,
     purity,
@@ -86,13 +85,20 @@ def test_run_circuit_preserves_purity_without_noise():
 
 def test_depolarizing_attaches_to_each_cz():
     p = 0.96
-    one = run_circuit(state_circuit("lm"), NoiseConfig(p_dep_cz=p))
+    one = run_circuit(state_circuit("lm"), p)
     assert purity(one) == pytest.approx(0.75 * p**2 + 0.25, abs=1e-12)
     two_cz = Circuit(
         2, (GateSpec("H", (0,)), GateSpec("CNOT", (0, 1)), GateSpec("CZ", (0, 1)))
     )
-    rho = run_circuit(two_cz, NoiseConfig(p_dep_cz=p))
+    rho = run_circuit(two_cz, p)
     assert purity(rho) == pytest.approx(0.75 * p**4 + 0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("p_dep_cz", [-0.01, 1.01])
+def test_run_circuit_rejects_survival_outside_unit_interval(p_dep_cz):
+    # Checked up front, so a circuit without any CZ rejects it too.
+    with pytest.raises(ValueError, match=r"p_dep_cz must lie in \[0, 1\]"):
+        run_circuit(state_circuit("psi1"), p_dep_cz)
 
 
 def test_clifford_group_order_and_identity():

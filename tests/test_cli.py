@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlmagic import CalibrationMatrix, magic, mitigate_least_squares
-from nlmagic.cli import main
+from nlmagic.cli import build_parser, main
 
 SCENARIO = {
     "version": 1,
@@ -119,3 +119,14 @@ def test_magic_exact_computes_one_pauli_spectrum(scenario_path, monkeypatch, cap
     assert code == 0
     assert len(calls) == 1
     assert "stab_purity" in out
+
+
+def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, capsys):
+    assert build_parser() is build_parser()
+    argv = ["magic", "exact", "--scenario", str(scenario_path)]
+    code, out, _ = run(capsys, argv + ["--seed", "7", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.startswith(f"report: cli-test-exact (seed {SCENARIO['seed']})")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nlmagic import (
     ErasureAngles,
-    NoiseConfig,
     OptConfig,
     erasure_objective,
     nonlocal_magic_theta,
@@ -86,7 +85,7 @@ def test_noise_free_sweep_minimum_is_nonlocal_magic():
 
 def test_fig4_minimum_is_stable_under_one_ulp_shifts():
     grid = np.deg2rad(np.arange(0.0, 360.0, SWEEP_GRID_STEP_DEG))
-    noisy = run_circuit(state_circuit("m"), NoiseConfig(p_dep_cz=SWEEP_P_DEP))
+    noisy = run_circuit(state_circuit("m"), SWEEP_P_DEP)
     values = sweep_landscape(noisy, grid, grid).landscape
     # Its 90-degree symmetry gives several minima that agree to rounding.
     assert np.sum(values <= values.min() + 1e-12) > 1

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nlmagic import (
-    NoiseConfig,
     RcmDataset,
     collect_dataset,
     estimate_purity,
@@ -108,7 +107,7 @@ def test_statistics_reject_non_power_of_two_length():
 def test_exhaustive_average_equals_oracles(num_qubits, seed):
     rho = random_mixed(np.random.default_rng([seed, num_qubits]), num_qubits)
     tuples = sample_local_cliffords(num_qubits, 24**num_qubits, 0)
-    ds = collect_dataset(rho, tuples, NoiseConfig())
+    ds = collect_dataset(rho, tuples)
     assert ds.n_samples == 24**num_qubits
     assert abs(estimate_purity(ds).mean - purity(rho)) <= EXACT_TOL
     assert abs(estimate_stabilizer_purity(ds).mean - stabilizer_purity_exact(rho)) <= EXACT_TOL
@@ -124,7 +123,7 @@ def test_born_probabilities_match_density_matrix_rule(num_qubits):
     rng = np.random.default_rng(num_qubits)
     rho = random_mixed(rng, num_qubits)
     tuples = rng.integers(0, 24, size=(60, num_qubits))
-    ds = collect_dataset(rho, tuples, NoiseConfig())
+    ds = collect_dataset(rho, tuples)
     for ids, p in zip(tuples, ds.prob_vectors):
         np.testing.assert_allclose(p, reference_born(rho, ids), rtol=0, atol=1e-14)
 
@@ -153,13 +152,20 @@ def test_collect_rejects_ids_outside_group(bad_id):
     ids, _ = _valid_dataset_inputs()
     ids[2, 1] = bad_id
     with pytest.raises(ValueError, match=r"\[0, 24\)"):
-        collect_dataset(rho, ids, NoiseConfig())
+        collect_dataset(rho, ids)
 
 
 def test_collect_rejects_wrong_qubit_count():
     rho = random_mixed(np.random.default_rng(0), 2)
     with pytest.raises(ValueError, match="one Clifford id per qubit"):
-        collect_dataset(rho, np.zeros((4, 3), dtype=int), NoiseConfig())
+        collect_dataset(rho, np.zeros((4, 3), dtype=int))
+
+
+def test_collect_rejects_readout_of_another_register_size():
+    rho = random_mixed(np.random.default_rng(0), 2)
+    lam = synth_calibration_matrix([(0.02, 0.04)] * 3)
+    with pytest.raises(ValueError, match="readout calibration is 8x8"):
+        collect_dataset(rho, sample_local_cliffords(2, 10, 0), lam)
 
 
 def test_dataset_rejects_negative_entries_beyond_tolerance():
@@ -191,13 +197,13 @@ def test_clean_rows_match_vectors():
 
 def _shot_noise(seed, n_shot=1000, readout=None):
     lam = synth_calibration_matrix([(0.02, 0.04), (0.03, 0.06)]) if readout else None
-    return NoiseConfig(readout_lambda=lam, n_shot=n_shot, seed=seed)
+    return {"readout": lam, "n_shot": n_shot, "seed": seed}
 
 
 def test_shot_frequencies_are_counts_and_normalized():
     rho = random_mixed(np.random.default_rng(4), 2)
     n_shot = 1000
-    ds = collect_dataset(rho, sample_local_cliffords(2, 50, 4), _shot_noise(4, n_shot, True))
+    ds = collect_dataset(rho, sample_local_cliffords(2, 50, 4), **_shot_noise(4, n_shot, True))
     counts = ds.prob_vectors * n_shot
     np.testing.assert_allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
     np.testing.assert_allclose(ds.prob_vectors.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -207,9 +213,9 @@ def test_shot_frequencies_are_counts_and_normalized():
 def test_same_seed_same_dataset(readout):
     rho = random_mixed(np.random.default_rng(5), 2)
     tuples = sample_local_cliffords(2, 40, 5)
-    first = collect_dataset(rho, tuples, _shot_noise(9, readout=readout))
-    again = collect_dataset(rho, tuples, _shot_noise(9, readout=readout))
-    other = collect_dataset(rho, tuples, _shot_noise(10, readout=readout))
+    first = collect_dataset(rho, tuples, **_shot_noise(9, readout=readout))
+    again = collect_dataset(rho, tuples, **_shot_noise(9, readout=readout))
+    other = collect_dataset(rho, tuples, **_shot_noise(10, readout=readout))
     np.testing.assert_array_equal(first.prob_vectors, again.prob_vectors)
     assert not np.array_equal(first.prob_vectors, other.prob_vectors)
 
@@ -217,8 +223,8 @@ def test_same_seed_same_dataset(readout):
 def test_shot_stream_is_spawn_key_one_of_the_seed():
     rho = random_mixed(np.random.default_rng(6), 2)
     tuples = sample_local_cliffords(2, 30, 6)
-    exact = collect_dataset(rho, tuples, NoiseConfig()).prob_vectors
-    sampled = collect_dataset(rho, tuples, _shot_noise(6, 500)).prob_vectors
+    exact = collect_dataset(rho, tuples).prob_vectors
+    sampled = collect_dataset(rho, tuples, **_shot_noise(6, 500)).prob_vectors
     expected = sample_shots(exact, 500, np.random.SeedSequence(6, spawn_key=(1,)))
     np.testing.assert_array_equal(sampled, clean_probability_vector(expected))
 
@@ -227,8 +233,8 @@ def test_readout_is_calibration_product():
     rho = random_mixed(np.random.default_rng(7), 2)
     tuples = sample_local_cliffords(2, 30, 7)
     lam = synth_calibration_matrix([(0.1, 0.2), (0.05, 0.15)], correlation=0.02)
-    exact = collect_dataset(rho, tuples, NoiseConfig()).prob_vectors
-    noisy = collect_dataset(rho, tuples, NoiseConfig(readout_lambda=lam)).prob_vectors
+    exact = collect_dataset(rho, tuples).prob_vectors
+    noisy = collect_dataset(rho, tuples, lam).prob_vectors
     for p, p_noisy in zip(exact, noisy):
         np.testing.assert_allclose(p_noisy, lam.matrix @ p, rtol=0, atol=1e-15)
 

@@ -1,0 +1,29 @@
+"""The seed-0 bundled reports must stay byte-identical.
+
+``tests/golden`` holds the seed-0 ``table1`` and ``fig3`` JSON, the ``fig4``
+text and the sha256 of the ``fig4`` landscape CSV as the CLI writes them.
+A change that moves any printed digit fails here; such a change must
+regenerate the files and explain every changed digit.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from nlmagic.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["table1", "fig3"])
+def test_report_json_matches_golden(name, capsys):
+    assert main(["report", name, "--seed", "0", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_fig4_text_and_landscape_match_golden(tmp_path, capsys):
+    assert main(["report", "fig4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "fig4.txt").read_text()
+    digest, filename = (GOLDEN / "fig4_fig4.csv.sha256").read_text().split()
+    assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest

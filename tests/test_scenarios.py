@@ -1,0 +1,128 @@
+import json
+
+import numpy as np
+import pytest
+
+from nlmagic import (
+    Scenario,
+    measure,
+    run_scenario,
+    state_circuit,
+    synth_calibration_matrix,
+)
+
+BASE = {"version": 1, "name": "s", "state": {"id": "m"}}
+EPS = [[0.05, 0.08], [0.04, 0.07]]
+
+
+def load(**changes) -> Scenario:
+    return Scenario.from_json(json.dumps({**BASE, **changes}))
+
+
+# ---------------------------------------------------------------------------
+# Scenario files
+
+
+def test_from_json_converts_degrees_to_radians():
+    scenario = load(state={"id": "nlm", "params": {"theta_deg": 30}})
+    assert scenario.state_params == {"theta": pytest.approx(np.pi / 6, abs=1e-15)}
+    assert scenario.build_circuit() == state_circuit("nlm", {"theta": np.deg2rad(30)})
+    gates = [{"kind": "Rxy", "qubits": [0], "angles_deg": [90, 45]}, {"kind": "CZ", "qubits": [0, 1]}]
+    circuit = load(state={"circuit": {"num_qubits": 2, "gates": gates}}).build_circuit()
+    assert circuit.gates[0].angles == (np.pi / 2, np.pi / 4)
+    assert circuit.gates[1].angles == ()
+
+
+def test_from_json_builds_readout_from_flip_rates_or_matrix():
+    scenario = load(noise={"readout": {"per_qubit_eps": EPS, "correlation": 0.02}})
+    expected = synth_calibration_matrix([tuple(e) for e in EPS], 0.02)
+    np.testing.assert_array_equal(scenario.readout.matrix, expected.matrix)
+    matrix = [[0.9, 0.2], [0.1, 0.8]]
+    explicit = load(noise={"readout": {"matrix": matrix}}).readout
+    np.testing.assert_array_equal(explicit.matrix, matrix)
+    assert load().readout is None
+
+
+def test_from_json_sorts_reduced_purity_qubits():
+    scenario = load(estimators=["sre", {"rdm_purity": {"keep": [2, 0]}}])
+    assert scenario.estimators == ("sre", ("rdm_purity", (0, 2)))
+
+
+def test_from_json_defaults():
+    scenario = load()
+    assert (scenario.p_dep_cz, scenario.n_shot, scenario.seed) == (1.0, None, 0)
+    assert scenario.estimators == ("purity", "sre")
+    assert not scenario.mitigation
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"version": 2}, "unsupported scenario version 2"),
+        ({"estimators": [{"bogus": {}}]}, "unknown estimator spec"),
+        ({"state": {"id": "m", "circuit": {"num_qubits": 1, "gates": []}}}, "exactly one"),
+        ({"state": {}}, "exactly one"),
+        ({"state": None}, "exactly one"),
+    ],
+    ids=["version", "estimator", "id-and-circuit", "neither", "no-state"],
+)
+def test_from_json_rejects_bad_scenarios(changes, message):
+    with pytest.raises(ValueError, match=message):
+        load(**changes)
+
+
+def test_mitigation_without_readout_is_an_error():
+    with pytest.raises(ValueError, match="mitigation needs a readout"):
+        Scenario("s", state_id="m", mitigation=True)
+
+
+# ---------------------------------------------------------------------------
+# The shared measurement stage
+
+
+def test_run_scenario_reports_the_stage_estimates_and_oracles():
+    scenario = load(
+        noise={"p_dep_cz": 0.95, "n_shot": 800, "readout": {"per_qubit_eps": EPS}},
+        n_rand=40,
+        seed=5,
+        mitigation=True,
+        estimators=["purity", "stab_purity", "sre", {"rdm_purity": {"keep": [1]}}],
+    )
+    results = measure(scenario)
+    assert list(results) == ["purity", "stab_purity", "sre", "rdm_purity[1]"]
+    report = run_scenario(scenario)
+    values = {(v.name, v.provenance): v for v in report.values}
+    assert len(values) == len(report.values) == 2 * len(results)
+    assert [f.name for f in report.flags] == [f"{label} vs oracle" for label in results]
+    for (est, oracle), flag in zip(results.values(), report.flags):
+        label = flag.name.removesuffix(" vs oracle")
+        estimate = values[(label, "estimate")]
+        assert (estimate.value, estimate.sampling_error) == (est.mean, est.sampling_error)
+        assert values[(label, "oracle")].value == oracle
+        assert (flag.value, flag.target) == (est.mean, oracle)
+
+
+def test_stage_oracles_are_exact_values_of_the_prepared_state():
+    scenario = Scenario("s", state_id="lm", p_dep_cz=0.9, n_rand=24**2)
+    results = measure(scenario)
+    for est, oracle in results.values():
+        assert est.mean == pytest.approx(oracle, abs=1e-12)
+    assert results["purity"][1] == pytest.approx(0.75 * 0.9**2 + 0.25, abs=1e-12)
+
+
+def test_stage_mitigation_undoes_readout_on_exact_probabilities():
+    lam = synth_calibration_matrix([tuple(e) for e in EPS])
+    exact = Scenario("s", state_id="m", n_rand=50, seed=2)
+    mitigated = Scenario("s", state_id="m", n_rand=50, seed=2, readout=lam, mitigation=True)
+    for (a, _), (b, _) in zip(measure(exact).values(), measure(mitigated).values()):
+        assert b.mean == pytest.approx(a.mean, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "estimators, message",
+    [(("purity", "bogus"), "unknown estimator 'bogus'"), (("sre", "sre"), "listed twice")],
+    ids=["unknown", "duplicate"],
+)
+def test_stage_rejects_bad_estimator_lists(estimators, message):
+    with pytest.raises(ValueError, match=message):
+        measure(Scenario("s", state_id="m", n_rand=10, estimators=estimators))
