@@ -11,7 +11,9 @@ orthogonal Pauli-transfer matrix on each side, T -> R_A T R_B^T. For
 U = Rz(a) Ry(b) Rz(g) that matrix is the closed-form product
 Rz4(a) Ry4(b) Rz4(g) of plane rotations by the same angles, in the (X, Y)
 plane for Rz and the (Z, X) plane for Ry, so a whole grid of candidate
-rotations reduces to batched cos/sin and small matrix products.
+rotations reduces to batched cos/sin and small matrix products, and
+``optimize_erasure`` refines its grid's best points by batched BFGS on the
+analytic gradient of M2 in body coordinates.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .magic import m2_from_expectations
 from .qcore import DensityMatrix, expectations_from_matrix
 
 _TWO_PI = 2.0 * np.pi
 _EYE4 = np.eye(4)
-
-
-def _wrap(angle: float) -> float:
-    return float(np.mod(angle, _TWO_PI))
+# Refinement: step lengths tried along each direction, longest first; the
+# Armijo constant; the rounding level of M2; the number of starts.
+_LADDER = 0.5 ** np.arange(10)
+_ARMIJO, _ROUNDING, _N_STARTS = 1e-4, 1e-15, 4
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,26 @@ class ErasureAngles:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta", "eta", "phi"):
-            object.__setattr__(self, name, _wrap(getattr(self, name)))
+            object.__setattr__(self, name, float(np.mod(getattr(self, name), _TWO_PI)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.gamma, self.delta, self.eta, self.phi])
 
-    @classmethod
-    def from_array(cls, values) -> "ErasureAngles":
-        a = np.asarray(values, dtype=float).ravel()
-        if a.size != 6:
-            raise ValueError("need six angles")
-        return cls(*a)
-
 
 @dataclass(frozen=True)
 class OptConfig:
+    """``tol``: a start has converged when no component of its gradient, per
+    radian of body rotation (see ``_m2_and_gradient``), exceeds it.
+    ``max_evaluations``: most M2 evaluations of the refinement, its four
+    starts included (the grid is not counted). ``seed``: the uniform start."""
+
     tol: float = 1e-8
     max_evaluations: int = 5000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_evaluations < _N_STARTS:
+            raise ValueError(f"max_evaluations must cover the {_N_STARTS} starts")
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ class ErasureResult:
 
 
 def _correlation_matrix(rho: DensityMatrix) -> np.ndarray:
+    if rho.num_qubits != 2:
+        raise ValueError("erasure is defined for two-qubit states")
     return expectations_from_matrix(rho.matrix, 2).reshape(4, 4)
 
 
@@ -106,26 +111,53 @@ def _m2_from_correlations(t: np.ndarray) -> np.ndarray:
     return m2_from_expectations(t.reshape(*t.shape[:-2], 16), 4)
 
 
-def _m2_at(x: np.ndarray, t: np.ndarray) -> float:
-    """M2 of correlations t after the rotations with the six angles x."""
-    r = pauli_rotation(*np.reshape(x, (2, 3)).T)
-    return float(_m2_from_correlations(r[0] @ t @ r[1].T))
+def _euler(r: np.ndarray) -> np.ndarray:
+    """Angles (alpha, beta, gamma) with pauli_rotation(alpha, beta, gamma) = r:
+    alpha and beta from the Z column, gamma from alpha + gamma (beta < pi/2)
+    or alpha - gamma (beta >= pi/2), both read off the X-Y block."""
+    total = np.arctan2(r[2, 1] - r[1, 2], r[1, 1] + r[2, 2])
+    diff = np.arctan2(-r[2, 1] - r[1, 2], r[2, 2] - r[1, 1])
+    alpha = np.arctan2(r[2, 3], r[1, 3])
+    beta = np.arctan2(np.hypot(r[1, 3], r[2, 3]), r[3, 3])
+    return np.array([alpha, beta, total - alpha if r[3, 3] >= 0 else alpha - diff])
+
+
+def _expm(w: np.ndarray) -> np.ndarray:
+    """Pauli-transfer matrix of the rotation by the vector w (..., 3) (Rodrigues)."""
+    k = np.zeros(w.shape[:-1] + (4, 4))
+    k[..., 1:, 1:] = np.cross(np.eye(3), w[..., None, :])
+    theta = np.linalg.norm(w, axis=-1)[..., None, None]
+    return _EYE4 + np.sinc(theta / np.pi) * k + np.sinc(theta / (2 * np.pi)) ** 2 / 2 * (k @ k)
+
+
+def _m2_and_gradient(ra: np.ndarray, rb: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M2 of T' = R_A t R_B^T for rotations ra, rb (K, 4, 4) and its gradient
+    (K, 6) in the body coordinates w of R_A _expm(w_A) and R_B _expm(w_B).
+
+    Only S = sum T'^4 moves: dM2 = -dS / (S ln 2). A body turn changes R by
+    R G(e_k) = G(R e_k) R, so dS/dw = 4 R^T tau with tau the axial vector of
+    C - C^T, C = T'^3 T'^T on side A and (T'^3)^T T' on side B.
+    """
+    tp = ra @ t @ np.swapaxes(rb, 1, 2)
+    cube = tp**3
+    grad = []
+    for r, c in ((ra, cube @ np.swapaxes(tp, 1, 2)), (rb, np.swapaxes(cube, 1, 2) @ tp)):
+        tau = np.stack([c[:, 3, 2] - c[:, 2, 3], c[:, 1, 3] - c[:, 3, 1], c[:, 2, 1] - c[:, 1, 2]], axis=1)
+        grad.append(np.einsum("kji,kj->ki", r[:, 1:, 1:], tau))
+    s4 = (cube * tp).sum(axis=(1, 2))
+    return _m2_from_correlations(tp), -4.0 * np.hstack(grad) / (s4[:, None] * np.log(2.0))
 
 
 def erasure_objective(rho: DensityMatrix, angles: ErasureAngles) -> float:
     """M2 after applying the local rotations to the state."""
-    if rho.num_qubits != 2:
-        raise ValueError("erasure is defined for two-qubit states")
-    return _m2_at(angles.as_array(), _correlation_matrix(rho))
+    a = angles.as_array()
+    return float(_m2_from_correlations(pauli_rotation(*a[:3]) @ _correlation_matrix(rho) @ pauli_rotation(*a[3:]).T))
 
 
 def _grid_candidates() -> np.ndarray:
-    """Coarse 45-degree candidates for one side, modulo left Clifford phases.
-
-    The leading Rz angle only needs {0, 45} degrees: adding 90 degrees to it
-    multiplies the rotation by a Clifford on the left, which cannot change
-    the magic of the rotated state.
-    """
+    """Coarse 45-degree candidates for one side. The leading Rz angle only
+    needs {0, 45} degrees: adding 90 degrees multiplies the rotation by a
+    Clifford on the left, which cannot change the magic of the state."""
     lead = np.deg2rad([0.0, 45.0])
     full = np.deg2rad(np.arange(0.0, 360.0, 45.0))
     combos = np.array(np.meshgrid(lead, full, full, indexing="ij"))
@@ -135,67 +167,61 @@ def _grid_candidates() -> np.ndarray:
 def optimize_erasure(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> ErasureResult:
     """Two-stage minimization of the erasure objective.
 
-    A coarse 45-degree grid over both Euler triples locates candidate
-    basins; simplex refinement polishes the best few within the evaluation
-    budget. For a noise-free pure input the result lands on the state's
-    non-local magic up to cfg.tol.
+    A 45-degree grid over both Euler triples locates candidate basins. Its
+    three best pairs and one uniform draw (cfg.seed) are refined together by
+    BFGS in body coordinates: each iteration tries a fixed ladder of step
+    lengths along every start's quasi-Newton direction in one batch and
+    takes the longest Armijo step. A start stops at a gradient within
+    cfg.tol or when no step lowers M2, and all stop before an iteration
+    could exceed cfg.max_evaluations. The lowest start is returned,
+    converged if its gradient is within cfg.tol. For a noise-free pure
+    input the floor is the state's non-local magic.
     """
-    if rho.num_qubits != 2:
-        raise ValueError("erasure is defined for two-qubit states")
     t = _correlation_matrix(rho)
     candidates = _grid_candidates()
     rots = pauli_rotation(*candidates.T)
-    n_cand = len(candidates)
-
-    # All pair values in chunks: rotated correlations for side A fixed.
-    values = np.empty((n_cand, n_cand))
-    for i in range(n_cand):
-        values[i] = _m2_from_correlations(np.einsum("ij,Bbj->Bib", rots[i] @ t, rots))
-    evaluations = n_cand * n_cand
-
-    flat_order = np.argsort(values, axis=None)
-    best_idx = np.unravel_index(flat_order[0], values.shape)
-    best_val = float(values[best_idx])
-    best_x = np.concatenate([candidates[best_idx[0]], candidates[best_idx[1]]])
-
+    # All pair values, one row per side-A candidate.
+    values = np.array([_m2_from_correlations(np.einsum("ij,Bbj->Bib", r @ t, rots)) for r in rots])
+    ia, ib = np.unravel_index(np.argsort(values, axis=None)[: _N_STARTS - 1], values.shape)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    starts = []
-    for k in range(3):
-        ia, ib = np.unravel_index(flat_order[k], values.shape)
-        starts.append(np.concatenate([candidates[ia], candidates[ib]]))
-    starts.append(rng.uniform(0.0, _TWO_PI, size=6))
+    x = np.vstack([np.hstack([candidates[ia], candidates[ib]]), rng.uniform(0.0, _TWO_PI, size=6)])
 
-    # The refinement budget counts objective calls made by the simplex
-    # stages only; the vectorized grid above is reported separately.
-    refine_left = cfg.max_evaluations
-    converged = False
-    for x0 in starts:
-        if refine_left <= 0:
-            break
-        res = minimize(
-            _m2_at,
-            x0,
-            args=(t,),
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-10,
-                "fatol": cfg.tol * 1e-4,
-                "maxfev": refine_left,
-                "disp": False,
-            },
-        )
-        refine_left -= res.nfev
-        evaluations += res.nfev
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = res.x
-        if res.success:
-            converged = True
+    ra, rb = pauli_rotation(*x[:, :3].T), pauli_rotation(*x[:, 3:].T)
+    f, g = _m2_and_gradient(ra, rb, t)
+    budget = cfg.max_evaluations - _N_STARTS
+    h = np.tile(np.eye(6), (_N_STARTS, 1, 1))
+    active = np.abs(g).max(axis=1) > cfg.tol
+    while active.any() and budget >= active.sum() * (len(_LADDER) + 1):
+        k = np.flatnonzero(active)
+        p = -np.einsum("kij,kj->ki", h[k], g[k])
+        w = _LADDER[:, None] * p[:, None]
+        ta, tb = ra[k, None] @ _expm(w[..., :3]), rb[k, None] @ _expm(w[..., 3:])
+        trial = _m2_from_correlations(ta @ t @ np.swapaxes(tb, -1, -2))
+        armijo = trial <= f[k, None] + _ARMIJO * _LADDER * (g[k] * p).sum(axis=1)[:, None]
+        # The longest Armijo step, or the full step where none passes.
+        j = (np.arange(len(k)), armijo.argmax(axis=1))
+        s, ta, tb = w[j], ta[j], tb[j]
+        f_new, g_new = _m2_and_gradient(ta, tb, t)
+        budget -= trial.size + len(k)
+        # Where rounding hides M2's decrease, keep a level step that shrinks g.
+        level = (f_new <= f[k] + _ROUNDING) & (np.abs(g_new).max(axis=1) < np.abs(g[k]).max(axis=1))
+        keep = armijo.any(axis=1) | level
+        active[k[~keep]] = False
+        k, s, ta, tb, f_new, g_new = k[keep], s[keep], ta[keep], tb[keep], f_new[keep], g_new[keep]
+        # BFGS inverse-Hessian update; r = 0 skips it without positive curvature.
+        y = g_new - g[k]
+        ys = (y * s).sum(axis=1)
+        r = np.divide(1.0, ys, out=np.zeros_like(ys), where=ys > 0)[:, None, None]
+        v = np.eye(6) - r * s[:, :, None] * y[:, None, :]
+        h[k] = v @ h[k] @ np.swapaxes(v, 1, 2) + r * s[:, :, None] * s[:, None, :]
+        ra[k], rb[k], f[k], g[k] = ta, tb, f_new, g_new
+        active[k] = np.abs(g_new).max(axis=1) > cfg.tol
+    best = int(np.argmin(f))
     return ErasureResult(
-        angles=ErasureAngles.from_array(best_x),
-        residual_m2=best_val,
-        evaluations=evaluations,
-        converged=converged,
+        angles=ErasureAngles(*_euler(ra[best]), *_euler(rb[best])),
+        residual_m2=float(f[best]),
+        evaluations=values.size + cfg.max_evaluations - budget,
+        converged=bool(np.abs(g[best]).max() <= cfg.tol),
     )
 
 
@@ -207,13 +233,11 @@ def sweep_landscape(
     Returns the full landscape matrix (gamma indexing rows) along with the
     location and value of its minimum.
     """
-    if rho.num_qubits != 2:
-        raise ValueError("erasure is defined for two-qubit states")
+    t = _correlation_matrix(rho)
     gammas = np.asarray(list(gamma_grid), dtype=float)
     phis = np.asarray(list(phi_grid), dtype=float)
     if gammas.size == 0 or phis.size == 0:
         raise ValueError("grids must be non-empty")
-    t = _correlation_matrix(rho)
     ra = pauli_rotation(0.0, 0.0, gammas)
     rb = pauli_rotation(0.0, 0.0, phis)
     landscape = _m2_from_correlations(np.einsum("Aai,ij,Bbj->ABab", ra, t, rb))

@@ -73,10 +73,6 @@ class SchmidtSpectrum:
         lam = min(lam, 1.0)
         return cls(lam, 2.0 * np.arccos(np.sqrt(lam)))
 
-    @classmethod
-    def from_theta(cls, theta: float) -> "SchmidtSpectrum":
-        return cls.from_lambda(np.cos(theta / 2) ** 2)
-
 
 def schmidt_spectrum(rho: DensityMatrix) -> SchmidtSpectrum:
     """Schmidt weight of a pure two-qubit state (largest weight first)."""
@@ -87,7 +83,7 @@ def schmidt_spectrum(rho: DensityMatrix) -> SchmidtSpectrum:
     eigs, vecs = np.linalg.eigh(rho.matrix)
     amp = vecs[:, -1].reshape(2, 2)
     s = np.linalg.svd(amp, compute_uv=False)
-    return SchmidtSpectrum.from_lambda(float(s[0] ** 2))
+    return SchmidtSpectrum.from_lambda(min(float(s[0] ** 2), 1.0))
 
 
 def stabilizer_purity_exact(rho: DensityMatrix) -> float:

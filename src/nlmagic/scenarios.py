@@ -70,6 +70,13 @@ def calibrate_p_dep(target_purity: float = TABLE1_PURITY_ANCHOR, num_qubits: int
     return float(np.sqrt((d * target_purity - 1.0) / (d - 1.0)))
 
 
+def _known(spec: dict, path: str, keys: str) -> dict:
+    """``spec`` once every key in it is among ``keys`` (space separated)."""
+    if unknown := sorted(set(spec) - set(keys.split())):
+        raise ValueError(f"unknown scenario key {', '.join(path + k for k in unknown)}")
+    return spec
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -104,38 +111,41 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        payload = json.loads(text)
+        payload = _known(json.loads(text), "", "version name state noise n_rand seed estimators mitigation")
         if payload.get("version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario version {payload.get('version')}")
-        state = payload.get("state") or {}
+        state = _known(payload.get("state") or {}, "state.", "id params circuit")
+        if "params" in state and "circuit" in state:
+            raise ValueError("state.params apply to a catalogue id, not to state.circuit")
         params = {
             k.removesuffix("_deg"): np.deg2rad(v) if k.endswith("_deg") else v
             for k, v in state.get("params", {}).items()
         }
         circuit = None
         if "circuit" in state:
-            spec = state["circuit"]
+            spec = _known(state["circuit"], "state.circuit.", "num_qubits gates")
             gates = []
-            for g in spec["gates"]:
+            for i, g in enumerate(spec["gates"]):
+                _known(g, f"state.circuit.gates[{i}].", "kind qubits angles_deg")
                 angles = tuple(np.deg2rad(a) for a in g.get("angles_deg", ()))
                 gates.append(GateSpec(g["kind"], tuple(g["qubits"]), angles))
             circuit = Circuit(spec["num_qubits"], tuple(gates))
-        noise = payload.get("noise", {})
+        noise = _known(payload.get("noise", {}), "noise.", "p_dep_cz readout n_shot")
         readout = None
-        ro_spec = noise.get("readout")
-        if ro_spec and "matrix" in ro_spec:
+        ro_spec = _known(noise.get("readout") or {}, "noise.readout.", "matrix per_qubit_eps correlation")
+        if "matrix" in ro_spec:
             readout = CalibrationMatrix(np.array(ro_spec["matrix"], dtype=float))
-        elif ro_spec and "per_qubit_eps" in ro_spec:
-            readout = synth_calibration_matrix(
-                [tuple(pair) for pair in ro_spec["per_qubit_eps"]],
-                ro_spec.get("correlation", 0.0),
-            )
+        elif "per_qubit_eps" in ro_spec:
+            eps = [tuple(pair) for pair in ro_spec["per_qubit_eps"]]
+            readout = synth_calibration_matrix(eps, ro_spec.get("correlation", 0.0))
         estimators = []
-        for e in payload.get("estimators", ["purity", "sre"]):
+        for i, e in enumerate(payload.get("estimators", ["purity", "sre"])):
             if isinstance(e, str):
                 estimators.append(e)
             elif isinstance(e, dict) and "rdm_purity" in e:
-                estimators.append(("rdm_purity", tuple(sorted(e["rdm_purity"]["keep"]))))
+                path = f"estimators[{i}]."
+                keep = _known(_known(e, path, "rdm_purity")["rdm_purity"], path + "rdm_purity.", "keep")["keep"]
+                estimators.append(("rdm_purity", tuple(sorted(keep))))
             else:
                 raise ValueError(f"unknown estimator spec {e!r}")
         return cls(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,3 +134,19 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, cap
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out.startswith(f"report: cli-test-exact (seed {SCENARIO['seed']})")
+
+
+def test_cli_and_erasure_optimizer_import_no_scipy():
+    code = (
+        "import sys\n"
+        "import nlmagic.cli\n"
+        "from nlmagic import optimize_erasure, run_circuit, state_circuit\n"
+        "result = optimize_erasure(run_circuit(state_circuit('m')))\n"
+        "assert result.converged\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -7,16 +7,26 @@ from nlmagic import (
     ErasureAngles,
     OptConfig,
     erasure_objective,
+    nonlocal_magic_schmidt,
     nonlocal_magic_theta,
     optimize_erasure,
     report_fig4,
     run_circuit,
     schmidt_spectrum,
+    sre_nlm_depolarized,
     state_circuit,
     sweep_landscape,
 )
 from nlmagic.circuits import ry_matrix, rz_matrix
-from nlmagic.erasure import first_minimum, pauli_rotation
+from nlmagic.erasure import (
+    _correlation_matrix,
+    _euler,
+    _expm,
+    _grid_candidates,
+    _m2_and_gradient,
+    first_minimum,
+    pauli_rotation,
+)
 from nlmagic.magic import sre_exact
 from nlmagic.qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
 from nlmagic.scenarios import SWEEP_GRID_STEP_DEG, SWEEP_P_DEP
@@ -73,6 +83,90 @@ def test_optimizer_reaches_nonlocal_magic_of_m(seed):
     result = optimize_erasure(run_circuit(state_circuit("m")), OptConfig(seed=seed))
     assert result.converged
     assert abs(result.residual_m2 - M_NONLOCAL) <= 5e-8
+
+
+def _gradient_at(rho, angles):
+    a = angles.as_array()
+    return _m2_and_gradient(pauli_rotation(*a[:3])[None], pauli_rotation(*a[3:])[None], _correlation_matrix(rho))[1][0]
+
+
+def test_gradient_matches_central_differences():
+    rho = run_circuit(state_circuit("m"), 0.9)
+    t = _correlation_matrix(rho)
+    x = np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=(20, 6))
+    ra, rb = pauli_rotation(*x[:, :3].T), pauli_rotation(*x[:, 3:].T)
+    value, grad = _m2_and_gradient(ra, rb, t)
+    h = 1e-5
+    for k in range(6):
+        w = np.zeros((2, 6))
+        w[:, k] = h, -h
+        plus, minus = (_m2_and_gradient(ra @ _expm(v[:3]), rb @ _expm(v[3:]), t)[0] for v in w)
+        np.testing.assert_allclose(grad[:, k], (plus - minus) / (2 * h), rtol=0, atol=1e-7)
+    assert abs(value[0] - erasure_objective(rho, ErasureAngles(*x[0]))) <= 1e-15
+
+
+def test_exponential_map_and_euler_angles_invert_rotations():
+    w = np.random.default_rng(5).normal(size=(50, 3))
+    r = _expm(w)
+    np.testing.assert_allclose(r @ np.swapaxes(r, 1, 2), np.broadcast_to(np.eye(4), r.shape), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(r @ _expm(-w), np.broadcast_to(np.eye(4), r.shape), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(_expm(np.zeros(3)), np.eye(4))
+    # Rotating about z by a is Rz(a); Euler angles round-trip, also at beta = 0 or pi.
+    np.testing.assert_allclose(_expm(np.array([0.0, 0.0, 0.7])), pauli_rotation(0.7, 0.0, 0.0), rtol=0, atol=1e-15)
+    for beta in (0.0, 1e-9, 1.3, 2.0, np.pi - 1e-9, np.pi):
+        m = pauli_rotation(0.4, beta, -2.1)
+        np.testing.assert_allclose(pauli_rotation(*_euler(m)), m, rtol=0, atol=1e-13)
+
+
+# Pure states (U_A (x) U_B)(sqrt(lam)|00> + sqrt(1 - lam)|11>) cover every
+# pure two-qubit state. Just above lam = 1/2 the three flat directions of a
+# Bell state's minima acquire a curvature of order (lam - 1/2)^2, and for
+# lam - 1/2 between about 1e-3 and 1e-2 rounding stalls the refinement up
+# to 2e-10 above the floor even at tol = 1e-12; that window is left out.
+schmidt_weights = st.floats(0.51, 1.0) | st.just(0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(schmidt_weights, st.lists(angles, min_size=6, max_size=6), st.integers(0, 2**32 - 1))
+def test_floor_of_pure_states_is_their_nonlocal_magic(lam, euler, seed):
+    u = np.kron(
+        rz_matrix(euler[0]) @ ry_matrix(euler[1]) @ rz_matrix(euler[2]),
+        rz_matrix(euler[3]) @ ry_matrix(euler[4]) @ rz_matrix(euler[5]),
+    )
+    psi = u @ np.array([np.sqrt(lam), 0.0, 0.0, np.sqrt(1.0 - lam)])
+    rho = DensityMatrix(np.outer(psi, psi.conj()))
+    # A gradient within tol pins M2 to about tol^2 / curvature, and near
+    # product states the weakest curvature is of order (1 - lam)^2.
+    result = optimize_erasure(rho, OptConfig(tol=1e-12, seed=seed))
+    expected = nonlocal_magic_schmidt(schmidt_spectrum(rho).lam)
+    assert abs(result.residual_m2 - expected) <= 1e-10
+    assert abs(erasure_objective(rho, result.angles) - result.residual_m2) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [0.99, 0.959, 0.9, 0.7])
+def test_floor_of_depolarized_m_is_closed_form(p):
+    theta = schmidt_spectrum(run_circuit(state_circuit("m"))).theta
+    result = optimize_erasure(run_circuit(state_circuit("m"), p))
+    assert result.converged
+    assert abs(result.residual_m2 - sre_nlm_depolarized(1.0 - p, theta)) <= 1e-12
+
+
+def test_converged_result_meets_the_gradient_criterion():
+    rho = run_circuit(state_circuit("m"), 0.959)
+    cfg = OptConfig(tol=1e-9, seed=5)
+    result = optimize_erasure(rho, cfg)
+    assert result.converged
+    assert np.abs(_gradient_at(rho, result.angles)).max() <= cfg.tol
+
+
+def test_small_budget_is_respected_and_not_converged():
+    rho = run_circuit(state_circuit("m"))
+    result = optimize_erasure(rho, OptConfig(max_evaluations=10))
+    assert result.evaluations <= len(_grid_candidates()) ** 2 + 10
+    assert result.converged is False
+    assert np.abs(_gradient_at(rho, result.angles)).max() > OptConfig().tol
+    with pytest.raises(ValueError, match="max_evaluations"):
+        OptConfig(max_evaluations=3)
 
 
 def test_noise_free_sweep_minimum_is_nonlocal_magic():

@@ -71,6 +71,43 @@ def test_from_json_rejects_bad_scenarios(changes, message):
         load(**changes)
 
 
+GATES = [{"kind": "Rxy", "qubits": [0], "angles_deg": [90, 45]}, {"kind": "CZ", "qubits": [0, 1]}]
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"mitigaton": True, "n_rnd": 10}, "mitigaton, n_rnd"),
+        ({"state": {"id": "m", "param": {}}}, "state.param"),
+        ({"state": {"circuit": {"num_qubits": 2, "gates": [], "qubits": 2}}}, "state.circuit.qubits"),
+        ({"state": {"circuit": {"num_qubits": 2, "gates": [GATES[0], {**GATES[1], "angle": 1}]}}}, r"state.circuit.gates\[1\].angle"),
+        ({"noise": {"nshot": 100}}, "noise.nshot"),
+        ({"noise": {"readout": {"per_qubit_eps": EPS, "corelation": 0.1}}}, "noise.readout.corelation"),
+        ({"estimators": ["sre", {"rdm_purity": {"keep": [0]}, "sre": {}}]}, r"estimators\[1\].sre"),
+        ({"estimators": [{"rdm_purity": {"keep": [0], "qubits": [1]}}]}, r"estimators\[0\].rdm_purity.qubits"),
+    ],
+    ids=["top", "state", "circuit", "gate", "noise", "readout", "estimator", "estimator-spec"],
+)
+def test_from_json_rejects_unknown_keys_naming_their_path(changes, key):
+    with pytest.raises(ValueError, match=f"unknown scenario key {key}$"):
+        load(**changes)
+
+
+def test_misspelt_scenario_no_longer_loads_with_defaults():
+    text = json.dumps({**BASE, "noise": {"nshot": 100}, "mitigaton": True, "n_rnd": 10})
+    with pytest.raises(ValueError, match="mitigaton, n_rnd"):
+        Scenario.from_json(text)
+    with pytest.raises(ValueError, match="noise.nshot"):
+        Scenario.from_json(json.dumps({**BASE, "noise": {"nshot": 100}}))
+
+
+def test_state_params_next_to_a_circuit_are_an_error():
+    state = {"params": {"theta_deg": 30}, "circuit": {"num_qubits": 2, "gates": GATES}}
+    with pytest.raises(ValueError, match="state.params apply to a catalogue id"):
+        load(state=state)
+    assert load(state={"circuit": {"num_qubits": 2, "gates": GATES}}).circuit.num_qubits == 2
+
+
 def test_mitigation_without_readout_is_an_error():
     with pytest.raises(ValueError, match="mitigation needs a readout"):
         Scenario("s", state_id="m", mitigation=True)
