@@ -15,7 +15,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .noise import depolarize
 from .qcore import ATOL_STRUCT, DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, tensor_all
 
 GATE_KINDS = frozenset(
@@ -109,23 +108,6 @@ def gate_matrix(g: GateSpec) -> np.ndarray:
     raise ValueError(f"unsupported gate kind {g.kind!r}")  # pragma: no cover
 
 
-def _embed_single(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    factors = [np.eye(2, dtype=complex)] * n
-    factors[qubit] = u
-    return tensor_all(*factors)
-
-
-def _cz_full(control: int, target: int, n: int) -> np.ndarray:
-    d = 2**n
-    diag = np.ones(d, dtype=complex)
-    for idx in range(d):
-        bc = (idx >> (n - 1 - control)) & 1
-        bt = (idx >> (n - 1 - target)) & 1
-        if bc and bt:
-            diag[idx] = -1.0
-    return np.diag(diag)
-
-
 def _expand_cnot(g: GateSpec) -> list[GateSpec]:
     control, target = g.qubits
     return [
@@ -138,29 +120,45 @@ def _expand_cnot(g: GateSpec) -> list[GateSpec]:
 def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
     """Apply the circuit to |0...0> by unitary conjugation.
 
+    rho is held as a (2,)*2N tensor whose axis q is qubit q's row index and
+    axis N + q its column index, so no d x d gate operator is built. A
+    single-qubit gate U is two ``np.tensordot`` contractions (BLAS, like a
+    matrix product): U on row axis q, then conj(U) on column axis N + q. The
+    gate is the left operand of both: in that order every catalogue state
+    equals u @ rho @ u^dag with Kronecker-built operators bit for bit. A CZ
+    negates the entries where both of its qubits are 1, on the row axes and
+    again on the column axes.
+
     After every CZ (including the CZ inside an expanded CNOT) the global
-    depolarizing channel is applied with survival probability ``p_dep_cz``:
-    the state passes unchanged with probability p and is replaced by the
-    maximally mixed state otherwise.
+    depolarizing channel p rho + (1 - p) I/d is applied with survival
+    probability ``p_dep_cz``. Every intermediate state is the image of a
+    valid rho under a unitary or a mixture with I/d, so only the final state
+    is validated, as one ``DensityMatrix``.
     """
     if not 0.0 <= p_dep_cz <= 1.0:
         raise ValueError("p_dep_cz must lie in [0, 1]")
     n = circuit.num_qubits
     d = 2**n
-    state = np.zeros((d, d), dtype=complex)
-    state[0, 0] = 1.0
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
+    mixed = (np.eye(d, dtype=complex) / d).reshape(rho.shape)
     gates: list[GateSpec] = []
     for g in circuit.gates:
         gates.extend(_expand_cnot(g) if g.kind == "CNOT" else [g])
     for g in gates:
         if g.kind == "CZ":
-            u = _cz_full(g.qubits[0], g.qubits[1], n)
+            for offset in (0, n):
+                both_one = [slice(None)] * (2 * n)
+                both_one[offset + g.qubits[0]] = both_one[offset + g.qubits[1]] = 1
+                rho[tuple(both_one)] = -rho[tuple(both_one)]
+            if p_dep_cz < 1.0:
+                rho = p_dep_cz * rho + (1.0 - p_dep_cz) * mixed
         else:
-            u = _embed_single(gate_matrix(g), g.qubits[0], n)
-        state = u @ state @ u.conj().T
-        if g.kind == "CZ" and p_dep_cz < 1.0:
-            state = depolarize(DensityMatrix(state), p_dep_cz).matrix.copy()
-    return DensityMatrix(state)
+            u = gate_matrix(g)
+            q = g.qubits[0]
+            rho = np.moveaxis(np.tensordot(u, rho, axes=(1, q)), 0, q)
+            rho = np.moveaxis(np.tensordot(u.conj(), rho, axes=(1, n + q)), 0, n + q)
+    return DensityMatrix(rho.reshape(d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ def single_qubit_clifford_group() -> tuple[CliffordElement, ...]:
         for u in frontier:
             for g in generators:
                 cand = canonical_phase(g @ u)
-                if not any(np.allclose(cand, e, atol=1e-9) for e in elements):
+                if np.abs(np.array(elements) - cand).max(axis=(1, 2)).min() > 1e-9:
                     elements.append(cand)
                     fresh.append(cand)
         frontier = fresh

@@ -23,9 +23,8 @@ d^-2 sum_P Tr(P rho)^4. The reduced purity on qubits A is X_P of the
 marginal, whose transform is q on the k supported on A. Statistics take one
 outcome vector or an array with one row per draw. Means, sample standard
 deviations (the N-1 form) and sampling errors s/sqrt(N) are reported for
-every estimator. The same shot data serves both statistics; the
-O(1/N_shot) plug-in bias is accepted and quantified in tests rather than
-corrected.
+every estimator. The same shot data serves both statistics; their
+O(1/N_shot) plug-in bias is accepted and left uncorrected.
 """
 
 from __future__ import annotations

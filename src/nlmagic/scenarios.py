@@ -133,6 +133,9 @@ class Scenario:
         noise = _known(payload.get("noise", {}), "noise.", "p_dep_cz readout n_shot")
         readout = None
         ro_spec = _known(noise.get("readout") or {}, "noise.readout.", "matrix per_qubit_eps correlation")
+        for other in ("per_qubit_eps", "correlation"):
+            if "matrix" in ro_spec and other in ro_spec:
+                raise ValueError(f"noise.readout.matrix and noise.readout.{other} are exclusive")
         if "matrix" in ro_spec:
             readout = CalibrationMatrix(np.array(ro_spec["matrix"], dtype=float))
         elif "per_qubit_eps" in ro_spec:

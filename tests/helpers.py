@@ -1,8 +1,11 @@
-"""Shared random-state generators for the test suite."""
+"""Shared random-state generators and loop-form references for the test
+suite."""
 
 import numpy as np
 
-from nlmagic import DensityMatrix
+from nlmagic import DensityMatrix, depolarize, gate_matrix
+from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
+from nlmagic.qcore import tensor_all
 
 
 def random_pure(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
@@ -22,3 +25,47 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kron_run_circuit(circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
+    """Reference for ``run_circuit``: every gate is a d x d Kronecker-built
+    operator applied as u @ rho @ u^dag, and every depolarized state is
+    validated as a ``DensityMatrix``."""
+    if not 0.0 <= p_dep_cz <= 1.0:
+        raise ValueError("p_dep_cz must lie in [0, 1]")
+    n = circuit.num_qubits
+    d = 2**n
+    state = np.zeros((d, d), dtype=complex)
+    state[0, 0] = 1.0
+    for spec in circuit.gates:
+        for g in _expand_cnot(spec) if spec.kind == "CNOT" else [spec]:
+            if g.kind == "CZ":
+                bits = (np.arange(d)[:, None] >> (n - 1 - np.array(g.qubits))) & 1
+                u = np.diag(np.where(bits.all(axis=1), -1.0, 1.0).astype(complex))
+            else:
+                factors = [np.eye(2, dtype=complex)] * n
+                factors[g.qubits[0]] = gate_matrix(g)
+                u = tensor_all(*factors)
+            state = u @ state @ u.conj().T
+            if g.kind == "CZ" and p_dep_cz < 1.0:
+                state = depolarize(DensityMatrix(state), p_dep_cz).matrix.copy()
+    return DensityMatrix(state)
+
+
+def loop_clifford_group() -> list[np.ndarray]:
+    """Reference for ``single_qubit_clifford_group``: the breadth-first
+    closure over {H, S}, testing each candidate against every element found
+    so far with ``np.allclose``."""
+    generators = [H_MATRIX, rz_matrix(np.pi / 2)]
+    elements = [canonical_phase(np.eye(2, dtype=complex))]
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for g in generators:
+                cand = canonical_phase(g @ u)
+                if not any(np.allclose(cand, e, atol=1e-9) for e in elements):
+                    elements.append(cand)
+                    fresh.append(cand)
+        frontier = fresh
+    return elements

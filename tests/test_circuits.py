@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmagic import (
     Circuit,
@@ -12,9 +14,9 @@ from nlmagic import (
     sre_exact,
     state_circuit,
 )
-from nlmagic.circuits import canonical_phase
+from nlmagic.circuits import _N_ANGLES, STATE_IDS, canonical_phase
 
-from helpers import random_pure
+from helpers import kron_run_circuit, loop_clifford_group, random_pure
 
 
 ALL_1Q = ["Rx", "Ry", "Rz", "Rxy", "H", "S", "T", "X", "Y", "Z"]
@@ -94,11 +96,83 @@ def test_depolarizing_attaches_to_each_cz():
     assert purity(rho) == pytest.approx(0.75 * p**4 + 0.25, abs=1e-12)
 
 
-@pytest.mark.parametrize("p_dep_cz", [-0.01, 1.01])
+@pytest.mark.parametrize("p_dep_cz", [-0.01, 1.01, float("nan")])
 def test_run_circuit_rejects_survival_outside_unit_interval(p_dep_cz):
     # Checked up front, so a circuit without any CZ rejects it too.
     with pytest.raises(ValueError, match=r"p_dep_cz must lie in \[0, 1\]"):
         run_circuit(state_circuit("psi1"), p_dep_cz)
+
+
+@st.composite
+def random_circuits(draw):
+    n = draw(st.integers(1, 5))
+    kinds = ALL_1Q + (["CZ", "CNOT"] if n > 1 else [])
+    angle = st.floats(-2 * np.pi, 2 * np.pi)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
+        if kind in ("CZ", "CNOT"):
+            qubits = tuple(draw(st.permutations(range(n)))[:2])
+        else:
+            qubits = (draw(st.integers(0, n - 1)),)
+        k = _N_ANGLES.get(kind, 0)
+        gates.append(GateSpec(kind, qubits, draw(st.lists(angle, min_size=k, max_size=k))))
+    return Circuit(n, tuple(gates))
+
+
+def _pure_state_vector(circuit):
+    """|psi> of the noise-free circuit, each gate's 2x2 or 4x4 matrix
+    contracted with the state vector (CNOT applied whole)."""
+    n = circuit.num_qubits
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for g in circuit.gates:
+        k = len(g.qubits)
+        u = gate_matrix(g).reshape((2,) * (2 * k))
+        psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), list(g.qubits)))
+        psi = np.moveaxis(psi, list(range(k)), list(g.qubits))
+    return psi.ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits(), st.floats(0.0, 1.0))
+def test_run_circuit_matches_kronecker_reference(circuit, p):
+    got = run_circuit(circuit, p).matrix
+    assert np.max(np.abs(got - kron_run_circuit(circuit, p).matrix)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits(), st.floats(0.0, 1.0))
+def test_noisy_circuit_is_depolarized_pure_state(circuit, p):
+    # Global depolarizing commutes with every unitary, so k CZs (a CNOT
+    # holds one) give p^k |psi><psi| + (1 - p^k) I/d.
+    k = sum(g.kind in ("CZ", "CNOT") for g in circuit.gates)
+    psi = _pure_state_vector(circuit)
+    d = psi.size
+    closed = p**k * np.outer(psi, psi.conj()) + (1.0 - p**k) * np.eye(d) / d
+    assert np.max(np.abs(run_circuit(circuit, p).matrix - closed)) <= 1e-14
+
+
+CATALOGUE = [(sid, None) for sid in sorted(STATE_IDS - {"nlm", "m_sweep"})]
+CATALOGUE += [("nlm", {"theta": t}) for t in np.deg2rad(np.arange(0, 181, 5))]
+CATALOGUE += [
+    ("m_sweep", {"gamma": g, "phi": f}) for g in np.linspace(0, 2 * np.pi, 9) for f in np.linspace(0, 2 * np.pi, 9)
+]
+
+
+@pytest.mark.parametrize("p", [1.0, 0.959, 0.9592, 0.949, 0.5])
+def test_catalogue_states_equal_kronecker_reference_bit_for_bit(p):
+    for state_id, params in CATALOGUE:
+        circuit = state_circuit(state_id, params)
+        got, want = run_circuit(circuit, p).matrix, kron_run_circuit(circuit, p).matrix
+        assert np.array_equal(got, want), (state_id, params)
+
+
+def test_clifford_group_equals_loop_closure():
+    group = single_qubit_clifford_group()
+    reference = loop_clifford_group()
+    assert [e.canonical_id for e in group] == list(range(len(reference)))
+    for elem, want in zip(group, reference):
+        assert np.array_equal(elem.matrix, want)
 
 
 def test_clifford_group_order_and_identity():

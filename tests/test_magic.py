@@ -20,6 +20,7 @@ from nlmagic import (
     state_circuit,
 )
 from nlmagic import magic
+from nlmagic.circuits import H_MATRIX
 from nlmagic.qcore import pauli_matrix_stack
 
 from helpers import random_pure
@@ -65,3 +66,44 @@ def test_magic_report_computes_one_pauli_spectrum(monkeypatch):
     assert len(calls) == 1
     assert (report.purity, report.stabilizer_purity, report.m2) == expected
     assert report.m2_local == report.m2 - 0.1
+
+
+# ---------------------------------------------------------------------------
+# Distillation bound
+
+_S = np.diag([1.0, 1j])
+_ONE_QUBIT_WORDS = [H_MATRIX, _S]
+_TWO_QUBIT_WORDS = [np.kron(u, np.eye(2)) for u in _ONE_QUBIT_WORDS]
+_TWO_QUBIT_WORDS += [np.kron(np.eye(2), u) for u in _ONE_QUBIT_WORDS] + [np.diag([1, 1, 1, -1])]
+
+
+def _word(rng, letters, dim):
+    out = np.eye(dim, dtype=complex)
+    for i in rng.integers(0, len(letters), size=int(rng.integers(0, 12))):
+        out = letters[i] @ out
+    return out
+
+
+def test_factorized_cliffords_never_violate_the_distillation_bound():
+    rng = np.random.default_rng(11)
+    states = [run_circuit(state_circuit(s)) for s in ("m", "lm", "psi3", "psi4")]
+    states += [random_pure(rng, 2) for _ in range(4)]
+    outcomes = []
+    for psi in states:
+        for _ in range(40):
+            c = np.kron(_word(rng, _ONE_QUBIT_WORDS, 2), _word(rng, _TWO_QUBIT_WORDS, 4))
+            outcomes.append(magic.check_distillation_lemma(psi, c))
+    assert False not in outcomes
+    assert outcomes.count(True) > 50
+
+
+def test_a_non_factorized_clifford_violates_the_distillation_bound():
+    # CNOT A->B then SWAP A<->ancilla maps (a, b, c) to (c, a XOR b, a): on
+    # sqrt(lam)|00> + sqrt(1 - lam)|11> it leaves (A, B) in |00> and moves
+    # the non-local magic onto the ancilla, beyond the (zero) local magic.
+    lam = 0.8
+    psi = DensityMatrix.from_state_vector([np.sqrt(lam), 0, 0, np.sqrt(1 - lam)])
+    c = np.zeros((8, 8))
+    for a, b, anc in np.ndindex(2, 2, 2):
+        c[4 * anc + 2 * (a ^ b) + a, 4 * a + 2 * b + anc] = 1.0
+    assert magic.check_distillation_lemma(psi, c) is False

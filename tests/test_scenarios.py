@@ -108,6 +108,17 @@ def test_state_params_next_to_a_circuit_are_an_error():
     assert load(state={"circuit": {"num_qubits": 2, "gates": GATES}}).circuit.num_qubits == 2
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [({"per_qubit_eps": [[0.3, 0.3]]}, "per_qubit_eps"), ({"correlation": 0.02}, "correlation")],
+    ids=["per_qubit_eps", "correlation"],
+)
+def test_readout_matrix_next_to_flip_rates_is_an_error(extra, key):
+    readout = {"matrix": [[1.0, 0.0], [0.0, 1.0]], **extra}
+    with pytest.raises(ValueError, match=rf"noise\.readout\.matrix and noise\.readout\.{key}"):
+        load(noise={"readout": readout})
+
+
 def test_mitigation_without_readout_is_an_error():
     with pytest.raises(ValueError, match="mitigation needs a readout"):
         Scenario("s", state_id="m", mitigation=True)
