@@ -72,8 +72,6 @@ from .benchfit import (
     DecayFit,
     avg_gate_fidelity,
     fit_exp_decay,
-    irb_fidelity,
-    mw_crosstalk,
     synth_rb_curve,
 )
 from .scenarios import (

@@ -1,15 +1,14 @@
-"""Benchmarking analytics: decay fits, fidelity formulas, crosstalk.
+"""Benchmarking analytics: decay fits and fidelity formulas.
 
 Survival curves from randomized-benchmarking style experiments follow
 F(N) = A p^N + B; Gauss-Newton with an analytic Jacobian refines a
-log-linear starting guess. Fidelity conversions and the microwave
-crosstalk coefficient are plain arithmetic on the fitted parameters.
+log-linear starting guess. The fidelity conversion is plain arithmetic
+on the fitted decay base.
 """
 
 from __future__ import annotations
 
 import io
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,10 +21,6 @@ class UnidentifiableDataError(ValueError):
 
 class FitFailureError(RuntimeError):
     """The decay fit left the physical parameter range."""
-
-
-class StatisticalFluctuationWarning(UserWarning):
-    """An estimated fidelity exceeded 1 (interleaved decay above reference)."""
 
 
 @dataclass(frozen=True)
@@ -154,32 +149,6 @@ def avg_gate_fidelity(p: float, d: int) -> tuple[float, float]:
         raise ValueError("dimension must be >= 2")
     f_cl = 1.0 - (d - 1) / d * (1.0 - p)
     return float(f_cl), float(f_cl ** (1.0 / 1.875))
-
-
-def irb_fidelity(p0: float, p1: float, d: int) -> float:
-    """Interleaved-gate fidelity 1 - (d-1)/d * (1 - p1/p0).
-
-    Only the ratio of the interleaved to the reference decay enters. A
-    value above 1 (p1 > p0) is returned as-is with a warning, since it can
-    only arise from statistical fluctuation.
-    """
-    if not 0.0 < p0 <= 1.0 or not 0.0 < p1 <= 1.0:
-        raise ValueError("decay bases must lie in (0, 1]")
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    f = 1.0 - (d - 1) / d * (1.0 - p1 / p0)
-    if f > 1.0:
-        warnings.warn(
-            f"interleaved fidelity {f:.6f} exceeds 1", StatisticalFluctuationWarning
-        )
-    return float(f)
-
-
-def mw_crosstalk(a_jj: float, t_jj: float, a_ij: float, t_ij: float) -> float:
-    """Microwave crosstalk coefficient (A_jj / A_ij) * (t_jj / t_ij)."""
-    if a_ij <= 0 or t_ij <= 0:
-        raise ValueError("drive amplitude and duration must be positive")
-    return float((a_jj / a_ij) * (t_jj / t_ij))
 
 
 def synth_rb_curve(

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchfit import avg_gate_fidelity, decay_curve_from_csv, fit_exp_decay
-from .erasure import landscape_to_csv, sweep_landscape
+from .erasure import degree_grid, landscape_to_csv, sweep_landscape
 from .magic import magic_report
 from .mitigation import (
     InitializationCounts,
@@ -176,9 +176,9 @@ def _cmd_mitigate(args) -> int:
 
 
 def _cmd_erase_sweep(args) -> int:
+    grid = degree_grid(args.step_deg, "--step-deg")
     scenario = _load_scenario(args)
     rho = scenario.prepare()
-    grid = np.deg2rad(np.arange(0.0, 360.0, args.step_deg))
     result = sweep_landscape(rho, grid, grid)
     report = Report(name=f"{scenario.name}-sweep", seed=scenario.seed)
     report.values.append(ReportValue("sweep_min", "estimate", result.residual_m2))

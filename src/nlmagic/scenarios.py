@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circuits import Circuit, GateSpec, state_circuit, run_circuit
-from .erasure import landscape_to_csv, sweep_landscape
+from .erasure import degree_grid, landscape_to_csv, sweep_landscape
 from .magic import (
     nonlocal_magic_noisy,
     nonlocal_magic_theta,
@@ -482,7 +482,7 @@ def report_fig4(seed: int = 0, grid_step_deg: float = SWEEP_GRID_STEP_DEG) -> Re
     grid minimum is checked against the landscape anchor, and noise free,
     whose minimum must equal the state's exact non-local magic.
     """
-    grid = np.deg2rad(np.arange(0.0, 360.0, grid_step_deg))
+    grid = degree_grid(grid_step_deg, "grid_step_deg")
     base = state_circuit("m")
     noisy = run_circuit(base, SWEEP_P_DEP)
     clean = run_circuit(base)

@@ -5,6 +5,7 @@ import numpy as np
 
 from nlmagic import DensityMatrix, depolarize, gate_matrix
 from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
+from nlmagic.erasure import _correlation_matrix, _m2_from_correlations, pauli_rotation
 from nlmagic.qcore import tensor_all
 
 
@@ -69,3 +70,26 @@ def loop_clifford_group() -> list[np.ndarray]:
                     fresh.append(cand)
         frontier = fresh
     return elements
+
+
+def einsum_landscape(rho: DensityMatrix, gammas, phis) -> np.ndarray:
+    """Reference for ``sweep_landscape``'s landscape: one three-operand
+    einsum over every (gamma, phi) pair of Rz rotations."""
+    ra = pauli_rotation(0.0, 0.0, np.asarray(gammas, dtype=float))
+    rb = pauli_rotation(0.0, 0.0, np.asarray(phis, dtype=float))
+    return _m2_from_correlations(np.einsum("Aai,ij,Bbj->ABab", ra, _correlation_matrix(rho), rb))
+
+
+def per_row_pair_m2(ra: np.ndarray, t: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Reference for ``erasure._pair_m2``: M2 of R_A t R_B^T over every pair
+    of rotations, one einsum per side-A rotation."""
+    return np.array([_m2_from_correlations(np.einsum("ij,Bbj->Bib", r @ t, rb)) for r in ra])
+
+
+def loop_landscape_to_csv(result) -> str:
+    """Reference for ``landscape_to_csv``: one formatted line per element."""
+    lines = ["gamma_deg,phi_deg,m2"]
+    for i, g in enumerate(result.gamma_grid):
+        for j, f in enumerate(result.phi_grid):
+            lines.append(f"{np.degrees(g):.6f},{np.degrees(f):.6f},{result.landscape[i, j]:.12f}")
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,18 +20,24 @@ from nlmagic import (
     sweep_landscape,
 )
 from nlmagic.circuits import ry_matrix, rz_matrix
+from nlmagic.cli import main
 from nlmagic.erasure import (
     _correlation_matrix,
     _euler,
     _expm,
     _grid_candidates,
     _m2_and_gradient,
+    _pair_m2,
+    degree_grid,
     first_minimum,
+    landscape_to_csv,
     pauli_rotation,
 )
 from nlmagic.magic import sre_exact
 from nlmagic.qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
 from nlmagic.scenarios import SWEEP_GRID_STEP_DEG, SWEEP_P_DEP
+
+from helpers import einsum_landscape, loop_landscape_to_csv, per_row_pair_m2, random_mixed, random_pure
 
 # Closed-form non-local magic of the catalogue state ``m``.
 M_NONLOCAL = 0.1926451
@@ -191,3 +199,90 @@ def test_fig4_minimum_is_stable_under_one_ulp_shifts():
     reported = {v.name: v.value for v in report_fig4().values}
     assert (reported["gamma_min_deg"], reported["phi_min_deg"]) == (0.0, 67.5)
     assert np.unravel_index(index, values.shape) == (0, int(67.5 / SWEEP_GRID_STEP_DEG))
+
+
+
+# The pair product rounds differently from the einsum references. Over 2,000
+# random states the M2 values (of order 1) moved by at most 8 eps; 16 eps is
+# the stated tolerance.
+_PAIR_TOL = 16 * np.finfo(float).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 1), (1, 7), (7, 1), (5, 9), (48, 48)]),
+    st.booleans(),
+)
+def test_sweep_matches_einsum_reference(seed, shape, mixed):
+    rng = np.random.default_rng(seed)
+    rho = (random_mixed if mixed else random_pure)(rng, 2)
+    gammas, phis = (rng.uniform(-7.0, 7.0, size=n) for n in shape)
+    result = sweep_landscape(rho, gammas, phis)
+    reference = einsum_landscape(rho, gammas, phis)
+    assert result.landscape.shape == shape
+    np.testing.assert_allclose(result.landscape, reference, rtol=0, atol=_PAIR_TOL)
+    assert first_minimum(result.landscape) == first_minimum(reference)
+    assert loop_landscape_to_csv(result) == landscape_to_csv(result)
+
+
+def test_fig4_landscape_and_csv_match_references():
+    grid = degree_grid(SWEEP_GRID_STEP_DEG)
+    noisy = run_circuit(state_circuit("m"), SWEEP_P_DEP)
+    result = sweep_landscape(noisy, grid, grid)
+    reference = einsum_landscape(noisy, grid, grid)
+    np.testing.assert_allclose(result.landscape, reference, rtol=0, atol=_PAIR_TOL)
+    assert first_minimum(result.landscape) == first_minimum(reference)
+    assert landscape_to_csv(result) == loop_landscape_to_csv(result)
+
+
+@pytest.mark.parametrize("state", ["m", "lm", "random"])
+def test_blocked_erasure_grid_matches_per_row_form(state):
+    rng = np.random.default_rng(4)
+    rho = random_mixed(rng, 2) if state == "random" else run_circuit(state_circuit(state))
+    t = _correlation_matrix(rho)
+    rots = pauli_rotation(*_grid_candidates().T)
+    np.testing.assert_allclose(_pair_m2(rots, t, rots), per_row_pair_m2(rots, t, rots), rtol=0, atol=_PAIR_TOL)
+    # Blocks of 10 side-A rows with a last block of 7.
+    ra, rb = (pauli_rotation(*rng.uniform(0.0, 7.0, size=(3, n))) for n in (37, 100))
+    np.testing.assert_allclose(_pair_m2(ra, t, rb), per_row_pair_m2(ra, t, rb), rtol=0, atol=_PAIR_TOL)
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_erasure_grids_stay_small_in_memory():
+    # Peaks are about 1.1 and 0.5 MB; the 128 x 128 grid of
+    # ``optimize_erasure`` in one product would take about 8 MB.
+    m = run_circuit(state_circuit("m"))
+    noisy = run_circuit(state_circuit("m"), SWEEP_P_DEP)
+    grid = degree_grid(SWEEP_GRID_STEP_DEG)
+    assert _peak_mb(lambda: optimize_erasure(m)) < 2.0
+    assert _peak_mb(lambda: sweep_landscape(noisy, grid, grid)) < 2.0
+
+
+@pytest.mark.parametrize("step", [0.0, -7.5, float("nan"), float("inf")])
+def test_bad_step_is_a_clear_error(step, tmp_path, capsys):
+    with pytest.raises(ValueError, match="grid_step_deg must be finite and > 0"):
+        report_fig4(grid_step_deg=step)
+    scenario = tmp_path / "sweep.json"
+    scenario.write_text('{"version": 1, "name": "sweep", "state": {"id": "m"}}')
+    assert main(["erase", "sweep", "--scenario", str(scenario), "--step-deg", str(step)]) == 1
+    assert "--step-deg must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gammas", [[0.0, float("nan")], [float("inf")], [], [[0.0, 1.0], [2.0, 3.0]]], ids=["nan", "inf", "empty", "2d"]
+)
+def test_bad_angle_grid_is_a_clear_error(gammas):
+    rho = run_circuit(state_circuit("m"))
+    with pytest.raises(ValueError, match="non-empty, 1-D and finite"):
+        sweep_landscape(rho, gammas, [0.0])
+    with pytest.raises(ValueError, match="non-empty, 1-D and finite"):
+        sweep_landscape(rho, [0.0], gammas)
