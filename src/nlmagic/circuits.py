@@ -122,10 +122,11 @@ def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
 
     rho is held as a (2,)*2N tensor whose axis q is qubit q's row index and
     axis N + q its column index, so no d x d gate operator is built. A
-    single-qubit gate U is two ``np.tensordot`` contractions (BLAS, like a
-    matrix product): U on row axis q, then conj(U) on column axis N + q. The
-    gate is the left operand of both: in that order every catalogue state
-    equals u @ rho @ u^dag with Kronecker-built operators bit for bit. A CZ
+    single-qubit gate U is two 2 x 2 matrix products (``np.dot``, BLAS): U on
+    row axis q, then conj(U) on column axis N + q, each taken against rho
+    with that axis moved to the front and the rest flattened. The gate is
+    the left operand of both: in that order every catalogue state equals
+    u @ rho @ u^dag with Kronecker-built operators bit for bit. A CZ
     negates the entries where both of its qubits are 1, on the row axes and
     again on the column axes.
 
@@ -155,10 +156,16 @@ def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
                 rho = p_dep_cz * rho + (1.0 - p_dep_cz) * mixed
         else:
             u = gate_matrix(g)
-            q = g.qubits[0]
-            rho = np.moveaxis(np.tensordot(u, rho, axes=(1, q)), 0, q)
-            rho = np.moveaxis(np.tensordot(u.conj(), rho, axes=(1, n + q)), 0, n + q)
+            rho = _apply_to_axis(u, rho, g.qubits[0])
+            rho = _apply_to_axis(u.conj(), rho, n + g.qubits[0])
     return DensityMatrix(rho.reshape(d, d))
+
+
+def _apply_to_axis(m: np.ndarray, rho: np.ndarray, axis: int) -> np.ndarray:
+    """m contracted with axis ``axis`` of the (2,)*2N tensor rho, as one
+    matrix product with that axis brought to the front."""
+    x = rho.reshape(2**axis, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+    return np.dot(m, x).reshape(2, 2**axis, -1).transpose(1, 0, 2).reshape(rho.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ fixed map T[a, 2 i + j] = sigma_a[j, i] is applied on each of the N axes
 (``apply_per_qubit``): O(N 4^N) work and memory of the size of rho.
 
 Circuits use the same (2,)*2N view: ``circuits.run_circuit`` applies each
-single-qubit gate as a contraction on one row axis and its conjugate on the
-matching column axis, so no d x d gate operator is built.
+single-qubit gate as one 2 x 2 matrix product on a row axis and its
+conjugate on the matching column axis, so no d x d gate operator is built.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ of it goes through the Walsh transform of p,
 
 with Z^k the Z string on the qubits set in k. For each of the 24 Cliffords
 C^dag Z C is a signed Pauli, so q of a draw is a signed gather from the 4^N
-Pauli expectations of rho, and p = WHT(q) / d.
+Pauli expectations of rho, and p = WHT(q) / d. A cached (24, N) code table
+turns every draw's Clifford ids into its gather positions with one float
+product over the whole (draws x outcomes) array, and one gather from a
+table of both signs of every expectation reads all draws at once.
 
 Pairs and quadruples of outcome strings are weighted by (-2)^-|XOR|, the
 tensor power of W = [[1, -1/2], [-1/2, 1]]. With h = [[1, 1], [1, -1]],
@@ -125,7 +128,19 @@ def sample_local_cliffords(n_qubits: int, n_rand: int, seed: int) -> np.ndarray:
     return rng.integers(0, 24, size=(n_rand, n_qubits))
 
 
+# 24^4 = 331,776 draws peak at about 240 MB; 24^5 would need (K, 32) float
+# arrays of about 2 GB each.
+MAX_EXHAUSTIVE_QUBITS = 4
+
+
 def exhaustive_size(n_qubits: int) -> int:
+    """Number of draws, 24^N, of the exhaustive local-Clifford average."""
+    if n_qubits > MAX_EXHAUSTIVE_QUBITS:
+        raise ValueError(
+            f"the exhaustive average over {n_qubits} qubits needs 24^{n_qubits} = "
+            f"{24**n_qubits:,} Clifford draws; it is limited to "
+            f"{MAX_EXHAUSTIVE_QUBITS} qubits ({24**MAX_EXHAUSTIVE_QUBITS:,} draws)"
+        )
     return 24**n_qubits
 
 
@@ -155,23 +170,42 @@ def _walsh_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     return h, w
 
 
+@lru_cache(maxsize=8)
+def _born_codes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Code table and Walsh-bit matrix of the Born stage at N = n qubits.
+
+    Qubit j's code for Clifford id c is (N+1) Pauli_c 4^(N-1-j), plus 1 when
+    C^dag Z C carries a minus sign; bits[j, k] is bit j of Walsh index k.
+    """
+    paulis, signs = _clifford_z_images()
+    place = np.arange(n - 1, -1, -1)
+    codes = (n + 1) * paulis[:, None] * 4**place + (signs[:, None] < 0)
+    bits = (np.arange(2**n) >> place[:, None]) & 1
+    codes, bits = codes.astype(float), bits.astype(float)
+    codes.flags.writeable = False
+    bits.flags.writeable = False
+    return codes, bits
+
+
 def _born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
     """q(k) = Tr(C^dag Z^k C rho) of every draw, shape (n_draws, d).
 
     Qubit j of Walsh index k carries C_j^dag Z C_j = sign * Pauli when its
-    bit is set and I otherwise, so q(k) is the signed Pauli expectation at
-    the lexicographic index sum_j Pauli_j 4^(N-1-j) over the set bits.
+    bit is set and I otherwise, so q(k) is the Pauli expectation at the
+    lexicographic index i = sum_j Pauli_j 4^(N-1-j) over the set bits,
+    negated when an odd number f of them carry a minus sign. Summing the
+    codes of ``_born_codes`` over the set bits gives (N+1) i + f (f <= N, so
+    the two never mix), one float product that is exact in integers. One
+    gather from the signed table (-1)^f Tr(P_i rho), held at (N+1) i + f,
+    then reads q.
     """
     n = rho.num_qubits
     if ids.ndim != 2 or ids.shape[1] != n:
         raise ValueError(f"every draw needs one Clifford id per qubit ({n})")
     _check_ids(ids)
-    paulis, signs = _clifford_z_images()
-    place = np.arange(n - 1, -1, -1)
-    bits = (np.arange(2**n)[:, None] >> place) & 1
-    index = (paulis[ids] * 4**place) @ bits.T
-    flips = (signs[ids] < 0).astype(int) @ bits.T
-    return np.where(flips % 2, -1.0, 1.0) * pauli_expectations(rho)[index]
+    codes, bits = _born_codes(n)
+    signed = np.multiply.outer(pauli_expectations(rho), (-1.0) ** np.arange(n + 1))
+    return signed.ravel()[(codes[ids, np.arange(n)] @ bits).astype(np.intp)]
 
 
 def collect_dataset(
@@ -243,9 +277,11 @@ def estimate_stabilizer_purity(ds: RcmDataset) -> EstimateWithError:
 def estimate_sre(ds: RcmDataset) -> EstimateWithError:
     """M2 estimate with first-order propagated sampling error.
 
-    The purity and stabilizer-purity statistics are uncorrelated over the
-    Clifford ensemble, so the M2 variance is the sum of the two relative
-    variances scaled by 1/ln(2)^2.
+    The M2 variance is taken as the sum of the two relative variances of the
+    purity and stabilizer-purity statistics, scaled by 1/ln(2)^2. That
+    ignores their covariance over the Clifford ensemble; the two are
+    strongly positively correlated, so the propagated error overstates the
+    spread of the M2 estimate.
     """
     west = estimate_stabilizer_purity(ds)
     pest = estimate_purity(ds)
@@ -270,6 +306,9 @@ def marginalize(p: np.ndarray, keep: set[int], num_qubits: Optional[int] = None)
     """Marginal outcome distribution on the kept qubits, of a vector or of each row.
 
     P(s_A) = sum_{s_B} P(s_A, s_B), with kept qubits keeping their order.
+    Each traced qubit q is dropped by adding the two halves of a
+    (..., 2^q, 2, rest) view, highest qubit first: one addition per entry
+    and traced qubit, grouped pairwise when several are traced.
     """
     v = np.asarray(p, dtype=float)
     rows = v.shape[:1] if v.ndim == 2 else ()
@@ -279,9 +318,10 @@ def marginalize(p: np.ndarray, keep: set[int], num_qubits: Optional[int] = None)
         raise ValueError("keep must be a nonempty proper subset of the qubits")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
         raise ValueError(f"qubit indices {keep_sorted} out of range")
-    t = v.reshape(rows + (2,) * n)
-    axes = tuple(len(rows) + q for q in range(n) if q not in keep_sorted)
-    return t.sum(axis=axes).reshape(rows + (-1,))
+    for q in sorted(set(range(n)).difference(keep), reverse=True):
+        halves = v.reshape(rows + (2**q, 2, -1))
+        v = (halves[..., 0, :] + halves[..., 1, :]).reshape(rows + (-1,))
+    return v
 
 
 def estimate_rdm_purity(ds: RcmDataset, keep: set[int]) -> EstimateWithError:

@@ -6,7 +6,8 @@ import numpy as np
 from nlmagic import DensityMatrix, depolarize, gate_matrix
 from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
 from nlmagic.erasure import _correlation_matrix, _m2_from_correlations, pauli_rotation
-from nlmagic.qcore import tensor_all
+from nlmagic.qcore import pauli_expectations, tensor_all
+from nlmagic.rcm import _clifford_z_images
 
 
 def random_pure(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
@@ -93,3 +94,26 @@ def loop_landscape_to_csv(result) -> str:
         for j, f in enumerate(result.phi_grid):
             lines.append(f"{np.degrees(g):.6f},{np.degrees(f):.6f},{result.landscape[i, j]:.12f}")
     return "\n".join(lines) + "\n"
+
+
+def matmul_born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
+    """Reference for ``rcm._born_walsh``: the Pauli index and the sign-flip
+    count of every (draw, Walsh index) pair from two integer matrix
+    products, the sign from the count's parity."""
+    n = rho.num_qubits
+    paulis, signs = _clifford_z_images()
+    place = np.arange(n - 1, -1, -1)
+    bits = (np.arange(2**n)[:, None] >> place) & 1
+    index = (paulis[ids] * 4**place) @ bits.T
+    flips = (signs[ids] < 0).astype(int) @ bits.T
+    return np.where(flips % 2, -1.0, 1.0) * pauli_expectations(rho)[index]
+
+
+def sum_marginalize(p: np.ndarray, keep: set[int], num_qubits: int) -> np.ndarray:
+    """Reference for ``rcm.marginalize``: one ``sum`` over the traced axes of
+    the (2,)*N view of a vector or of each row."""
+    v = np.asarray(p, dtype=float)
+    rows = v.shape[:1] if v.ndim == 2 else ()
+    t = v.reshape(rows + (2,) * num_qubits)
+    axes = tuple(len(rows) + q for q in range(num_qubits) if q not in keep)
+    return t.sum(axis=axes).reshape(rows + (-1,))

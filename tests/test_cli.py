@@ -53,6 +53,22 @@ def test_exit_2_when_a_flag_fails(capsys):
     assert "FAIL" in out
 
 
+def test_exhaustive_over_four_qubits_exits_1_before_collecting(tmp_path, monkeypatch, capsys):
+    from nlmagic import cli
+
+    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("exhaustive run started"))
+    gates = [{"kind": "H", "qubits": [q]} for q in range(5)]
+    path = tmp_path / "n5.json"
+    path.write_text(
+        json.dumps({"version": 1, "name": "n5", "state": {"circuit": {"num_qubits": 5, "gates": gates}}})
+    )
+    code, out, err = run(capsys, ["rcm", "estimate", "--scenario", str(path), "--exhaustive"])
+    assert code == 1
+    assert out == ""
+    assert "over 5 qubits needs 24^5 = 7,962,624 Clifford draws" in err
+    assert "limited to 4 qubits" in err
+
+
 def test_workers_flag_is_gone(scenario_path, capsys):
     with pytest.raises(SystemExit):
         main(["rcm", "estimate", "--scenario", str(scenario_path), "--workers", "2"])

@@ -23,9 +23,14 @@ from nlmagic import (
     tensor,
 )
 from nlmagic.noise import clean_probability_vector
-from nlmagic.rcm import purity_statistic, stabilizer_purity_statistic
+from nlmagic.rcm import (
+    _born_walsh,
+    exhaustive_size,
+    purity_statistic,
+    stabilizer_purity_statistic,
+)
 
-from helpers import random_mixed
+from helpers import matmul_born_walsh, random_mixed, sum_marginalize
 
 EXACT_TOL = 1e-12
 # Batched and per-vector statistics run the same arithmetic through
@@ -92,6 +97,27 @@ def test_marginalize_rows_match_vectors(rows):
             np.testing.assert_array_equal(batched[k], marginalize(p, keep, n))
 
 
+@settings(max_examples=100, deadline=None)
+@given(probability_rows(), st.data())
+def test_marginalize_matches_sum_over_traced_axes(rows, data):
+    n = int(np.log2(rows.shape[1]))
+    assume(n > 1)
+    keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    traced = n - len(keep)
+    batched, reference = marginalize(rows, keep), sum_marginalize(rows, keep, n)
+    vector, vector_reference = marginalize(rows[0], keep, n), sum_marginalize(rows[0], keep, n)
+    if traced == 1:
+        # One traced qubit is one addition in either form.
+        np.testing.assert_array_equal(batched, reference)
+        np.testing.assert_array_equal(vector, vector_reference)
+    else:
+        # Sums of 2^t nonnegative terms in two orders differ by at most
+        # (2^t - 1) eps relative.
+        rtol = (2**traced - 1) * np.finfo(float).eps
+        np.testing.assert_allclose(batched, reference, rtol=rtol, atol=0)
+        np.testing.assert_allclose(vector, vector_reference, rtol=rtol, atol=0)
+
+
 def test_statistics_reject_non_power_of_two_length():
     with pytest.raises(ValueError, match="power-of-two"):
         purity_statistic(np.full(3, 1 / 3))
@@ -126,6 +152,23 @@ def test_born_probabilities_match_density_matrix_rule(num_qubits):
     ds = collect_dataset(rho, tuples)
     for ids, p in zip(tuples, ds.prob_vectors):
         np.testing.assert_allclose(p, reference_born(rho, ids), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_born_walsh_equals_integer_matmul_reference(num_qubits, seed, extra):
+    rng = np.random.default_rng(seed)
+    rho = random_mixed(rng, num_qubits)
+    # Every one of the 24 ids on each qubit, then random draws.
+    every_id = np.stack([rng.permutation(24) for _ in range(num_qubits)], axis=1)
+    ids = np.concatenate([every_id, rng.integers(0, 24, size=(extra, num_qubits))])
+    np.testing.assert_array_equal(_born_walsh(rho, ids), matmul_born_walsh(rho, ids))
+
+
+def test_exhaustive_size_is_bounded_at_four_qubits():
+    assert [exhaustive_size(n) for n in (1, 2, 3, 4)] == [24, 576, 13824, 331776]
+    with pytest.raises(ValueError, match=r"over 5 qubits needs 24\^5 = 7,962,624 Clifford draws"):
+        exhaustive_size(5)
 
 
 # ---------------------------------------------------------------------------

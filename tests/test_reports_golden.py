@@ -1,7 +1,9 @@
 """The seed-0 bundled reports must stay byte-identical.
 
 ``tests/golden`` holds the seed-0 ``table1`` and ``fig3`` JSON, the ``fig4``
-text and the sha256 of the ``fig4`` landscape CSV as the CLI writes them.
+text and the sha256 of the ``fig4`` landscape CSV as the CLI writes them,
+and the ``rcm estimate --exhaustive --format json`` output of a noisy
+three-qubit scenario (13,824 Clifford draws, exact probabilities).
 A change that moves any printed digit fails here; such a change must
 regenerate the files and explain every changed digit.
 """
@@ -27,3 +29,10 @@ def test_fig4_text_and_landscape_match_golden(tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "fig4.txt").read_text()
     digest, filename = (GOLDEN / "fig4_fig4.csv.sha256").read_text().split()
     assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest
+
+
+def test_exhaustive_three_qubit_estimate_matches_golden(capsys):
+    scenario = GOLDEN / "exhaustive_n3.scenario.json"
+    argv = ["rcm", "estimate", "--scenario", str(scenario), "--exhaustive", "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "exhaustive_n3.json").read_text()
