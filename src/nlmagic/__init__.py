@@ -1,21 +1,23 @@
 """Simulation and estimation of local and non-local magic in small noisy
 qubit registers: exact oracles, randomized Clifford measurements, readout
-mitigation, erasure optimization, and benchmarking fits."""
+mitigation, erasure optimization, and benchmarking fits.
+
+``__all__`` lists the public names, grouped by module. Depolarizing is
+applied inside ``run_circuit``; the non-local magic of a pure state's
+reduced purity P_A is ``nonlocal_magic_noisy(P_A, 1.0)``, and the local
+part of M2 is ``magic_report(rho, m2_nonlocal).m2_local``.
+"""
 
 from .qcore import (
     DensityMatrix,
-    PauliString,
-    all_pauli_strings,
     partial_trace,
     pauli_expectations,
     purity,
-    tensor,
 )
 from .circuits import (
     Circuit,
     CliffordElement,
     GateSpec,
-    clifford_cardinality,
     gate_matrix,
     run_circuit,
     single_qubit_clifford_group,
@@ -23,7 +25,6 @@ from .circuits import (
 )
 from .noise import (
     CalibrationMatrix,
-    depolarize,
     sample_shots,
     synth_calibration_matrix,
 )
@@ -31,9 +32,7 @@ from .magic import (
     MagicReport,
     SchmidtSpectrum,
     check_distillation_lemma,
-    local_magic,
     magic_report,
-    nonlocal_magic_from_rdm_purity,
     nonlocal_magic_noisy,
     nonlocal_magic_schmidt,
     nonlocal_magic_theta,
@@ -87,4 +86,22 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DensityMatrix", "partial_trace", "pauli_expectations", "purity",
+    "Circuit", "CliffordElement", "GateSpec", "gate_matrix", "run_circuit",
+    "single_qubit_clifford_group", "state_circuit",
+    "CalibrationMatrix", "sample_shots", "synth_calibration_matrix",
+    "MagicReport", "SchmidtSpectrum", "check_distillation_lemma", "magic_report",
+    "nonlocal_magic_noisy", "nonlocal_magic_schmidt", "nonlocal_magic_theta",
+    "schmidt_spectrum", "sre_exact", "sre_nlm_depolarized", "stabilizer_purity_exact",
+    "EstimateWithError", "RcmDataset", "collect_dataset", "estimate_purity",
+    "estimate_rdm_purity", "estimate_sre", "estimate_stabilizer_purity", "marginalize",
+    "sample_local_cliffords",
+    "InitializationCounts", "calibration_from_counts", "mitigate_least_squares",
+    "readout_fidelity",
+    "ErasureAngles", "ErasureResult", "OptConfig", "erasure_objective", "optimize_erasure",
+    "sweep_landscape",
+    "DecayCurve", "DecayFit", "avg_gate_fidelity", "fit_exp_decay", "synth_rb_curve",
+    "Report", "Scenario", "calibrate_p_dep", "measure", "report_fig3", "report_fig4",
+    "report_table1", "run_scenario",
+]

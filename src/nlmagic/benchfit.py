@@ -95,8 +95,9 @@ def _initial_guess(n: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return a0, p0, b0
 
 
-def fit_exp_decay(curve: DecayCurve, max_iter: int = 200) -> DecayFit:
-    """Least-squares fit of A p^N + B by damped Gauss-Newton."""
+def fit_exp_decay(curve: DecayCurve) -> DecayFit:
+    """Least-squares fit of A p^N + B by damped Gauss-Newton, at most 200
+    steps."""
     n = curve.n_cliffords.astype(float)
     y = curve.survival
     if np.ptp(y) < 1e-12:
@@ -108,7 +109,7 @@ def fit_exp_decay(curve: DecayCurve, max_iter: int = 200) -> DecayFit:
 
     r = residual(a, p, b)
     cost = float(r @ r)
-    for _ in range(max_iter):
+    for _ in range(200):
         pn = p**n
         jac = np.stack([pn, a * n * p ** (n - 1.0), np.ones_like(n)], axis=1)
         try:

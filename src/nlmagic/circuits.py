@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .qcore import ATOL_STRUCT, DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, tensor_all
+from .qcore import ATOL_STRUCT, DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z
 
 GATE_KINDS = frozenset(
     {"Rx", "Ry", "Rz", "Rxy", "H", "S", "T", "X", "Y", "Z", "CZ", "CNOT"}
@@ -102,7 +102,7 @@ def gate_matrix(g: GateSpec) -> np.ndarray:
     if g.kind == "CZ":
         return np.diag([1, 1, 1, -1]).astype(complex)
     if g.kind == "CNOT":
-        ih = tensor_all(np.eye(2), H_MATRIX)
+        ih = np.kron(np.eye(2), H_MATRIX)
         cz = np.diag([1, 1, 1, -1]).astype(complex)
         return ih @ cz @ ih
     raise ValueError(f"unsupported gate kind {g.kind!r}")  # pragma: no cover
@@ -187,10 +187,11 @@ class CliffordElement:
         object.__setattr__(self, "matrix", m)
 
 
-def canonical_phase(u: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Rescale so the first nonzero entry (row-major) is real positive."""
+def canonical_phase(u: np.ndarray) -> np.ndarray:
+    """Rescale so the first entry (row-major) above 1e-10 in modulus is real
+    positive."""
     flat = u.ravel()
-    idx = int(np.argmax(np.abs(flat) > atol))
+    idx = int(np.argmax(np.abs(flat) > 1e-10))
     entry = flat[idx]
     return u * (entry.conj() / abs(entry))
 
@@ -218,16 +219,6 @@ def single_qubit_clifford_group() -> tuple[CliffordElement, ...]:
     if len(elements) != 24:  # pragma: no cover
         raise RuntimeError(f"Clifford closure produced {len(elements)} elements")
     return tuple(CliffordElement(m, i) for i, m in enumerate(elements))
-
-
-def clifford_cardinality(n: int) -> int:
-    """|C_N / U(1)| = 2^(N^2 + 2N) * prod_k (4^k - 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = 2 ** (n * n + 2 * n)
-    for k in range(1, n + 1):
-        out *= 4**k - 1
-    return out
 
 
 # ---------------------------------------------------------------------------

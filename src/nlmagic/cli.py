@@ -5,7 +5,13 @@ Subcommands mirror the library layers: ``magic exact`` for oracle values,
 correction, ``erase sweep`` for rotation-angle landscapes, ``fit rb`` for
 decay fits, and ``report table1|fig3|fig4`` for the bundled reference
 reports. Exit status is 0 when all report flags pass, 2 when any flag
-fails, and 1 on errors.
+fails, and 1 on errors, usage errors included (an unknown flag, or one the
+command does not take). ``--help`` exits 0.
+
+Each command takes only the flags it reads: ``--scenario`` and ``--seed``
+where a scenario file is loaded (``--seed`` alone on the reports), and
+``--format csv`` only where the output has a curve (``report fig3``,
+``report fig4``, ``mitigate`` and ``erase sweep``).
 """
 
 from __future__ import annotations
@@ -42,30 +48,44 @@ from .scenarios import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other error; argparse's own status 2
+    means a report flag failed here. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; ``parse_args`` keeps no
     state between calls."""
-    parser = argparse.ArgumentParser(prog="nlmagic")
+    parser = _Parser(prog="nlmagic")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_output(p, curve=False):
+        """``--out`` and ``--format``; csv prints a curve, so only commands
+        that make one offer it."""
+        p.add_argument("--out", type=Path, default=None, help="directory for outputs")
+        formats = ("json", "csv", "text") if curve else ("json", "text")
+        p.add_argument("--format", choices=formats, default="text", dest="fmt")
+
+    def add_scenario(p):
         p.add_argument("--scenario", type=Path, help="scenario JSON file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--out", type=Path, default=None, help="directory for outputs")
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
-        )
 
     p_magic = sub.add_parser("magic", help="exact magic oracles")
     magic_sub = p_magic.add_subparsers(dest="action", required=True)
     p_exact = magic_sub.add_parser("exact", help="oracle values for a scenario state")
-    add_common(p_exact)
+    add_scenario(p_exact)
+    add_output(p_exact)
 
     p_rcm = sub.add_parser("rcm", help="randomized Clifford measurements")
     rcm_sub = p_rcm.add_subparsers(dest="action", required=True)
     p_est = rcm_sub.add_parser("estimate", help="run the sampled pipeline")
-    add_common(p_est)
+    add_scenario(p_est)
+    add_output(p_est)
     p_est.add_argument(
         "--exhaustive",
         action="store_true",
@@ -73,19 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_mit = sub.add_parser("mitigate", help="readout error mitigation")
-    add_common(p_mit)
+    add_output(p_mit, curve=True)
     p_mit.add_argument("--input", type=Path, required=True, help="JSON with calibration and probabilities")
 
     p_erase = sub.add_parser("erase", help="local magic erasure")
     erase_sub = p_erase.add_subparsers(dest="action", required=True)
     p_sweep = erase_sub.add_parser("sweep", help="two-angle residual landscape")
-    add_common(p_sweep)
+    add_scenario(p_sweep)
+    add_output(p_sweep, curve=True)
     p_sweep.add_argument("--step-deg", type=float, default=7.5)
 
     p_fit = sub.add_parser("fit", help="benchmarking fits")
     fit_sub = p_fit.add_subparsers(dest="action", required=True)
     p_rb = fit_sub.add_parser("rb", help="exponential decay fit")
-    add_common(p_rb)
+    add_output(p_rb)
     p_rb.add_argument("--input", type=Path, required=True, help="CSV of length,survival")
     p_rb.add_argument("--dim", type=int, default=2, help="Hilbert dimension for fidelity")
 
@@ -93,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_sub = p_report.add_subparsers(dest="action", required=True)
     for name in ("table1", "fig3", "fig4"):
         rp = report_sub.add_parser(name)
-        add_common(rp)
+        rp.add_argument("--seed", type=int, default=0, help="report seed")
+        add_output(rp, curve=name != "table1")
         if name in ("table1", "fig3"):
             rp.add_argument("--p-dep", type=float, default=None)
             rp.add_argument("--n-rand", type=int, default=None)
@@ -113,7 +135,7 @@ def _load_scenario(args) -> Scenario:
 def _emit(report: Report, args) -> int:
     if args.fmt == "json":
         text = report.to_json()
-    elif args.fmt == "csv" and report.curves:
+    elif args.fmt == "csv":
         text = report.curve_csv(next(iter(sorted(report.curves))))
     else:
         text = report.to_text()
@@ -207,35 +229,30 @@ def _cmd_fit_rb(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     if args.action == "fig4":
-        return _emit(report_fig4(seed=seed), args)
+        return _emit(report_fig4(seed=args.seed), args)
     build = report_table1 if args.action == "table1" else report_fig3
     kwargs = {k: getattr(args, k) for k in ("n_rand", "n_shot") if getattr(args, k) is not None}
-    return _emit(build(p_dep=args.p_dep, seed=seed, **kwargs), args)
+    return _emit(build(p_dep=args.p_dep, seed=args.seed, **kwargs), args)
+
+
+_COMMANDS = {
+    "magic": _cmd_magic_exact,
+    "rcm": _cmd_rcm_estimate,
+    "mitigate": _cmd_mitigate,
+    "erase": _cmd_erase_sweep,
+    "fit": _cmd_fit_rb,
+    "report": _cmd_report,
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "magic":
-            return _cmd_magic_exact(args)
-        if args.command == "rcm":
-            return _cmd_rcm_estimate(args)
-        if args.command == "mitigate":
-            return _cmd_mitigate(args)
-        if args.command == "erase":
-            return _cmd_erase_sweep(args)
-        if args.command == "fit":
-            return _cmd_fit_rb(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

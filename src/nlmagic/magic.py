@@ -141,14 +141,6 @@ def nonlocal_magic_theta(theta: float) -> float:
     return float(np.log2(8.0 / (7.0 + np.cos(4.0 * theta))))
 
 
-def nonlocal_magic_from_rdm_purity(p_a: float) -> float:
-    """M_NL = -log2(4 P_A^2 - 6 P_A + 3) from the reduced-state purity."""
-    if not 0.5 - 1e-12 <= p_a <= 1.0 + 1e-12:
-        raise ValueError("single-qubit reduced purity must lie in [0.5, 1]")
-    p_a = min(max(p_a, 0.5), 1.0)
-    return float(0.0 - np.log2(4.0 * p_a**2 - 6.0 * p_a + 3.0))
-
-
 def rdm_purity_noisy(lam: float, p_dep: float) -> float:
     """Reduced purity of a Schmidt-form state after global depolarizing.
 
@@ -198,25 +190,18 @@ def sre_nlm_depolarized(p_err: float, theta: float) -> float:
     return float(-np.log2(4.0 * inner) + np.log2(3.0 * (p - 2.0) * p + 4.0) + 3.0)
 
 
-def local_magic(rho: DensityMatrix, nl: float) -> float:
-    """Locally erasable magic: total M2 minus the non-local part."""
-    return magic_report(rho, nl).m2_local
-
-
 # ---------------------------------------------------------------------------
 # Distillation bound checker
 
 
-def check_distillation_lemma(
-    psi: DensityMatrix, c_factorized: np.ndarray, atol: float = 1e-9
-) -> Optional[bool]:
+def check_distillation_lemma(psi: DensityMatrix, c_factorized: np.ndarray) -> Optional[bool]:
     """Check that a factorized Clifford distills at most the local magic.
 
     ``psi`` is a pure two-qubit state on subsystems A (qubit 0) and
     B (qubit 1); an ancilla in |0> is appended as qubit 2 and
     ``c_factorized`` (an 8x8 Clifford of the form C_A (x) C_BC) is applied.
     If the output splits as psi' on (A, B) times phi on the ancilla, returns
-    True when M2(phi) <= local magic of psi (up to ``atol``), False when the
+    True when M2(phi) <= local magic of psi (up to 1e-9), False when the
     bound is violated. Returns None when the output does not factorize,
     which makes the bound inapplicable rather than violated.
     """
@@ -234,8 +219,8 @@ def check_distillation_lemma(
     full = np.kron(psi.matrix, ancilla)
     out = DensityMatrix(c @ full @ c.conj().T)
     phi = partial_trace(out, {2})
-    if purity(phi) < 1.0 - atol:
+    if purity(phi) < 1.0 - 1e-9:
         return None
     spec = schmidt_spectrum(psi)
-    m_local = local_magic(psi, nonlocal_magic_schmidt(spec.lam))
-    return sre_exact(phi) <= m_local + atol
+    m_local = magic_report(psi, nonlocal_magic_schmidt(spec.lam)).m2_local
+    return sre_exact(phi) <= m_local + 1e-9

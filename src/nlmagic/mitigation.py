@@ -16,7 +16,6 @@ moving share one batched ``np.linalg.solve`` per step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +51,6 @@ class InitializationCounts:
             raise ValueError("every row must sum to n_shot")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
-
-    def to_json(self) -> str:
-        return json.dumps({"counts": self.counts.tolist(), "n_shot": self.n_shot})
-
-    @classmethod
-    def from_json(cls, text: str) -> "InitializationCounts":
-        payload = json.loads(text)
-        return cls(np.array(payload["counts"], dtype=int), int(payload["n_shot"]))
 
 
 def calibration_from_counts(ic: InitializationCounts) -> CalibrationMatrix:

@@ -1,19 +1,19 @@
-"""Noise channels and stochastic measurement effects.
+"""Stochastic measurement effects.
 
-Three effects are modeled, in the order they occur in the pipeline:
-global depolarizing after each two-qubit gate, classical readout
-corruption of the outcome probabilities by a column-stochastic
-calibration matrix, and finite-shot multinomial sampling.
+Two effects follow the state preparation, in the order they occur in the
+pipeline: classical readout corruption of the outcome probabilities by a
+column-stochastic calibration matrix, and finite-shot multinomial
+sampling. The third noise effect, global depolarizing after each
+two-qubit gate, is applied in place by ``circuits.run_circuit``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .qcore import DensityMatrix, tensor_all
 
 _ATOL_COLUMN = 1e-9
 
@@ -41,28 +41,19 @@ class CalibrationMatrix:
         return self.matrix.shape[0]
 
 
-def depolarize(rho: DensityMatrix, p_dep: float) -> DensityMatrix:
-    """Global depolarizing channel p*rho + (1-p)*I/d on the full register."""
-    if not 0.0 <= p_dep <= 1.0:
-        raise ValueError("p_dep must lie in [0, 1]")
-    d = rho.dim
-    mixed = np.eye(d, dtype=complex) / d
-    return DensityMatrix(p_dep * rho.matrix + (1.0 - p_dep) * mixed)
-
-
-def clean_probability_vector(p, atol: float = 1e-12) -> np.ndarray:
+def clean_probability_vector(p) -> np.ndarray:
     """Validate and normalize an outcome probability vector, or each row of
     a two-dimensional array of them.
 
-    Entries within ``-atol`` of zero are clamped to 0 and each vector is
+    Entries within 1e-12 below zero are clamped to 0 and each vector is
     renormalized; anything more negative, or a sum off 1 by more than
     1e-9, is rejected.
     """
     v = np.asarray(p, dtype=float)
     if v.ndim != 2:
         v = v.ravel()
-    if (v < -atol).any():
-        raise ValueError(f"probability entry {v.min():.3e} below -{atol:.0e}")
+    if (v < -1e-12).any():
+        raise ValueError(f"probability entry {v.min():.3e} below -1e-12")
     v = np.clip(v, 0.0, None)
     total = v.sum(axis=-1, keepdims=True)
     off = np.abs(total - 1.0) > _ATOL_COLUMN
@@ -103,12 +94,11 @@ def synth_calibration_matrix(
     for e01, e10 in per_qubit_eps:
         if not (0.0 <= e01 <= 0.5 and 0.0 <= e10 <= 0.5):
             raise ValueError("flip rates must lie in [0, 0.5]")
-        factors.append(np.array([[1 - e01, e10], [e01, 1 - e10]]))
-    lam = tensor_all(*factors).real
+        factors.append(np.array([[1 - e01, e10], [e01, 1 - e10]], dtype=float))
+    lam = functools.reduce(np.kron, factors)
     if correlation > 0.0:
         d = lam.shape[0]
         flipped = np.arange(d)[::-1]
-        lam = lam.copy()
         lam[flipped, np.arange(d)] += correlation
         lam /= lam.sum(axis=0, keepdims=True)
     return CalibrationMatrix(lam)

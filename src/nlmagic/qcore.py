@@ -3,7 +3,8 @@
 States are kept as density matrices throughout (noise makes everything
 mixed sooner or later), and operators are plain complex numpy arrays.
 Qubit 0 is the most significant bit of a computational-basis index, i.e.
-the leftmost factor of a tensor product.
+the leftmost factor of a tensor product; where a full product is needed,
+it is ``np.kron`` with qubit 0 first.
 
 The Pauli spectrum Tr(P rho) is read by per-qubit contraction rather than
 against a stack of 4^N Pauli matrices. rho is reshaped to (2,)*2N, whose
@@ -19,9 +20,9 @@ conjugate on the matching column axis, so no d x d gate operator is built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,82 +35,43 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_PAULI_BY_LETTER = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-PAULI_LETTERS = "IXYZ"
+# Single-qubit Paulis in the lexicographic order I < X < Y < Z of every
+# 4^N spectrum.
+_PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 # _PAULI_MAP[a, 2 i + j] = sigma_a[j, i]: contracted with one qubit's fused
 # (row, column) index it gives that qubit's factor of Tr(P rho).
-_PAULI_MAP = np.array([_PAULI_BY_LETTER[c].T.ravel() for c in PAULI_LETTERS])
+_PAULI_MAP = np.array([sigma.T.ravel() for sigma in _PAULIS])
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with qubit 0 as the leftmost factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def tensor_all(*factors: np.ndarray) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for f in factors:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-qubit Pauli operators, e.g. ``"XZI"``."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters or any(c not in _PAULI_BY_LETTER for c in self.letters):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.letters)
-
-    def matrix(self) -> np.ndarray:
-        return tensor_all(*(_PAULI_BY_LETTER[c] for c in self.letters))
-
-
-def all_pauli_strings(num_qubits: int) -> list[PauliString]:
-    """All 4^N Pauli strings in lexicographic order (I < X < Y < Z)."""
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
-    return [
-        PauliString("".join(p))
-        for p in itertools.product(PAULI_LETTERS, repeat=num_qubits)
-    ]
-
-
-@lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)
 def pauli_matrix_stack(num_qubits: int) -> np.ndarray:
     """Stack of all 4^N Pauli matrices, shape (4^N, d, d), lexicographic order.
 
     The explicit reference for the contracted spectrum. It takes 16^(N+1)
     bytes (268 MB at N = 6), so no production path builds it.
     """
-    stack = np.array([p.matrix() for p in all_pauli_strings(num_qubits)])
+    factors = itertools.product(_PAULIS, repeat=num_qubits)
+    stack = np.array([functools.reduce(np.kron, f) for f in factors])
     stack.flags.writeable = False
     return stack
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated d x d density operator on ``num_qubits`` qubits.
+    """A validated d x d density operator; ``num_qubits`` is log2(d).
 
     Construction checks hermiticity and unit trace at 1e-12, positivity at
     -1e-10 on the spectrum, and the purity bounds 1/d <= Tr(rho^2) <= 1.
     """
 
     matrix: np.ndarray
-    num_qubits: int = field(default=0)
+    num_qubits: int = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         d = m.shape[0]
-        n = self.num_qubits or int(round(np.log2(d)))
+        n = int(round(np.log2(d)))
         if m.shape != (d, d) or 2**n != d:
             raise ValueError(f"matrix shape {m.shape} is not a {2**n}-dim operator")
         if np.max(np.abs(m - m.conj().T)) > ATOL_STRUCT:
@@ -138,11 +100,6 @@ class DensityMatrix:
             raise ValueError("cannot normalize a zero vector")
         v = v / norm
         return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        d = 2**num_qubits
-        return cls(np.eye(d, dtype=complex) / d)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -302,17 +302,21 @@ def estimate_sre(ds: RcmDataset) -> EstimateWithError:
     return EstimateWithError(float(m2), float(err * np.sqrt(n)), float(err), n)
 
 
-def marginalize(p: np.ndarray, keep: set[int], num_qubits: Optional[int] = None) -> np.ndarray:
+def marginalize(p: np.ndarray, keep: set[int]) -> np.ndarray:
     """Marginal outcome distribution on the kept qubits, of a vector or of each row.
 
-    P(s_A) = sum_{s_B} P(s_A, s_B), with kept qubits keeping their order.
-    Each traced qubit q is dropped by adding the two halves of a
+    P(s_A) = sum_{s_B} P(s_A, s_B), with kept qubits keeping their order;
+    the qubit count is log2 of the vector length, which must be a power of
+    two. Each traced qubit q is dropped by adding the two halves of a
     (..., 2^q, 2, rest) view, highest qubit first: one addition per entry
     and traced qubit, grouped pairwise when several are traced.
     """
     v = np.asarray(p, dtype=float)
     rows = v.shape[:1] if v.ndim == 2 else ()
-    n = num_qubits or int(round(np.log2(v.shape[-1] if rows else v.size)))
+    length = v.shape[-1] if rows else v.size
+    n = length.bit_length() - 1
+    if 2**n != length:
+        raise ValueError(f"outcome vector length {length} is not a power of two")
     keep_sorted = sorted(keep)
     if not keep_sorted or len(keep_sorted) >= n:
         raise ValueError("keep must be a nonempty proper subset of the qubits")
@@ -326,5 +330,5 @@ def marginalize(p: np.ndarray, keep: set[int], num_qubits: Optional[int] = None)
 
 def estimate_rdm_purity(ds: RcmDataset, keep: set[int]) -> EstimateWithError:
     """Purity of the reduced state from marginals of the same outcome data."""
-    marginals = marginalize(ds.prob_vectors, keep, ds.num_qubits)
+    marginals = marginalize(ds.prob_vectors, keep)
     return EstimateWithError.from_samples(purity_statistic(marginals))

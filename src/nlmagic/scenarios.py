@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,23 +55,46 @@ TABLE1_PURITY_TOL = 0.02
 TABLE1_MAGIC_TOL = 0.05
 SWEEP_MIN_ANCHOR = 0.29
 SWEEP_MIN_TOL = 0.01
-# Survival probability frozen once so the noisy swept minimum sits on the
-# anchor value above; it is a configuration constant, not a fitted claim.
+# Survival probability tuned so that the noisy fig4 grid minimum lands on
+# SWEEP_MIN_ANCHOR (0.2900 here). It is fitted to that anchor, not derived
+# from the table1 calibration: at calibrate_p_dep() = 0.9592 the same
+# minimum is 0.2710, so the anchor flag checks the tuning, not a prediction.
 SWEEP_P_DEP = 0.949
 SWEEP_GRID_STEP_DEG = 7.5
+FIG3_THETA_GRID_DEG = tuple(range(5, 50, 5))
 
 
-def calibrate_p_dep(target_purity: float = TABLE1_PURITY_ANCHOR, num_qubits: int = 2) -> float:
+def calibrate_p_dep() -> float:
     """Survival probability of one global depolarizing application that
-    takes a pure state to the requested purity."""
-    d = 2**num_qubits
-    if not 1.0 / d < target_purity <= 1.0:
-        raise ValueError("target purity must lie in (1/d, 1]")
-    return float(np.sqrt((d * target_purity - 1.0) / (d - 1.0)))
+    takes a pure two-qubit state to the purity anchor: with d = 4,
+    sqrt((d P - 1) / (d - 1))."""
+    return float(np.sqrt((4 * TABLE1_PURITY_ANCHOR - 1.0) / (4 - 1.0)))
 
 
-def _known(spec: dict, path: str, keys: str) -> dict:
-    """``spec`` once every key in it is among ``keys`` (space separated)."""
+_JSON_TYPES = {
+    "object": dict, "array": list, "string": str, "integer": int, "number": (int, float),
+    "boolean": bool,
+}
+
+
+def _typed(value, path: str, kind: str):
+    """``value`` once it has the JSON type ``kind`` (a boolean is no number);
+    ``path`` names it in the error, the empty path being the whole file."""
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        where = f"scenario key {path}" if path else "a scenario file"
+        raise ValueError(f"{where} must be a JSON {kind}, not {json.dumps(value)}")
+    return value
+
+
+def _array(value, path: str, kind: str) -> list:
+    """``value`` once it is a JSON array whose entries all have the type ``kind``."""
+    return [_typed(x, f"{path}[{i}]", kind) for i, x in enumerate(_typed(value, path, "array"))]
+
+
+def _known(spec, path: str, keys: str) -> dict:
+    """``spec``, or ``{}`` for null, once it is a JSON object whose keys are
+    all among ``keys`` (space separated); ``path`` ends in a dot."""
+    spec = {} if spec is None else _typed(spec, path[:-1], "object")
     if unknown := sorted(set(spec) - set(keys.split())):
         raise ValueError(f"unknown scenario key {', '.join(path + k for k in unknown)}")
     return spec
@@ -112,57 +135,71 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         payload = _known(json.loads(text), "", "version name state noise n_rand seed estimators mitigation")
-        if payload.get("version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported scenario version {payload.get('version')}")
-        state = _known(payload.get("state") or {}, "state.", "id params circuit")
+        if _typed(payload.get("version"), "version", "integer") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported scenario version {payload['version']}")
+        state = _known(payload.get("state"), "state.", "id params circuit")
         if "params" in state and "circuit" in state:
             raise ValueError("state.params apply to a catalogue id, not to state.circuit")
-        params = {
-            k.removesuffix("_deg"): np.deg2rad(v) if k.endswith("_deg") else v
-            for k, v in state.get("params", {}).items()
-        }
+        params = {}
+        for k, v in _typed(state.get("params", {}), "state.params", "object").items():
+            v = _typed(v, f"state.params.{k}", "number")
+            params[k.removesuffix("_deg")] = np.deg2rad(v) if k.endswith("_deg") else v
         circuit = None
         if "circuit" in state:
             spec = _known(state["circuit"], "state.circuit.", "num_qubits gates")
             gates = []
-            for i, g in enumerate(spec["gates"]):
-                _known(g, f"state.circuit.gates[{i}].", "kind qubits angles_deg")
-                angles = tuple(np.deg2rad(a) for a in g.get("angles_deg", ()))
-                gates.append(GateSpec(g["kind"], tuple(g["qubits"]), angles))
-            circuit = Circuit(spec["num_qubits"], tuple(gates))
-        noise = _known(payload.get("noise", {}), "noise.", "p_dep_cz readout n_shot")
+            for i, g in enumerate(_typed(spec.get("gates"), "state.circuit.gates", "array")):
+                path = f"state.circuit.gates[{i}]."
+                _known(g, path, "kind qubits angles_deg")
+                degrees = _array(g.get("angles_deg", []), path + "angles_deg", "number")
+                qubits = tuple(_array(g.get("qubits"), path + "qubits", "integer"))
+                kind = _typed(g.get("kind"), path + "kind", "string")
+                gates.append(GateSpec(kind, qubits, tuple(np.deg2rad(a) for a in degrees)))
+            num_qubits = _typed(spec.get("num_qubits"), "state.circuit.num_qubits", "integer")
+            circuit = Circuit(num_qubits, tuple(gates))
+        noise = _known(payload.get("noise"), "noise.", "p_dep_cz readout n_shot")
         readout = None
-        ro_spec = _known(noise.get("readout") or {}, "noise.readout.", "matrix per_qubit_eps correlation")
+        ro_spec = _known(noise.get("readout"), "noise.readout.", "matrix per_qubit_eps correlation")
         for other in ("per_qubit_eps", "correlation"):
             if "matrix" in ro_spec and other in ro_spec:
                 raise ValueError(f"noise.readout.matrix and noise.readout.{other} are exclusive")
         if "matrix" in ro_spec:
-            readout = CalibrationMatrix(np.array(ro_spec["matrix"], dtype=float))
+            rows = _array(ro_spec["matrix"], "noise.readout.matrix", "array")
+            matrix = [_array(r, f"noise.readout.matrix[{i}]", "number") for i, r in enumerate(rows)]
+            readout = CalibrationMatrix(np.array(matrix, dtype=float))
         elif "per_qubit_eps" in ro_spec:
-            eps = [tuple(pair) for pair in ro_spec["per_qubit_eps"]]
-            readout = synth_calibration_matrix(eps, ro_spec.get("correlation", 0.0))
+            pairs = _array(ro_spec["per_qubit_eps"], "noise.readout.per_qubit_eps", "array")
+            eps = [
+                tuple(_array(pair, f"noise.readout.per_qubit_eps[{i}]", "number"))
+                for i, pair in enumerate(pairs)
+            ]
+            correlation = _typed(ro_spec.get("correlation", 0.0), "noise.readout.correlation", "number")
+            readout = synth_calibration_matrix(eps, correlation)
+        n_shot = noise.get("n_shot")
         estimators = []
-        for i, e in enumerate(payload.get("estimators", ["purity", "sre"])):
+        specs = _typed(payload.get("estimators", ["purity", "sre"]), "estimators", "array")
+        for i, e in enumerate(specs):
             if isinstance(e, str):
                 estimators.append(e)
             elif isinstance(e, dict) and "rdm_purity" in e:
                 path = f"estimators[{i}]."
-                keep = _known(_known(e, path, "rdm_purity")["rdm_purity"], path + "rdm_purity.", "keep")["keep"]
+                rdm = _known(_known(e, path, "rdm_purity")["rdm_purity"], path + "rdm_purity.", "keep")
+                keep = _array(rdm.get("keep"), path + "rdm_purity.keep", "integer")
                 estimators.append(("rdm_purity", tuple(sorted(keep))))
             else:
                 raise ValueError(f"unknown estimator spec {e!r}")
         return cls(
-            name=payload.get("name", "scenario"),
-            state_id=state.get("id"),
+            name=_typed(payload.get("name", "scenario"), "name", "string"),
+            state_id=None if state.get("id") is None else _typed(state["id"], "state.id", "string"),
             state_params=params,
             circuit=circuit,
-            p_dep_cz=noise.get("p_dep_cz", 1.0),
+            p_dep_cz=_typed(noise.get("p_dep_cz", 1.0), "noise.p_dep_cz", "number"),
             readout=readout,
-            n_shot=noise.get("n_shot"),
-            n_rand=payload.get("n_rand", DEFAULT_N_RAND),
-            seed=payload.get("seed", 0),
+            n_shot=None if n_shot is None else _typed(n_shot, "noise.n_shot", "integer"),
+            n_rand=_typed(payload.get("n_rand", DEFAULT_N_RAND), "n_rand", "integer"),
+            seed=_typed(payload.get("seed", 0), "seed", "integer"),
             estimators=tuple(estimators),
-            mitigation=bool(payload.get("mitigation", False)),
+            mitigation=_typed(payload.get("mitigation", False), "mitigation", "boolean"),
         )
 
 
@@ -407,7 +444,6 @@ def report_table1(
 
 
 def report_fig3(
-    theta_grid_deg: Sequence[float] = tuple(range(5, 50, 5)),
     p_dep: Optional[float] = None,
     seed: int = 0,
     n_rand: int = DEFAULT_N_RAND,
@@ -415,17 +451,16 @@ def report_fig3(
 ) -> Report:
     """Magic of the Schmidt-angle family versus the closed-form noisy curve.
 
-    Emits one row per angle with the estimate, its error, the closed-form
-    value, and the non-local magic inferred from the reduced-state purity.
+    Emits one row per angle of ``FIG3_THETA_GRID_DEG`` with the estimate,
+    its error, the closed-form value, and the non-local magic inferred from
+    the reduced-state purity.
     """
     if p_dep is None:
         p_dep = calibrate_p_dep()
-    if any(t < 0 or t > 45 for t in theta_grid_deg):
-        raise ValueError("theta grid must lie within [0, 45] degrees")
     p_err = 1.0 - p_dep
     report = Report(name="fig3", seed=seed)
     rows = []
-    for idx, theta_deg in enumerate(theta_grid_deg):
+    for idx, theta_deg in enumerate(FIG3_THETA_GRID_DEG):
         theta = float(np.deg2rad(theta_deg))
         scenario = Scenario(
             name=f"nlm(theta={theta_deg})",
@@ -475,14 +510,17 @@ def report_fig3(
     return report
 
 
-def report_fig4(seed: int = 0, grid_step_deg: float = SWEEP_GRID_STEP_DEG) -> Report:
-    """Residual-magic landscape over the two Rz sweep angles.
+def report_fig4(seed: int = 0) -> Report:
+    """Residual-magic landscape over the two Rz sweep angles, on a
+    ``SWEEP_GRID_STEP_DEG`` grid.
 
-    Runs the sweep twice: with the frozen depolarizing configuration, whose
-    grid minimum is checked against the landscape anchor, and noise free,
-    whose minimum must equal the state's exact non-local magic.
+    Runs the sweep twice: noise free, whose minimum must equal the state's
+    exact non-local magic, and at ``SWEEP_P_DEP``, whose grid minimum is
+    checked against the landscape anchor. That survival probability was
+    tuned to put this minimum on the anchor, so the anchor flag confirms the
+    tuning rather than tests a prediction.
     """
-    grid = degree_grid(grid_step_deg, "grid_step_deg")
+    grid = degree_grid(SWEEP_GRID_STEP_DEG)
     base = state_circuit("m")
     noisy = run_circuit(base, SWEEP_P_DEP)
     clean = run_circuit(base)

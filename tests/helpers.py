@@ -1,12 +1,14 @@
 """Shared random-state generators and loop-form references for the test
 suite."""
 
+import functools
+
 import numpy as np
 
-from nlmagic import DensityMatrix, depolarize, gate_matrix
+from nlmagic import DensityMatrix, gate_matrix
 from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
 from nlmagic.erasure import _correlation_matrix, _m2_from_correlations, pauli_rotation
-from nlmagic.qcore import pauli_expectations, tensor_all
+from nlmagic.qcore import pauli_expectations
 from nlmagic.rcm import _clifford_z_images
 
 
@@ -29,6 +31,14 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def depolarize(rho: DensityMatrix, p_dep: float) -> DensityMatrix:
+    """Global depolarizing channel p rho + (1 - p) I/d on the full register,
+    as a validated state: the channel ``run_circuit`` applies in place after
+    every CZ."""
+    d = rho.dim
+    return DensityMatrix(p_dep * rho.matrix + (1.0 - p_dep) * (np.eye(d, dtype=complex) / d))
+
+
 def kron_run_circuit(circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
     """Reference for ``run_circuit``: every gate is a d x d Kronecker-built
     operator applied as u @ rho @ u^dag, and every depolarized state is
@@ -47,7 +57,7 @@ def kron_run_circuit(circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
             else:
                 factors = [np.eye(2, dtype=complex)] * n
                 factors[g.qubits[0]] = gate_matrix(g)
-                u = tensor_all(*factors)
+                u = functools.reduce(np.kron, factors)
             state = u @ state @ u.conj().T
             if g.kind == "CZ" and p_dep_cz < 1.0:
                 state = depolarize(DensityMatrix(state), p_dep_cz).matrix.copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlmagic import DecayCurve, fit_exp_decay
+from nlmagic import DecayCurve, avg_gate_fidelity, fit_exp_decay, synth_rb_curve
 from nlmagic.benchfit import _initial_guess
 
 
@@ -37,3 +37,22 @@ def test_fit_never_ends_above_its_initial_guess(lengths, survival):
     fit = fit_exp_decay(curve)
     start = _cost(n, curve.survival, *_initial_guess(n, curve.survival))
     assert _cost(n, curve.survival, fit.a, fit.p, fit.b) <= start
+
+
+def test_noise_free_rb_curve_is_the_decay_model_and_fits_back():
+    curve = synth_rb_curve(0.5, 0.97, 0.45, [20, 1, 5, 5, 3])
+    np.testing.assert_array_equal(curve.n_cliffords, [1, 3, 5, 20])
+    np.testing.assert_array_equal(curve.survival, 0.5 * 0.97 ** np.array([1, 3, 5, 20]) + 0.45)
+    fit = fit_exp_decay(curve)
+    assert abs(fit.p - 0.97) <= 1e-9
+    assert fit.residual_rms <= 1e-12
+
+
+def test_avg_gate_fidelity_formulas():
+    assert avg_gate_fidelity(1.0, 2) == (1.0, 1.0)
+    f_cl, f_gate = avg_gate_fidelity(0.98, 4)
+    assert f_cl == pytest.approx(1.0 - 0.75 * 0.02, abs=1e-15)
+    assert f_gate == pytest.approx(f_cl ** (1 / 1.875), abs=1e-15)
+    for p, d in ((0.0, 2), (1.5, 2), (0.9, 1)):
+        with pytest.raises(ValueError):
+            avg_gate_fidelity(p, d)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nlmagic import (
     Circuit,
     GateSpec,
-    clifford_cardinality,
     gate_matrix,
     purity,
     run_circuit,
@@ -180,7 +179,6 @@ def test_clifford_group_order_and_identity():
     assert len(group) == 24
     assert group[0].canonical_id == 0
     assert np.allclose(group[0].matrix, np.eye(2))
-    assert len(group) == clifford_cardinality(1)
 
 
 def test_clifford_group_distinct_and_closed():
@@ -200,14 +198,6 @@ def test_clifford_invariance_on_stabilizer_states():
         from nlmagic import DensityMatrix
 
         assert sre_exact(DensityMatrix(rotated)) < 1e-10
-
-
-def test_clifford_cardinality_values():
-    assert clifford_cardinality(1) == 24
-    assert clifford_cardinality(2) == 11520
-    assert clifford_cardinality(1) ** 2 == 576
-    with pytest.raises(ValueError):
-        clifford_cardinality(0)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,54 @@ def test_exhaustive_over_four_qubits_exits_1_before_collecting(tmp_path, monkeyp
 
 
 def test_workers_flag_is_gone(scenario_path, capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exited:
         main(["rcm", "estimate", "--scenario", str(scenario_path), "--workers", "2"])
+    assert exited.value.code == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "table1", "--scenario", "x.json"],
+        ["report", "fig3", "--scenario", "x.json"],
+        ["report", "fig4", "--scenario", "x.json"],
+        ["mitigate", "--input", "x.json", "--scenario", "x.json"],
+        ["mitigate", "--input", "x.json", "--seed", "5"],
+        ["fit", "rb", "--input", "x.csv", "--scenario", "x.json"],
+        ["fit", "rb", "--input", "x.csv", "--seed", "5"],
+        ["report", "table1", "--format", "csv"],
+        ["magic", "exact", "--format", "csv"],
+        ["rcm", "estimate", "--format", "csv"],
+        ["fit", "rb", "--input", "x.csv", "--format", "csv"],
+    ],
+    ids=[
+        "table1-scenario",
+        "fig3-scenario",
+        "fig4-scenario",
+        "mitigate-scenario",
+        "mitigate-seed",
+        "rb-scenario",
+        "rb-seed",
+        "table1-csv",
+        "exact-csv",
+        "estimate-csv",
+        "rb-csv",
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nlmagic") and "error:" in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["report", "fig4", "--help"])
+    assert exited.value.code == 0
+    assert "--scenario" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -269,8 +269,8 @@ def test_erasure_grids_stay_small_in_memory():
 
 @pytest.mark.parametrize("step", [0.0, -7.5, float("nan"), float("inf")])
 def test_bad_step_is_a_clear_error(step, tmp_path, capsys):
-    with pytest.raises(ValueError, match="grid_step_deg must be finite and > 0"):
-        report_fig4(grid_step_deg=step)
+    with pytest.raises(ValueError, match="step_deg must be finite and > 0"):
+        degree_grid(step)
     scenario = tmp_path / "sweep.json"
     scenario.write_text('{"version": 1, "name": "sweep", "state": {"id": "m"}}')
     assert main(["erase", "sweep", "--scenario", str(scenario), "--step-deg", str(step)]) == 1

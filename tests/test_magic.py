@@ -6,9 +6,8 @@ import pytest
 from nlmagic import (
     DensityMatrix,
     OptConfig,
-    depolarize,
     magic_report,
-    nonlocal_magic_from_rdm_purity,
+    nonlocal_magic_noisy,
     nonlocal_magic_schmidt,
     optimize_erasure,
     purity,
@@ -23,12 +22,26 @@ from nlmagic import magic
 from nlmagic.circuits import H_MATRIX
 from nlmagic.qcore import pauli_matrix_stack
 
-from helpers import random_pure
+from helpers import depolarize, random_pure
 
 
 def test_nonlocal_magic_of_maximal_entanglement_is_positive_zero():
     assert math.copysign(1.0, nonlocal_magic_schmidt(0.5)) == 1.0
-    assert math.copysign(1.0, nonlocal_magic_from_rdm_purity(0.5)) == 1.0
+    assert math.copysign(1.0, nonlocal_magic_noisy(0.5, 1.0)) == 1.0
+
+
+@pytest.mark.parametrize("p_dep", [1.0, 0.959, 0.5, 0.1])
+def test_noisy_inversion_recovers_the_schmidt_closed_form(p_dep):
+    for lam in np.linspace(0.5, 1.0, 401):
+        measured = magic.rdm_purity_noisy(lam, p_dep)
+        assert abs(nonlocal_magic_noisy(measured, p_dep) - nonlocal_magic_schmidt(lam)) <= 1e-12
+
+
+def test_noise_free_inversion_is_the_reduced_purity_closed_form():
+    # M_NL = -log2(4 P_A^2 - 6 P_A + 3) for a pure state's reduced purity P_A.
+    for p_a in np.linspace(0.5, 1.0, 201):
+        expected = -np.log2(4.0 * p_a**2 - 6.0 * p_a + 3.0)
+        assert abs(nonlocal_magic_noisy(p_a, 1.0) - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("survival", [1.0, 0.99, 0.95, 0.8, 0.5, 0.0])

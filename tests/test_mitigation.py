@@ -10,6 +10,7 @@ from nlmagic import (
     InitializationCounts,
     calibration_from_counts,
     mitigate_least_squares,
+    readout_fidelity,
     synth_calibration_matrix,
 )
 
@@ -134,11 +135,10 @@ def test_initialization_counts_rejections(counts, n_shot, message):
         InitializationCounts(np.array(counts), n_shot)
 
 
-def test_initialization_counts_json_round_trip():
-    ic = InitializationCounts(np.array([[90, 10], [4, 96]]), 100)
-    back = InitializationCounts.from_json(ic.to_json())
-    assert back.n_shot == 100
-    np.testing.assert_array_equal(back.counts, ic.counts)
+def test_readout_fidelity_is_the_mean_diagonal():
+    assert readout_fidelity(CalibrationMatrix(np.eye(4))) == 1.0
+    lam = calibration_from_counts(InitializationCounts(np.array([[90, 10], [4, 96]]), 100))
+    assert readout_fidelity(lam) == pytest.approx(0.93, abs=1e-15)
 
 
 def test_calibration_column_is_preparation_histogram():

@@ -1,34 +1,38 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlmagic import DensityMatrix, partial_trace, pauli_expectations, purity, tensor
-from nlmagic.qcore import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
-    all_pauli_strings,
-    apply_per_qubit,
-    pauli_matrix_stack,
-)
+from nlmagic import DensityMatrix, partial_trace, pauli_expectations, purity
+from nlmagic.qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, apply_per_qubit, pauli_matrix_stack
 
 from helpers import random_mixed, random_pure
 
 
+def pauli_labels(num_qubits):
+    """Labels of the 4^N Pauli strings in lexicographic (stack) order."""
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=num_qubits)]
+
+
+def pauli(letters):
+    return pauli_matrix_stack(len(letters))[pauli_labels(len(letters)).index(letters)]
+
+
 def test_tensor_identity():
-    assert np.allclose(tensor(PAULI_I, PAULI_I), np.eye(4))
+    assert np.array_equal(pauli("II"), np.eye(4))
 
 
 def test_tensor_qubit_ordering():
     # qubit 0 is the leftmost factor, i.e. the most significant bit
-    assert np.allclose(tensor(PAULI_Z, PAULI_I), np.diag([1, 1, -1, -1]))
+    assert np.array_equal(pauli("ZI"), np.diag([1, 1, -1, -1]))
 
 
 def test_tensor_basis_action():
     v00 = np.array([1, 0, 0, 0], dtype=complex)
     v10 = np.array([0, 0, 1, 0], dtype=complex)
-    assert np.allclose(tensor(PAULI_X, PAULI_Z) @ v00, v10)
+    assert np.array_equal(pauli("XZ") @ v00, v10)
 
 
 def test_partial_trace_product_state():
@@ -62,14 +66,14 @@ def test_partial_trace_recovers_factors():
     for _ in range(20):
         a = random_pure(rng, 1)
         b = random_mixed(rng, 1)
-        joint = DensityMatrix(tensor(a.matrix, b.matrix))
+        joint = DensityMatrix(np.kron(a.matrix, b.matrix))
         assert np.allclose(partial_trace(joint, {0}).matrix, a.matrix, atol=1e-12)
         assert np.allclose(partial_trace(joint, {1}).matrix, b.matrix, atol=1e-12)
 
 
 def test_purity_pure_and_mixed():
     assert purity(DensityMatrix.from_state_vector([1, 0])) == pytest.approx(1.0, abs=1e-12)
-    assert purity(DensityMatrix.maximally_mixed(1)) == pytest.approx(0.5, abs=1e-12)
+    assert purity(DensityMatrix(np.eye(2) / 2)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_purity_depolarized_two_qubit():
@@ -103,9 +107,8 @@ def test_pauli_completeness(num_qubits):
 
 
 def test_pauli_string_count():
-    assert len(all_pauli_strings(2)) == 16
-    letters = [p.letters for p in all_pauli_strings(1)]
-    assert letters == ["I", "X", "Y", "Z"]
+    assert pauli_matrix_stack(2).shape == (16, 4, 4)
+    assert np.array_equal(pauli_matrix_stack(1), [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def test_density_matrix_rejects_non_hermitian():
@@ -123,6 +126,12 @@ def test_density_matrix_rejects_negative_eigenvalue():
     m = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         DensityMatrix(m)
+
+
+def test_density_matrix_infers_its_qubit_count():
+    assert DensityMatrix(np.eye(8) / 8).num_qubits == 3
+    with pytest.raises(ValueError, match="not a 4-dim operator"):
+        DensityMatrix(np.eye(3) / 3)
 
 
 def test_density_matrix_immutable():
@@ -151,7 +160,7 @@ def test_contracted_spectrum_lexicographic_order():
     # |0> (x) |+>: only I, Z on qubit 0 and I, X on qubit 1 are nonzero.
     rho = DensityMatrix.from_state_vector([1, 1, 0, 0])
     t = pauli_expectations(rho)
-    letters = [p.letters for p in all_pauli_strings(2)]
+    letters = pauli_labels(2)
     nonzero = {letters[k] for k in np.flatnonzero(np.abs(t) > 1e-12)}
     assert nonzero == {"II", "IX", "ZI", "ZX"}
 

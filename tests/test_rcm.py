@@ -20,7 +20,6 @@ from nlmagic import (
     sre_exact,
     stabilizer_purity_exact,
     synth_calibration_matrix,
-    tensor,
 )
 from nlmagic.noise import clean_probability_vector
 from nlmagic.rcm import (
@@ -47,7 +46,7 @@ def reference_born(rho, ids):
     group = single_qubit_clifford_group()
     c = np.array([[1.0 + 0j]])
     for i in ids:
-        c = tensor(c, group[i].matrix)
+        c = np.kron(c, group[i].matrix)
     return np.einsum("ij,jk,ik->i", c, rho.matrix, c.conj()).real
 
 
@@ -94,7 +93,14 @@ def test_marginalize_rows_match_vectors(rows):
     for keep in ({0}, {n - 1}, set(range(1, n))):
         batched = marginalize(rows, keep)
         for k, p in enumerate(rows):
-            np.testing.assert_array_equal(batched[k], marginalize(p, keep, n))
+            np.testing.assert_array_equal(batched[k], marginalize(p, keep))
+
+
+@pytest.mark.parametrize("length", [0, 3, 6])
+def test_marginalize_infers_qubits_from_a_power_of_two_length(length):
+    assert marginalize(np.full((2, 8), 1 / 8), {1}).shape == (2, 2)
+    with pytest.raises(ValueError, match=f"outcome vector length {length} is not a power of two"):
+        marginalize(np.full(length, 0.25), {0})
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,7 +111,7 @@ def test_marginalize_matches_sum_over_traced_axes(rows, data):
     keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     traced = n - len(keep)
     batched, reference = marginalize(rows, keep), sum_marginalize(rows, keep, n)
-    vector, vector_reference = marginalize(rows[0], keep, n), sum_marginalize(rows[0], keep, n)
+    vector, vector_reference = marginalize(rows[0], keep), sum_marginalize(rows[0], keep, n)
     if traced == 1:
         # One traced qubit is one addition in either form.
         np.testing.assert_array_equal(batched, reference)

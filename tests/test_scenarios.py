@@ -5,7 +5,10 @@ import pytest
 
 from nlmagic import (
     Scenario,
+    calibrate_p_dep,
     measure,
+    purity,
+    run_circuit,
     run_scenario,
     state_circuit,
     synth_calibration_matrix,
@@ -93,6 +96,36 @@ def test_from_json_rejects_unknown_keys_naming_their_path(changes, key):
         load(**changes)
 
 
+def test_a_scenario_file_must_be_a_json_object():
+    with pytest.raises(ValueError, match=r"^a scenario file must be a JSON object, not \[\]$"):
+        Scenario.from_json("[]")
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"n_rand": "400"}, 'n_rand must be a JSON integer, not "400"'),
+        ({"n_rand": 1.5}, "n_rand must be a JSON integer, not 1.5"),
+        ({"seed": True}, "seed must be a JSON integer, not true"),
+        ({"noise": {"n_shot": 2.5}}, "noise.n_shot must be a JSON integer, not 2.5"),
+        ({"state": "m"}, 'state must be a JSON object, not "m"'),
+        ({"estimators": "sre"}, 'estimators must be a JSON array, not "sre"'),
+        (
+            {"state": {"circuit": {"num_qubits": 2, "gates": [{"kind": "CZ", "qubits": 0}]}}},
+            r"state.circuit.gates\[0\].qubits must be a JSON array, not 0",
+        ),
+        (
+            {"estimators": [{"rdm_purity": {"keep": [False]}}]},
+            r"estimators\[0\].rdm_purity.keep\[0\] must be a JSON integer, not false",
+        ),
+    ],
+    ids=["n_rand-string", "n_rand-float", "seed-bool", "n_shot-float", "state-string", "estimators-string", "qubits-int", "keep-bool"],
+)
+def test_wrong_json_types_are_named_errors(changes, message):
+    with pytest.raises(ValueError, match=f"^scenario key {message}$"):
+        load(**changes)
+
+
 def test_misspelt_scenario_no_longer_loads_with_defaults():
     text = json.dumps({**BASE, "noise": {"nshot": 100}, "mitigaton": True, "n_rnd": 10})
     with pytest.raises(ValueError, match="mitigaton, n_rnd"):
@@ -174,3 +207,13 @@ def test_stage_mitigation_undoes_readout_on_exact_probabilities():
 def test_stage_rejects_bad_estimator_lists(estimators, message):
     with pytest.raises(ValueError, match=message):
         measure(Scenario("s", state_id="m", n_rand=10, estimators=estimators))
+
+
+# ---------------------------------------------------------------------------
+# Report calibration
+
+
+@pytest.mark.parametrize("state_id", ["lm", "lm_erased", "m", "m_erased"])
+def test_calibrated_survival_puts_table1_states_on_the_purity_anchor(state_id):
+    rho = run_circuit(state_circuit(state_id), calibrate_p_dep())
+    assert abs(purity(rho) - 0.94) <= 1e-14
