@@ -1,6 +1,6 @@
 """Simulation and estimation of local and non-local magic in small noisy
 qubit registers: exact oracles, randomized Clifford measurements, readout
-mitigation, erasure optimization, and benchmarking fits.
+mitigation, the closed-form erasure floor, and benchmarking fits.
 
 ``__all__`` lists the public names, grouped by module. Depolarizing is
 applied inside ``run_circuit``; the non-local magic of a pure state's

@@ -66,9 +66,10 @@ class DecayFit:
 
 
 def decay_curve_from_csv(text: str) -> DecayCurve:
-    """Parse a two-column CSV (sequence length, survival); header optional."""
+    """Parse a two-column CSV (sequence length, survival); header optional.
+    A data row without a survival column raises ``ValueError``."""
     ns, ys = [], []
-    for line in io.StringIO(text):
+    for number, line in enumerate(io.StringIO(text), 1):
         line = line.strip()
         if not line:
             continue
@@ -77,6 +78,8 @@ def decay_curve_from_csv(text: str) -> DecayCurve:
             n = float(parts[0])
         except ValueError:
             continue  # header row
+        if len(parts) < 2:
+            raise ValueError(f"line {number} has no survival column: {line!r}")
         ns.append(int(n))
         ys.append(float(parts[1]))
     return DecayCurve(np.array(ns), np.array(ys))

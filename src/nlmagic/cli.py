@@ -41,6 +41,7 @@ from .scenarios import (
     Report,
     ReportValue,
     Scenario,
+    _typed,
     report_fig3,
     report_fig4,
     report_table1,
@@ -173,15 +174,18 @@ def _cmd_rcm_estimate(args) -> int:
 
 
 def _cmd_mitigate(args) -> int:
-    payload = json.loads(args.input.read_text())
+    typed = functools.partial(_typed, source="mitigate input")
+    payload = typed(json.loads(args.input.read_text()), "", "object")
     if "counts" in payload:
         ic = InitializationCounts(
-            np.array(payload["counts"], dtype=int), int(payload["n_shot"])
+            np.array(typed(payload["counts"], "counts", "array"), dtype=int),
+            typed(payload.get("n_shot"), "n_shot", "integer"),
         )
         cal = calibration_from_counts(ic)
     else:
-        cal = CalibrationMatrix(np.array(payload["calibration"], dtype=float))
-    probs = payload.get("probabilities", [])
+        calibration = typed(payload.get("calibration"), "calibration", "array")
+        cal = CalibrationMatrix(np.array(calibration, dtype=float))
+    probs = typed(payload.get("probabilities", []), "probabilities", "array")
     vectors = probs if probs and isinstance(probs[0], list) else [probs]
     report = Report(name="mitigate", seed=0)
     report.values.append(ReportValue("readout_fidelity", "oracle", readout_fidelity(cal)))

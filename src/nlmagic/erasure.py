@@ -1,9 +1,9 @@
-"""Local magic erasure: objective, angle sweeps, and optimization.
+"""Local magic erasure: objective, angle sweeps, and the erasure floor.
 
 Local rotations U_A = Rz(alpha) Ry(beta) Rz(gamma) and
 U_B = Rz(delta) Ry(eta) Rz(phi) are applied to a two-qubit state and the
-remaining stabilizer Renyi entropy is minimized. For a noise-free pure
-state the floor of this landscape is exactly the state's non-local magic.
+remaining stabilizer Renyi entropy is measured. Its floor over all local
+rotations is the state's non-local magic.
 
 Everything works in the Pauli-correlation picture: a local unitary acts
 on the 4x4 correlation matrix T[a, b] = Tr(rho sigma_a (x) sigma_b) by an
@@ -11,11 +11,14 @@ orthogonal Pauli-transfer matrix on each side, T -> R_A T R_B^T. For
 U = Rz(a) Ry(b) Rz(g) that matrix is the closed-form product
 Rz4(a) Ry4(b) Rz4(g) of plane rotations by the same angles, in the (X, Y)
 plane for Rz and the (Z, X) plane for Ry. A grid of A side-A and B
-side-B rotations is one (4A, 4) x (4, 4B) matrix product of the stacked
-R_A t with the stacked R_B, taken in blocks of side-A rows (``_pair_m2``);
-``sweep_landscape`` and the 45-degree grid of ``optimize_erasure`` both
-run through it, and ``optimize_erasure`` refines the grid's best points by
-batched BFGS on the analytic gradient of M2 in body coordinates.
+side-B rotations, as ``sweep_landscape`` takes, is one (4A, 4) x (4, 4B)
+matrix product of the stacked R_A t with the stacked R_B, taken in blocks
+of side-A rows (``_pair_m2``).
+
+The floor needs no search for the states this package prepares,
+s |psi><psi| + (1 - s) I/4: local rotations fix T[0, 0] and the purity,
+so the depolarizing term does not move the minimum, which psi reaches in
+Schmidt form sqrt(lam) |00> + sqrt(1 - lam) |11> (``optimize_erasure``).
 """
 
 from __future__ import annotations
@@ -25,18 +28,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .magic import m2_from_expectations
-from .qcore import DensityMatrix, expectations_from_matrix
+from .magic import OutOfModelError, m2_from_expectations, schmidt_decomposition
+from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, expectations_from_matrix
 
 _TWO_PI = 2.0 * np.pi
 _EYE4 = np.eye(4)
-# Refinement: step lengths tried along each direction, longest first; the
-# Armijo constant; the rounding level of M2; the number of starts.
-_LADDER = 0.5 ** np.arange(10)
-_ARMIJO, _ROUNDING, _N_STARTS = 1e-4, 1e-15, 4
+_SIGMA = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 # Pairs per block of ``_pair_m2``: each temporary then holds 16 Ki doubles
-# (128 KiB). On a 2-core Xeon VM the 45-degree grid and the fig4 sweep both
-# ran fastest near this size, about twice as fast as in one product.
+# (128 KiB). On a 2-core Xeon VM a 128 x 128 rotation grid and the fig4
+# sweep both ran fastest near this size, about twice as fast as in one
+# product.
 _PAIRS_PER_BLOCK = 1024
 
 
@@ -61,18 +62,11 @@ class ErasureAngles:
 
 @dataclass(frozen=True)
 class OptConfig:
-    """``tol``: a start has converged when no component of its gradient, per
-    radian of body rotation (see ``_m2_and_gradient``), exceeds it.
-    ``max_evaluations``: most M2 evaluations of the refinement, its four
-    starts included (the grid is not counted). ``seed``: the uniform start."""
+    """Unread: ``optimize_erasure`` is a closed form. ``seed`` is kept only
+    because the ``oracles`` workload and the self-check of ``perfbench``
+    call ``optimize_erasure(rho, OptConfig(seed=...))``."""
 
-    tol: float = 1e-8
-    max_evaluations: int = 5000
     seed: int = 0
-
-    def __post_init__(self):
-        if self.max_evaluations < _N_STARTS:
-            raise ValueError(f"max_evaluations must cover the {_N_STARTS} starts")
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,6 @@ class ErasureResult:
     angles: ErasureAngles
     residual_m2: float
     evaluations: int
-    converged: bool = True
     landscape: Optional[np.ndarray] = None
     gamma_grid: Optional[np.ndarray] = None
     phi_grid: Optional[np.ndarray] = None
@@ -113,6 +106,11 @@ def pauli_rotation(alpha, beta, gamma) -> np.ndarray:
     return _plane_rotation(alpha, 1, 2) @ _plane_rotation(beta, 3, 1) @ _plane_rotation(gamma, 1, 2)
 
 
+def _transfer_matrix(u: np.ndarray) -> np.ndarray:
+    """Pauli-transfer matrix of a 2x2 unitary: R[a, b] = Tr(sigma_b U^dag sigma_a U) / 2."""
+    return np.array([expectations_from_matrix(u.conj().T @ sigma @ u, 1) for sigma in _SIGMA]) / 2
+
+
 def _m2_from_correlations(t: np.ndarray) -> np.ndarray:
     return m2_from_expectations(t.reshape(*t.shape[:-2], 16), 4)
 
@@ -140,107 +138,25 @@ def _euler(r: np.ndarray) -> np.ndarray:
     return np.array([alpha, beta, total - alpha if r[3, 3] >= 0 else alpha - diff])
 
 
-def _expm(w: np.ndarray) -> np.ndarray:
-    """Pauli-transfer matrix of the rotation by the vector w (..., 3) (Rodrigues)."""
-    k = np.zeros(w.shape[:-1] + (4, 4))
-    k[..., 1:, 1:] = np.cross(np.eye(3), w[..., None, :])
-    theta = np.linalg.norm(w, axis=-1)[..., None, None]
-    return _EYE4 + np.sinc(theta / np.pi) * k + np.sinc(theta / (2 * np.pi)) ** 2 / 2 * (k @ k)
-
-
-def _m2_and_gradient(ra: np.ndarray, rb: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M2 of T' = R_A t R_B^T for rotations ra, rb (K, 4, 4) and its gradient
-    (K, 6) in the body coordinates w of R_A _expm(w_A) and R_B _expm(w_B).
-
-    Only S = sum T'^4 moves: dM2 = -dS / (S ln 2). A body turn changes R by
-    R G(e_k) = G(R e_k) R, so dS/dw = 4 R^T tau with tau the axial vector of
-    C - C^T, C = T'^3 T'^T on side A and (T'^3)^T T' on side B.
-    """
-    tp = ra @ t @ np.swapaxes(rb, 1, 2)
-    cube = tp**3
-    grad = []
-    for r, c in ((ra, cube @ np.swapaxes(tp, 1, 2)), (rb, np.swapaxes(cube, 1, 2) @ tp)):
-        tau = np.stack([c[:, 3, 2] - c[:, 2, 3], c[:, 1, 3] - c[:, 3, 1], c[:, 2, 1] - c[:, 1, 2]], axis=1)
-        grad.append(np.einsum("kji,kj->ki", r[:, 1:, 1:], tau))
-    s4 = (cube * tp).sum(axis=(1, 2))
-    return _m2_from_correlations(tp), -4.0 * np.hstack(grad) / (s4[:, None] * np.log(2.0))
-
-
 def erasure_objective(rho: DensityMatrix, angles: ErasureAngles) -> float:
     """M2 after applying the local rotations to the state."""
     a = angles.as_array()
     return float(_m2_from_correlations(pauli_rotation(*a[:3]) @ _correlation_matrix(rho) @ pauli_rotation(*a[3:]).T))
 
 
-def _grid_candidates() -> np.ndarray:
-    """Coarse 45-degree candidates for one side. The leading Rz angle only
-    needs {0, 45} degrees: adding 90 degrees multiplies the rotation by a
-    Clifford on the left, which cannot change the magic of the state."""
-    lead = np.deg2rad([0.0, 45.0])
-    full = np.deg2rad(np.arange(0.0, 360.0, 45.0))
-    combos = np.array(np.meshgrid(lead, full, full, indexing="ij"))
-    return combos.reshape(3, -1).T
-
-
 def optimize_erasure(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> ErasureResult:
-    """Two-stage minimization of the erasure objective.
-
-    A 45-degree grid over both Euler triples locates candidate basins. Its
-    three best pairs and one uniform draw (cfg.seed) are refined together by
-    BFGS in body coordinates: each iteration tries a fixed ladder of step
-    lengths along every start's quasi-Newton direction in one batch and
-    takes the longest Armijo step. A start stops at a gradient within
-    cfg.tol or when no step lowers M2, and all stop before an iteration
-    could exceed cfg.max_evaluations. The lowest start is returned,
-    converged if its gradient is within cfg.tol. For a noise-free pure
-    input the floor is the state's non-local magic.
+    """Erasure floor of rho = s |psi><psi| + (1 - s) I/4 (for a pure state,
+    its non-local magic) and the Euler angles of U_A = u^dag, U_B = conj(vh)
+    that reach it, u sigma vh being the SVD of psi as a 2x2 matrix. Raises
+    ``OutOfModelError`` when the three smallest eigenvalues of rho differ
+    by more than 1e-10, the positivity level of ``DensityMatrix``.
+    ``cfg`` is unread.
     """
-    t = _correlation_matrix(rho)
-    candidates = _grid_candidates()
-    rots = pauli_rotation(*candidates.T)
-    # All pair values: one matrix product per block of side-A candidates.
-    values = _pair_m2(rots, t, rots)
-    ia, ib = np.unravel_index(np.argsort(values, axis=None)[: _N_STARTS - 1], values.shape)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    x = np.vstack([np.hstack([candidates[ia], candidates[ib]]), rng.uniform(0.0, _TWO_PI, size=6)])
-
-    ra, rb = pauli_rotation(*x[:, :3].T), pauli_rotation(*x[:, 3:].T)
-    f, g = _m2_and_gradient(ra, rb, t)
-    budget = cfg.max_evaluations - _N_STARTS
-    h = np.tile(np.eye(6), (_N_STARTS, 1, 1))
-    active = np.abs(g).max(axis=1) > cfg.tol
-    while active.any() and budget >= active.sum() * (len(_LADDER) + 1):
-        k = np.flatnonzero(active)
-        p = -np.einsum("kij,kj->ki", h[k], g[k])
-        w = _LADDER[:, None] * p[:, None]
-        ta, tb = ra[k, None] @ _expm(w[..., :3]), rb[k, None] @ _expm(w[..., 3:])
-        trial = _m2_from_correlations(ta @ t @ np.swapaxes(tb, -1, -2))
-        armijo = trial <= f[k, None] + _ARMIJO * _LADDER * (g[k] * p).sum(axis=1)[:, None]
-        # The longest Armijo step, or the full step where none passes.
-        j = (np.arange(len(k)), armijo.argmax(axis=1))
-        s, ta, tb = w[j], ta[j], tb[j]
-        f_new, g_new = _m2_and_gradient(ta, tb, t)
-        budget -= trial.size + len(k)
-        # Where rounding hides M2's decrease, keep a level step that shrinks g.
-        level = (f_new <= f[k] + _ROUNDING) & (np.abs(g_new).max(axis=1) < np.abs(g[k]).max(axis=1))
-        keep = armijo.any(axis=1) | level
-        active[k[~keep]] = False
-        k, s, ta, tb, f_new, g_new = k[keep], s[keep], ta[keep], tb[keep], f_new[keep], g_new[keep]
-        # BFGS inverse-Hessian update; r = 0 skips it without positive curvature.
-        y = g_new - g[k]
-        ys = (y * s).sum(axis=1)
-        r = np.divide(1.0, ys, out=np.zeros_like(ys), where=ys > 0)[:, None, None]
-        v = np.eye(6) - r * s[:, :, None] * y[:, None, :]
-        h[k] = v @ h[k] @ np.swapaxes(v, 1, 2) + r * s[:, :, None] * s[:, None, :]
-        ra[k], rb[k], f[k], g[k] = ta, tb, f_new, g_new
-        active[k] = np.abs(g_new).max(axis=1) > cfg.tol
-    best = int(np.argmin(f))
-    return ErasureResult(
-        angles=ErasureAngles(*_euler(ra[best]), *_euler(rb[best])),
-        residual_m2=float(f[best]),
-        evaluations=values.size + cfg.max_evaluations - budget,
-        converged=bool(np.abs(g[best]).max() <= cfg.tol),
-    )
+    eigenvalues, u, _, vh = schmidt_decomposition(rho)
+    if (spread := eigenvalues[2] - eigenvalues[0]) > 1e-10:
+        raise OutOfModelError(f"rho is not s|psi><psi| + (1 - s) I/4: its 3 smallest eigenvalues span {spread:.3e}")
+    angles = ErasureAngles(*_euler(_transfer_matrix(u.conj().T)), *_euler(_transfer_matrix(vh.conj())))
+    return ErasureResult(angles=angles, residual_m2=erasure_objective(rho, angles), evaluations=1)
 
 
 def sweep_landscape(
@@ -265,7 +181,6 @@ def sweep_landscape(
         angles=angles,
         residual_m2=float(landscape[gi, pi]),
         evaluations=int(landscape.size),
-        converged=True,
         landscape=landscape,
         gamma_grid=gammas,
         phi_grid=phis,

@@ -74,16 +74,23 @@ class SchmidtSpectrum:
         return cls(lam, 2.0 * np.arccos(np.sqrt(lam)))
 
 
+def schmidt_decomposition(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of a two-qubit state (ascending) and the SVD u, sigma, vh
+    of its leading eigenvector psi reshaped to 2x2: u^dag (x) conj(vh) takes
+    psi to sigma_0 |00> + sigma_1 |11>, with sigma_0 >= sigma_1 >= 0."""
+    if rho.num_qubits != 2:
+        raise ValueError("Schmidt decomposition is defined here for two qubits")
+    eigenvalues, vectors = np.linalg.eigh(rho.matrix)
+    u, sigma, vh = np.linalg.svd(vectors[:, -1].reshape(2, 2))
+    return eigenvalues, u, sigma, vh
+
+
 def schmidt_spectrum(rho: DensityMatrix) -> SchmidtSpectrum:
     """Schmidt weight of a pure two-qubit state (largest weight first)."""
-    if rho.num_qubits != 2:
-        raise ValueError("Schmidt spectrum is defined here for two qubits")
+    _, _, sigma, _ = schmidt_decomposition(rho)
     if purity(rho) < 1.0 - 1e-9:
         raise ValueError("state must be pure to read off Schmidt weights")
-    eigs, vecs = np.linalg.eigh(rho.matrix)
-    amp = vecs[:, -1].reshape(2, 2)
-    s = np.linalg.svd(amp, compute_uv=False)
-    return SchmidtSpectrum.from_lambda(min(float(s[0] ** 2), 1.0))
+    return SchmidtSpectrum.from_lambda(min(float(sigma[0] ** 2), 1.0))
 
 
 def stabilizer_purity_exact(rho: DensityMatrix) -> float:
@@ -103,8 +110,12 @@ def sre_exact(rho: DensityMatrix) -> float:
 def m2_from_expectations(t: np.ndarray, dim: int) -> np.ndarray:
     """M2 from Pauli expectations along the last axis of ``t`` (batched)."""
     t2 = t**2
-    w = (t2**2).sum(axis=-1) / dim**2
-    pur = t2.sum(axis=-1) / dim
+    return m2_from_purities((t2**2).sum(axis=-1) / dim**2, t2.sum(axis=-1) / dim, dim)
+
+
+def m2_from_purities(w, pur, dim: int):
+    """M2 = -log2 W + log2 P - log2 d from the stabilizer purity W and the
+    purity P (scalars or arrays)."""
     return -np.log2(w) + np.log2(pur) - np.log2(dim)
 
 

@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .circuits import single_qubit_clifford_group
+from .magic import m2_from_purities
 from .noise import CalibrationMatrix, clean_probability_vector, sample_shots
 from .qcore import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, pauli_expectations
 
@@ -290,7 +291,7 @@ def estimate_sre(ds: RcmDataset) -> EstimateWithError:
             "nonpositive purity or stabilizer purity mean; collect more data"
         )
     d = 2**ds.num_qubits
-    m2 = -np.log2(west.mean) + np.log2(pest.mean) - np.log2(d)
+    m2 = m2_from_purities(west.mean, pest.mean, d)
     n = ds.n_samples
     err = (
         np.sqrt(

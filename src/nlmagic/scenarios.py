@@ -77,11 +77,12 @@ _JSON_TYPES = {
 }
 
 
-def _typed(value, path: str, kind: str):
+def _typed(value, path: str, kind: str, source: str = "scenario"):
     """``value`` once it has the JSON type ``kind`` (a boolean is no number);
-    ``path`` names it in the error, the empty path being the whole file."""
+    ``path`` names it in the error, the empty path being the whole file, and
+    ``source`` names the kind of file."""
     if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
-        where = f"scenario key {path}" if path else "a scenario file"
+        where = f"{source} key {path}" if path else f"a {source} file"
         raise ValueError(f"{where} must be a JSON {kind}, not {json.dumps(value)}")
     return value
 

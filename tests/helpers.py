@@ -2,12 +2,13 @@
 suite."""
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from nlmagic import DensityMatrix, gate_matrix
+from nlmagic import DensityMatrix, ErasureAngles, gate_matrix
 from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
-from nlmagic.erasure import _correlation_matrix, _m2_from_correlations, pauli_rotation
+from nlmagic.erasure import _correlation_matrix, _euler, _m2_from_correlations, _pair_m2, pauli_rotation
 from nlmagic.qcore import pauli_expectations
 from nlmagic.rcm import _clifford_z_images
 
@@ -95,6 +96,121 @@ def per_row_pair_m2(ra: np.ndarray, t: np.ndarray, rb: np.ndarray) -> np.ndarray
     """Reference for ``erasure._pair_m2``: M2 of R_A t R_B^T over every pair
     of rotations, one einsum per side-A rotation."""
     return np.array([_m2_from_correlations(np.einsum("ij,Bbj->Bib", r @ t, rb)) for r in ra])
+
+
+# Reference erasure optimizer. Refinement: step lengths tried along each
+# direction, longest first; the Armijo constant; the rounding level of M2;
+# the number of starts.
+_LADDER = 0.5 ** np.arange(10)
+_ARMIJO, _ROUNDING, _N_STARTS = 1e-4, 1e-15, 4
+
+
+@dataclass(frozen=True)
+class BfgsResult:
+    angles: ErasureAngles
+    residual_m2: float
+    evaluations: int
+    converged: bool
+
+
+def expm_rotation(w: np.ndarray) -> np.ndarray:
+    """Pauli-transfer matrix of the rotation by the vector w (..., 3) (Rodrigues)."""
+    k = np.zeros(w.shape[:-1] + (4, 4))
+    k[..., 1:, 1:] = np.cross(np.eye(3), w[..., None, :])
+    theta = np.linalg.norm(w, axis=-1)[..., None, None]
+    return np.eye(4) + np.sinc(theta / np.pi) * k + np.sinc(theta / (2 * np.pi)) ** 2 / 2 * (k @ k)
+
+
+def m2_and_gradient(ra: np.ndarray, rb: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M2 of T' = R_A t R_B^T for rotations ra, rb (K, 4, 4) and its gradient
+    (K, 6) in the body coordinates w of R_A expm_rotation(w_A) and
+    R_B expm_rotation(w_B).
+
+    Only S = sum T'^4 moves: dM2 = -dS / (S ln 2). A body turn changes R by
+    R G(e_k) = G(R e_k) R, so dS/dw = 4 R^T tau with tau the axial vector of
+    C - C^T, C = T'^3 T'^T on side A and (T'^3)^T T' on side B.
+    """
+    tp = ra @ t @ np.swapaxes(rb, 1, 2)
+    cube = tp**3
+    grad = []
+    for r, c in ((ra, cube @ np.swapaxes(tp, 1, 2)), (rb, np.swapaxes(cube, 1, 2) @ tp)):
+        tau = np.stack([c[:, 3, 2] - c[:, 2, 3], c[:, 1, 3] - c[:, 3, 1], c[:, 2, 1] - c[:, 1, 2]], axis=1)
+        grad.append(np.einsum("kji,kj->ki", r[:, 1:, 1:], tau))
+    s4 = (cube * tp).sum(axis=(1, 2))
+    return _m2_from_correlations(tp), -4.0 * np.hstack(grad) / (s4[:, None] * np.log(2.0))
+
+
+def grid_candidates() -> np.ndarray:
+    """Coarse 45-degree candidates for one side. The leading Rz angle only
+    needs {0, 45} degrees: adding 90 degrees multiplies the rotation by a
+    Clifford on the left, which cannot change the magic of the state."""
+    lead = np.deg2rad([0.0, 45.0])
+    full = np.deg2rad(np.arange(0.0, 360.0, 45.0))
+    combos = np.array(np.meshgrid(lead, full, full, indexing="ij"))
+    return combos.reshape(3, -1).T
+
+
+def bfgs_erasure(rho: DensityMatrix, tol: float = 1e-8, max_evaluations: int = 5000, seed: int = 0) -> BfgsResult:
+    """Reference for ``optimize_erasure``: a numerical minimization of the
+    erasure objective that assumes nothing about the state.
+
+    A 45-degree grid over both Euler triples locates candidate basins. Its
+    three best pairs and one uniform draw (``seed``) are refined together by
+    BFGS in body coordinates: each iteration tries a fixed ladder of step
+    lengths along every start's quasi-Newton direction in one batch and
+    takes the longest Armijo step. A start stops when no component of its
+    gradient, per radian of body rotation, exceeds ``tol``, or when no step
+    lowers M2, and all stop before an iteration could exceed
+    ``max_evaluations`` M2 evaluations (the grid not counted). The lowest
+    start is returned, converged if its gradient is within ``tol``.
+    """
+    if max_evaluations < _N_STARTS:
+        raise ValueError(f"max_evaluations must cover the {_N_STARTS} starts")
+    t = _correlation_matrix(rho)
+    candidates = grid_candidates()
+    rots = pauli_rotation(*candidates.T)
+    values = _pair_m2(rots, t, rots)
+    ia, ib = np.unravel_index(np.argsort(values, axis=None)[: _N_STARTS - 1], values.shape)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = np.vstack([np.hstack([candidates[ia], candidates[ib]]), rng.uniform(0.0, 2 * np.pi, size=6)])
+
+    ra, rb = pauli_rotation(*x[:, :3].T), pauli_rotation(*x[:, 3:].T)
+    f, g = m2_and_gradient(ra, rb, t)
+    budget = max_evaluations - _N_STARTS
+    h = np.tile(np.eye(6), (_N_STARTS, 1, 1))
+    active = np.abs(g).max(axis=1) > tol
+    while active.any() and budget >= active.sum() * (len(_LADDER) + 1):
+        k = np.flatnonzero(active)
+        p = -np.einsum("kij,kj->ki", h[k], g[k])
+        w = _LADDER[:, None] * p[:, None]
+        ta, tb = ra[k, None] @ expm_rotation(w[..., :3]), rb[k, None] @ expm_rotation(w[..., 3:])
+        trial = _m2_from_correlations(ta @ t @ np.swapaxes(tb, -1, -2))
+        armijo = trial <= f[k, None] + _ARMIJO * _LADDER * (g[k] * p).sum(axis=1)[:, None]
+        # The longest Armijo step, or the full step where none passes.
+        j = (np.arange(len(k)), armijo.argmax(axis=1))
+        s, ta, tb = w[j], ta[j], tb[j]
+        f_new, g_new = m2_and_gradient(ta, tb, t)
+        budget -= trial.size + len(k)
+        # Where rounding hides M2's decrease, keep a level step that shrinks g.
+        level = (f_new <= f[k] + _ROUNDING) & (np.abs(g_new).max(axis=1) < np.abs(g[k]).max(axis=1))
+        keep = armijo.any(axis=1) | level
+        active[k[~keep]] = False
+        k, s, ta, tb, f_new, g_new = k[keep], s[keep], ta[keep], tb[keep], f_new[keep], g_new[keep]
+        # BFGS inverse-Hessian update; r = 0 skips it without positive curvature.
+        y = g_new - g[k]
+        ys = (y * s).sum(axis=1)
+        r = np.divide(1.0, ys, out=np.zeros_like(ys), where=ys > 0)[:, None, None]
+        v = np.eye(6) - r * s[:, :, None] * y[:, None, :]
+        h[k] = v @ h[k] @ np.swapaxes(v, 1, 2) + r * s[:, :, None] * s[:, None, :]
+        ra[k], rb[k], f[k], g[k] = ta, tb, f_new, g_new
+        active[k] = np.abs(g_new).max(axis=1) > tol
+    best = int(np.argmin(f))
+    return BfgsResult(
+        angles=ErasureAngles(*_euler(ra[best]), *_euler(rb[best])),
+        residual_m2=float(f[best]),
+        evaluations=values.size + max_evaluations - budget,
+        converged=bool(np.abs(g[best]).max() <= tol),
+    )
 
 
 def loop_landscape_to_csv(result) -> str:
