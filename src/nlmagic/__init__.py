@@ -2,10 +2,11 @@
 qubit registers: exact oracles, randomized Clifford measurements, readout
 mitigation, the closed-form erasure floor, and benchmarking fits.
 
-``__all__`` lists the public names, grouped by module. Depolarizing is
-applied inside ``run_circuit``; the non-local magic of a pure state's
-reduced purity P_A is ``nonlocal_magic_noisy(P_A, 1.0)``, and the local
-part of M2 is ``magic_report(rho, m2_nonlocal).m2_local``.
+``__all__`` lists the public names, grouped by module. ``run_circuit``
+returns the depolarized state p^k |psi><psi| + (1 - p^k) I/d of a circuit
+with k CZs; the non-local magic of a pure state's reduced purity P_A is
+``nonlocal_magic_noisy(P_A, 1.0)``, and the local part of M2 is
+``magic_report(rho, m2_nonlocal).m2_local``.
 """
 
 from .qcore import (

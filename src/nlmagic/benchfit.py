@@ -8,7 +8,6 @@ on the fitted decay base.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +30,10 @@ class DecayCurve:
     survival: np.ndarray
 
     def __post_init__(self):
-        n = np.array(self.n_cliffords, dtype=int)
+        lengths = np.array(self.n_cliffords, dtype=float)
+        if not (np.isfinite(lengths) & (lengths == np.round(lengths))).all():
+            raise ValueError("sequence lengths must be integers")
+        n = lengths.astype(int)
         y = np.array(self.survival, dtype=float)
         if n.ndim != 1 or y.ndim != 1 or n.size != y.size:
             raise ValueError("lengths and survival must be 1-d and aligned")
@@ -66,21 +68,22 @@ class DecayFit:
 
 
 def decay_curve_from_csv(text: str) -> DecayCurve:
-    """Parse a two-column CSV (sequence length, survival); header optional.
-    A data row without a survival column raises ``ValueError``."""
+    """Parse a two-column CSV (sequence length, survival). Only the first
+    non-blank line may be a header; any other row whose length is not a
+    number, or that has no survival column, raises ``ValueError``."""
+    rows = [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     ns, ys = [], []
-    for number, line in enumerate(io.StringIO(text), 1):
-        line = line.strip()
-        if not line:
-            continue
+    for k, (number, line) in enumerate(rows):
         parts = line.split(",")
         try:
             n = float(parts[0])
         except ValueError:
-            continue  # header row
+            if k == 0:
+                continue  # header row
+            raise ValueError(f"line {number} has a length that is not a number: {line!r}") from None
         if len(parts) < 2:
             raise ValueError(f"line {number} has no survival column: {line!r}")
-        ns.append(int(n))
+        ns.append(n)
         ys.append(float(parts[1]))
     return DecayCurve(np.array(ns), np.array(ys))
 

@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .qcore import ATOL_STRUCT, DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z
+from .qcore import ATOL_STRUCT, DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, apply_to_axis
 
 GATE_KINDS = frozenset(
     {"Rx", "Ry", "Rz", "Rxy", "H", "S", "T", "X", "Y", "Z", "CZ", "CNOT"}
@@ -118,54 +118,38 @@ def _expand_cnot(g: GateSpec) -> list[GateSpec]:
 
 
 def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
-    """Apply the circuit to |0...0> by unitary conjugation.
+    """Apply the circuit to |0...0> and return its state under the global
+    depolarizing channel rho -> p rho + (1 - p) I/d after every CZ
+    (including the CZ inside an expanded CNOT), with survival ``p_dep_cz``.
 
-    rho is held as a (2,)*2N tensor whose axis q is qubit q's row index and
-    axis N + q its column index, so no d x d gate operator is built. A
-    single-qubit gate U is two 2 x 2 matrix products (``np.dot``, BLAS): U on
-    row axis q, then conj(U) on column axis N + q, each taken against rho
-    with that axis moved to the front and the rest flattened. The gate is
-    the left operand of both: in that order every catalogue state equals
-    u @ rho @ u^dag with Kronecker-built operators bit for bit. A CZ
-    negates the entries where both of its qubits are 1, on the row axes and
-    again on the column axes.
-
-    After every CZ (including the CZ inside an expanded CNOT) the global
-    depolarizing channel p rho + (1 - p) I/d is applied with survival
-    probability ``p_dep_cz``. Every intermediate state is the image of a
-    valid rho under a unitary or a mixture with I/d, so only the final state
-    is validated, as one ``DensityMatrix``.
+    That channel commutes with every unitary, so k CZs leave
+    s |psi><psi| + (1 - s) I/d with s = p_dep_cz^k, where |psi> is the
+    noise-free output; the mixture is formed once, at the end, and skipped
+    when s is 1. |psi> is held as a (2,)*N tensor: a single-qubit gate is
+    one ``qcore.apply_to_axis`` on its qubit's axis, and a CZ negates the
+    amplitudes where both of its qubits are 1.
     """
     if not 0.0 <= p_dep_cz <= 1.0:
         raise ValueError("p_dep_cz must lie in [0, 1]")
     n = circuit.num_qubits
-    d = 2**n
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
-    mixed = (np.eye(d, dtype=complex) / d).reshape(rho.shape)
-    gates: list[GateSpec] = []
-    for g in circuit.gates:
-        gates.extend(_expand_cnot(g) if g.kind == "CNOT" else [g])
-    for g in gates:
-        if g.kind == "CZ":
-            for offset in (0, n):
-                both_one = [slice(None)] * (2 * n)
-                both_one[offset + g.qubits[0]] = both_one[offset + g.qubits[1]] = 1
-                rho[tuple(both_one)] = -rho[tuple(both_one)]
-            if p_dep_cz < 1.0:
-                rho = p_dep_cz * rho + (1.0 - p_dep_cz) * mixed
-        else:
-            u = gate_matrix(g)
-            rho = _apply_to_axis(u, rho, g.qubits[0])
-            rho = _apply_to_axis(u.conj(), rho, n + g.qubits[0])
-    return DensityMatrix(rho.reshape(d, d))
-
-
-def _apply_to_axis(m: np.ndarray, rho: np.ndarray, axis: int) -> np.ndarray:
-    """m contracted with axis ``axis`` of the (2,)*2N tensor rho, as one
-    matrix product with that axis brought to the front."""
-    x = rho.reshape(2**axis, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-    return np.dot(m, x).reshape(2, 2**axis, -1).transpose(1, 0, 2).reshape(rho.shape)
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    n_cz = 0
+    for spec in circuit.gates:
+        for g in _expand_cnot(spec) if spec.kind == "CNOT" else [spec]:
+            if g.kind == "CZ":
+                both_one = [slice(None)] * n
+                both_one[g.qubits[0]] = both_one[g.qubits[1]] = 1
+                psi[tuple(both_one)] *= -1
+                n_cz += 1
+            else:
+                psi = apply_to_axis(gate_matrix(g), psi, g.qubits[0])
+    psi = psi.ravel()
+    rho = np.outer(psi, psi.conj())
+    s = p_dep_cz**n_cz
+    if s < 1.0:
+        rho = s * rho + (1.0 - s) * np.eye(psi.size) / psi.size
+    return DensityMatrix(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ from .scenarios import (
     Report,
     ReportValue,
     Scenario,
+    _array,
+    _rows,
     _typed,
     report_fig3,
     report_fig4,
@@ -174,19 +176,22 @@ def _cmd_rcm_estimate(args) -> int:
 
 
 def _cmd_mitigate(args) -> int:
-    typed = functools.partial(_typed, source="mitigate input")
+    typed, array, table = (functools.partial(f, source="mitigate input") for f in (_typed, _array, _rows))
     payload = typed(json.loads(args.input.read_text()), "", "object")
     if "counts" in payload:
         ic = InitializationCounts(
-            np.array(typed(payload["counts"], "counts", "array"), dtype=int),
+            np.array(table(payload["counts"], "counts", "integer"), dtype=int),
             typed(payload.get("n_shot"), "n_shot", "integer"),
         )
         cal = calibration_from_counts(ic)
     else:
-        calibration = typed(payload.get("calibration"), "calibration", "array")
+        calibration = table(payload.get("calibration"), "calibration", "number")
         cal = CalibrationMatrix(np.array(calibration, dtype=float))
-    probs = typed(payload.get("probabilities", []), "probabilities", "array")
-    vectors = probs if probs and isinstance(probs[0], list) else [probs]
+    probs = typed(payload.get("probabilities"), "probabilities", "array")
+    if probs and isinstance(probs[0], list):
+        vectors = table(probs, "probabilities", "number")
+    else:
+        vectors = [array(probs, "probabilities", "number")]
     report = Report(name="mitigate", seed=0)
     report.values.append(ReportValue("readout_fidelity", "oracle", readout_fidelity(cal)))
     rows = []

@@ -4,7 +4,8 @@ Two effects follow the state preparation, in the order they occur in the
 pipeline: classical readout corruption of the outcome probabilities by a
 column-stochastic calibration matrix, and finite-shot multinomial
 sampling. The third noise effect, global depolarizing after each
-two-qubit gate, is applied in place by ``circuits.run_circuit``.
+two-qubit gate, is part of the state: ``circuits.run_circuit`` mixes it in
+once, as p^k for k CZs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small qubit registers.
 
-States are kept as density matrices throughout (noise makes everything
-mixed sooner or later), and operators are plain complex numpy arrays.
+States are handed around as validated density matrices (noise makes
+everything mixed), and operators are plain complex numpy arrays.
 Qubit 0 is the most significant bit of a computational-basis index, i.e.
 the leftmost factor of a tensor product; where a full product is needed,
 it is ``np.kron`` with qubit 0 first.
@@ -10,18 +10,19 @@ The Pauli spectrum Tr(P rho) is read by per-qubit contraction rather than
 against a stack of 4^N Pauli matrices. rho is reshaped to (2,)*2N, whose
 axis q is qubit q's row index i_q and axis N + q its column index j_q.
 Each qubit's (i_q, j_q) pair is fused into one axis of size 4, and the
-fixed map T[a, 2 i + j] = sigma_a[j, i] is applied on each of the N axes
-(``apply_per_qubit``): O(N 4^N) work and memory of the size of rho.
+fixed map T[a, 2 i + j] = sigma_a[j, i] is applied on each of the N axes:
+O(N 4^N) work and memory of the size of rho.
 
-Circuits use the same (2,)*2N view: ``circuits.run_circuit`` applies each
-single-qubit gate as one 2 x 2 matrix product on a row axis and its
-conjugate on the matching column axis, so no d x d gate operator is built.
+``apply_to_axis`` is the one primitive that applies a small matrix to a
+qubit axis: it serves that spectrum and, on the (2,)*N state vector, every
+single-qubit gate of ``circuits.run_circuit``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,21 +121,16 @@ def expectations_from_matrix(mat: np.ndarray, num_qubits: int) -> np.ndarray:
     n = num_qubits
     pairs = [axis for q in range(n) for axis in (q, n + q)]
     fused = np.asarray(mat).reshape((2,) * (2 * n)).transpose(pairs).reshape((4,) * n)
-    return apply_per_qubit(_PAULI_MAP, fused, n).real.ravel()
+    for q in range(n):
+        fused = apply_to_axis(_PAULI_MAP, fused, q)
+    return fused.real.ravel()
 
 
-def apply_per_qubit(m: np.ndarray, t: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Apply the k x k map ``m`` on each of the last ``num_qubits`` axes of ``t``.
-
-    Every one of those axes must have size k; leading axes are batch axes.
-    Each step contracts m with the first qubit axis and rotates that axis
-    to the back, so after ``num_qubits`` steps the axes are in order again.
-    """
-    k = m.shape[0]
-    x = t.reshape(-1, k, k ** (num_qubits - 1))
-    for _ in range(num_qubits):
-        x = (m @ x).swapaxes(1, 2).reshape(-1, k, k ** (num_qubits - 1))
-    return x.reshape(t.shape)
+def apply_to_axis(m: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+    """The k x k matrix ``m`` contracted with axis ``axis`` (of size k) of
+    ``t``, as one matrix product with that axis moved to the front."""
+    x = t.reshape(math.prod(t.shape[:axis]), len(m), -1).transpose(1, 0, 2)
+    return np.dot(m, x.reshape(len(m), -1)).reshape(x.shape).transpose(1, 0, 2).reshape(t.shape)
 
 
 def partial_trace(rho: DensityMatrix, keep: set[int]) -> DensityMatrix:

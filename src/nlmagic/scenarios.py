@@ -87,9 +87,20 @@ def _typed(value, path: str, kind: str, source: str = "scenario"):
     return value
 
 
-def _array(value, path: str, kind: str) -> list:
+def _array(value, path: str, kind: str, source: str = "scenario") -> list:
     """``value`` once it is a JSON array whose entries all have the type ``kind``."""
-    return [_typed(x, f"{path}[{i}]", kind) for i, x in enumerate(_typed(value, path, "array"))]
+    items = _typed(value, path, "array", source)
+    return [_typed(x, f"{path}[{i}]", kind, source) for i, x in enumerate(items)]
+
+
+def _rows(value, path: str, kind: str, source: str = "scenario") -> list:
+    """``value`` once it is a JSON array of equally long arrays of ``kind``."""
+    items = _array(value, path, "array", source)
+    rows = [_array(r, f"{path}[{i}]", kind, source) for i, r in enumerate(items)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{source} key {path}[{i}] has length {len(row)}, {path}[0] has length {len(rows[0])}")
+    return rows
 
 
 def _known(spec, path: str, keys: str) -> dict:
@@ -165,8 +176,7 @@ class Scenario:
             if "matrix" in ro_spec and other in ro_spec:
                 raise ValueError(f"noise.readout.matrix and noise.readout.{other} are exclusive")
         if "matrix" in ro_spec:
-            rows = _array(ro_spec["matrix"], "noise.readout.matrix", "array")
-            matrix = [_array(r, f"noise.readout.matrix[{i}]", "number") for i, r in enumerate(rows)]
+            matrix = _rows(ro_spec["matrix"], "noise.readout.matrix", "number")
             readout = CalibrationMatrix(np.array(matrix, dtype=float))
         elif "per_qubit_eps" in ro_spec:
             pairs = _array(ro_spec["per_qubit_eps"], "noise.readout.per_qubit_eps", "array")

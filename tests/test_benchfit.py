@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlmagic import DecayCurve, avg_gate_fidelity, fit_exp_decay, synth_rb_curve
-from nlmagic.benchfit import _initial_guess
+from nlmagic.benchfit import _initial_guess, decay_curve_from_csv
 
 
 def _cost(n, y, a, p, b):
@@ -56,3 +56,22 @@ def test_avg_gate_fidelity_formulas():
     for p, d in ((0.0, 2), (1.5, 2), (0.9, 1)):
         with pytest.raises(ValueError):
             avg_gate_fidelity(p, d)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+def test_decay_curve_rejects_lengths_that_are_not_integers(bad):
+    with pytest.raises(ValueError, match="^sequence lengths must be integers$"):
+        DecayCurve(np.array([1.0, bad, 30.0, 40.0]), np.array([0.9, 0.8, 0.7, 0.6]))
+
+
+def test_csv_header_is_read_only_on_the_first_non_blank_line():
+    rows = "1,0.9\n2,0.8\n3,0.7\n5,0.6\n"
+    curve = decay_curve_from_csv("\n length,survival\n" + rows)
+    np.testing.assert_array_equal(curve.n_cliffords, [1, 2, 3, 5])
+    assert curve.n_cliffords.dtype == int
+    np.testing.assert_array_equal(decay_curve_from_csv(rows).survival, [0.9, 0.8, 0.7, 0.6])
+    mistyped = "length,survival\n1,0.9\nx2,0.8\n3,0.7\n5,0.6\n"
+    with pytest.raises(ValueError, match=r"^line 3 has a length that is not a number: 'x2,0.8'$"):
+        decay_curve_from_csv(mistyped)
+    with pytest.raises(ValueError, match="^sequence lengths must be integers$"):
+        decay_curve_from_csv("1,0.9\n1.5,0.8\n3,0.7\n5,0.6\n")

@@ -183,8 +183,17 @@ def test_mitigate_json(probabilities, tmp_path, capsys):
         ({"counts": [[90, 10], [4, 96]], "probabilities": [0.5, 0.5]}, "key n_shot must be a JSON integer, not null"),
         ([1, 2], "a mitigate input file must be a JSON object, not [1, 2]"),
         ({"probabilities": [0.5, 0.5]}, "key calibration must be a JSON array, not null"),
+        (
+            {"calibration": CALIBRATION, "probabilities": [[0.5], 0.5]},
+            "key probabilities[1] must be a JSON array, not 0.5",
+        ),
+        (
+            {"counts": [[90, 10], [4]], "n_shot": 100, "probabilities": [0.5, 0.5]},
+            "key counts[1] has length 1, counts[0] has length 2",
+        ),
+        ({"calibration": CALIBRATION}, "key probabilities must be a JSON array, not null"),
     ],
-    ids=["no-n_shot", "array", "no-calibration"],
+    ids=["no-n_shot", "array", "no-calibration", "ragged-probabilities", "ragged-counts", "no-probabilities"],
 )
 def test_malformed_mitigate_input_is_a_clear_error(payload, message, tmp_path, capsys):
     path = tmp_path / "mitigate.json"

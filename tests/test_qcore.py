@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlmagic import DensityMatrix, partial_trace, pauli_expectations, purity
-from nlmagic.qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, apply_per_qubit, pauli_matrix_stack
+from nlmagic.qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, apply_to_axis, pauli_matrix_stack
 
 from helpers import random_mixed, random_pure
 
@@ -165,10 +166,15 @@ def test_contracted_spectrum_lexicographic_order():
     assert nonzero == {"II", "IX", "ZI", "ZX"}
 
 
-def test_apply_per_qubit_matches_kronecker_product():
+@pytest.mark.parametrize("k", [2, 4])
+def test_apply_to_axis_matches_kronecker_product(k):
     rng = np.random.default_rng(11)
-    m = rng.normal(size=(4, 4))
-    t = rng.normal(size=(3, 4, 4, 4))
-    out = apply_per_qubit(m, t, 3)
-    full = np.kron(np.kron(m, m), m)
-    np.testing.assert_allclose(out.reshape(3, 64), t.reshape(3, 64) @ full.T, atol=1e-12)
+    m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    t = rng.normal(size=(k, k, k)) + 1j * rng.normal(size=(k, k, k))
+    for axis in range(3):
+        factors = [np.eye(k)] * 3
+        factors[axis] = m
+        full = functools.reduce(np.kron, factors)
+        out = apply_to_axis(m, t, axis)
+        assert out.shape == t.shape
+        np.testing.assert_allclose(out.ravel(), full @ t.ravel(), atol=1e-12)

@@ -118,8 +118,15 @@ def test_a_scenario_file_must_be_a_json_object():
             {"estimators": [{"rdm_purity": {"keep": [False]}}]},
             r"estimators\[0\].rdm_purity.keep\[0\] must be a JSON integer, not false",
         ),
+        (
+            {"noise": {"readout": {"matrix": [[1.0, 0.0], [0.0]]}}},
+            r"noise.readout.matrix\[1\] has length 1, noise.readout.matrix\[0\] has length 2",
+        ),
     ],
-    ids=["n_rand-string", "n_rand-float", "seed-bool", "n_shot-float", "state-string", "estimators-string", "qubits-int", "keep-bool"],
+    ids=[
+        "n_rand-string", "n_rand-float", "seed-bool", "n_shot-float", "state-string", "estimators-string",
+        "qubits-int", "keep-bool", "readout-ragged",
+    ],
 )
 def test_wrong_json_types_are_named_errors(changes, message):
     with pytest.raises(ValueError, match=f"^scenario key {message}$"):
