@@ -50,7 +50,6 @@ from .rcm import (
     estimate_rdm_purity,
     estimate_sre,
     estimate_stabilizer_purity,
-    marginalize,
     sample_local_cliffords,
 )
 from .mitigation import (
@@ -96,7 +95,7 @@ __all__ = [
     "nonlocal_magic_noisy", "nonlocal_magic_schmidt", "nonlocal_magic_theta",
     "schmidt_spectrum", "sre_exact", "sre_nlm_depolarized", "stabilizer_purity_exact",
     "EstimateWithError", "RcmDataset", "collect_dataset", "estimate_purity",
-    "estimate_rdm_purity", "estimate_sre", "estimate_stabilizer_purity", "marginalize",
+    "estimate_rdm_purity", "estimate_sre", "estimate_stabilizer_purity",
     "sample_local_cliffords",
     "InitializationCounts", "calibration_from_counts", "mitigate_least_squares",
     "readout_fidelity",

@@ -47,15 +47,21 @@ def clean_probability_vector(p) -> np.ndarray:
     a two-dimensional array of them.
 
     Entries within 1e-12 below zero are clamped to 0 and each vector is
-    renormalized; anything more negative, or a sum off 1 by more than
-    1e-9, is rejected.
+    renormalized; anything more negative, a NaN, or a sum off 1 by more
+    than 1e-9, is rejected. The result is always a new array: the division
+    makes the copy, and the clamp runs only when some entry is at most zero
+    (a -0.0 too), so skipping it never changes a bit.
     """
     v = np.asarray(p, dtype=float)
     if v.ndim != 2:
         v = v.ravel()
-    if (v < -1e-12).any():
-        raise ValueError(f"probability entry {v.min():.3e} below -1e-12")
-    v = np.clip(v, 0.0, None)
+    low = np.min(v, initial=np.inf)
+    if np.isnan(low):
+        raise ValueError("probability entries must not be NaN")
+    if low < -1e-12:
+        raise ValueError(f"probability entry {low:.3e} below -1e-12")
+    if low <= 0.0:
+        v = np.clip(v, 0.0, None)
     total = v.sum(axis=-1, keepdims=True)
     off = np.abs(total - 1.0) > _ATOL_COLUMN
     if off.any():

@@ -23,17 +23,23 @@ has transform q^2, so the two per-draw statistics are
 
 whose averages over the Clifford ensemble equal Tr(rho^2) and
 d^-2 sum_P Tr(P rho)^4. The reduced purity on qubits A is X_P of the
-marginal, whose transform is q on the k supported on A. Statistics take one
-outcome vector or an array with one row per draw. Means, sample standard
-deviations (the N-1 form) and sampling errors s/sqrt(N) are reported for
-every estimator. The same shot data serves both statistics; their
-O(1/N_shot) plug-in bias is accepted and left uncorrected.
+marginal on A, whose transform is q on the k supported on A: it is
+d_A^-1 sum_{k inside A} 3^|k| q(k)^2, read from the columns of the same q^2.
+
+A dataset squares its Walsh rows once, on first use, and caches q^2 and
+the per-draw X_P and X_W; every estimator reads those, and none builds a
+marginal. ``purity_statistic`` and ``stabilizer_purity_statistic`` take one
+outcome vector or an array with one row per draw and give the same numbers
+as the cache. Means, sample standard deviations (the N-1 form) and
+sampling errors s/sqrt(N) are reported for every estimator. The same shot
+data serves both statistics; their O(1/N_shot) plug-in bias is accepted
+and left uncorrected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -81,14 +87,21 @@ def _check_ids(ids: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class RcmDataset:
-    """Outcome probability vectors for a sequence of Clifford draws."""
+    """Outcome probability vectors for a sequence of Clifford draws.
+
+    Both arrays are stored read-only; the caller's arrays are not touched,
+    since ``clean_probability_vector`` returns new vectors. The squared
+    Walsh rows q^2 and the per-draw statistics X_P and X_W derived from
+    them are computed on first use and cached, so a dataset that is only
+    passed on (such as the one before readout mitigation) computes none.
+    """
 
     clifford_ids: np.ndarray
     prob_vectors: np.ndarray
 
     def __post_init__(self):
         ids = np.array(self.clifford_ids, dtype=int)
-        probs = np.array(self.prob_vectors, dtype=float)
+        probs = np.asarray(self.prob_vectors, dtype=float)
         if ids.ndim != 2 or probs.ndim != 2 or ids.shape[0] != probs.shape[0]:
             raise ValueError("ids and probability vectors must align per sample")
         if ids.shape[0] < 2:
@@ -112,6 +125,21 @@ class RcmDataset:
 
     def with_vectors(self, prob_vectors: np.ndarray) -> "RcmDataset":
         return RcmDataset(self.clifford_ids, prob_vectors)
+
+    @cached_property
+    def walsh_squares(self) -> np.ndarray:
+        """q(k)^2 of every draw, shape (n_samples, d), read-only."""
+        return _read_only(_walsh_squares(self.prob_vectors))
+
+    @cached_property
+    def purity_samples(self) -> np.ndarray:
+        """X_P of every draw, equal to ``purity_statistic(prob_vectors)``."""
+        return _read_only(_walsh_moment(self.walsh_squares, 2))
+
+    @cached_property
+    def stabilizer_purity_samples(self) -> np.ndarray:
+        """X_W of every draw, equal to ``stabilizer_purity_statistic(prob_vectors)``."""
+        return _read_only(_walsh_moment(self.walsh_squares, 4))
 
 
 def sample_local_cliffords(n_qubits: int, n_rand: int, seed: int) -> np.ndarray:
@@ -196,9 +224,10 @@ def _born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
     lexicographic index i = sum_j Pauli_j 4^(N-1-j) over the set bits,
     negated when an odd number f of them carry a minus sign. Summing the
     codes of ``_born_codes`` over the set bits gives (N+1) i + f (f <= N, so
-    the two never mix), one float product that is exact in integers. One
-    gather from the signed table (-1)^f Tr(P_i rho), held at (N+1) i + f,
-    then reads q.
+    the two never mix), one float product that is exact in integers. Each
+    qubit's codes are read with a one-dimensional gather by its column of
+    ids. One gather from the signed table (-1)^f Tr(P_i rho), held at
+    (N+1) i + f, then reads q.
     """
     n = rho.num_qubits
     if ids.ndim != 2 or ids.shape[1] != n:
@@ -206,7 +235,10 @@ def _born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
     _check_ids(ids)
     codes, bits = _born_codes(n)
     signed = np.multiply.outer(pauli_expectations(rho), (-1.0) ** np.arange(n + 1))
-    return signed.ravel()[(codes[ids, np.arange(n)] @ bits).astype(np.intp)]
+    drawn = np.empty(ids.shape)
+    for j in range(n):
+        drawn[:, j] = codes[:, j][ids[:, j]]
+    return signed.ravel()[(drawn @ bits).astype(np.intp)]
 
 
 def collect_dataset(
@@ -224,11 +256,14 @@ def collect_dataset(
     (if given; None means exact Born probabilities) are one multinomial call
     seeded from ``SeedSequence(seed, spawn_key=(1,))``, a stream apart from
     the Clifford draws. Rounding negatives are clipped by ``sample_shots``
-    and by the dataset, not before readout.
+    and by the dataset, not before readout. Collecting computes no
+    statistic: the returned dataset transforms its final vectors back to
+    Walsh rows once, when an estimator first reads them.
     """
     ids = np.array(tuples, dtype=int)
     hadamard, _ = _walsh_tables(rho.dim)
-    probs = _born_walsh(rho, ids) @ hadamard / rho.dim
+    probs = _born_walsh(rho, ids) @ hadamard
+    probs /= rho.dim
     if readout is not None:
         if readout.dim != rho.dim:
             raise ValueError(
@@ -241,20 +276,31 @@ def collect_dataset(
     return RcmDataset(ids, probs)
 
 
-def _walsh_moment(p, power: int):
-    """d^(-power/2) sum_k 3^|k| q(k)^power, power 2 or 4, of one outcome
-    vector (a float) or of each row of an array of them."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _walsh_squares(p) -> np.ndarray:
+    """q(k)^2 of one outcome vector or of each row of an array of them."""
     v = np.asarray(p, dtype=float)
-    hadamard, weights = _walsh_tables(v.shape[-1])
-    q2 = np.square(v @ hadamard)
+    hadamard, _ = _walsh_tables(v.shape[-1])
+    q = v @ hadamard
+    return np.square(q, out=q)
+
+
+def _walsh_moment(q2: np.ndarray, power: int):
+    """d^(-power/2) sum_k 3^|k| q(k)^power, power 2 or 4, from the q^2 of
+    one outcome vector (a float) or of each row of an array of them."""
+    _, weights = _walsh_tables(q2.shape[-1])
     # q ** 4 would call pow() per entry; squaring twice is far cheaper.
-    x = (q2 if power == 2 else np.square(q2)) @ weights / v.shape[-1] ** (power // 2)
+    x = (q2 if power == 2 else np.square(q2)) @ weights / q2.shape[-1] ** (power // 2)
     return x if x.ndim else float(x)
 
 
 def purity_statistic(p):
     """Pair statistic d * sum (-2)^-|s1 XOR s2| P(s1) P(s2) = d^-1 sum_k 3^|k| q(k)^2."""
-    return _walsh_moment(p, 2)
+    return _walsh_moment(_walsh_squares(p), 2)
 
 
 def stabilizer_purity_statistic(p):
@@ -264,15 +310,15 @@ def stabilizer_purity_statistic(p):
     The sign and normalization are fixed so that the exhaustive
     exact-probability average reproduces d^-2 sum_P Tr(P rho)^4.
     """
-    return _walsh_moment(p, 4)
+    return _walsh_moment(_walsh_squares(p), 4)
 
 
 def estimate_purity(ds: RcmDataset) -> EstimateWithError:
-    return EstimateWithError.from_samples(purity_statistic(ds.prob_vectors))
+    return EstimateWithError.from_samples(ds.purity_samples)
 
 
 def estimate_stabilizer_purity(ds: RcmDataset) -> EstimateWithError:
-    return EstimateWithError.from_samples(stabilizer_purity_statistic(ds.prob_vectors))
+    return EstimateWithError.from_samples(ds.stabilizer_purity_samples)
 
 
 def estimate_sre(ds: RcmDataset) -> EstimateWithError:
@@ -303,33 +349,20 @@ def estimate_sre(ds: RcmDataset) -> EstimateWithError:
     return EstimateWithError(float(m2), float(err * np.sqrt(n)), float(err), n)
 
 
-def marginalize(p: np.ndarray, keep: set[int]) -> np.ndarray:
-    """Marginal outcome distribution on the kept qubits, of a vector or of each row.
-
-    P(s_A) = sum_{s_B} P(s_A, s_B), with kept qubits keeping their order;
-    the qubit count is log2 of the vector length, which must be a power of
-    two. Each traced qubit q is dropped by adding the two halves of a
-    (..., 2^q, 2, rest) view, highest qubit first: one addition per entry
-    and traced qubit, grouped pairwise when several are traced.
-    """
-    v = np.asarray(p, dtype=float)
-    rows = v.shape[:1] if v.ndim == 2 else ()
-    length = v.shape[-1] if rows else v.size
-    n = length.bit_length() - 1
-    if 2**n != length:
-        raise ValueError(f"outcome vector length {length} is not a power of two")
-    keep_sorted = sorted(keep)
-    if not keep_sorted or len(keep_sorted) >= n:
-        raise ValueError("keep must be a nonempty proper subset of the qubits")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise ValueError(f"qubit indices {keep_sorted} out of range")
-    for q in sorted(set(range(n)).difference(keep), reverse=True):
-        halves = v.reshape(rows + (2**q, 2, -1))
-        v = (halves[..., 0, :] + halves[..., 1, :]).reshape(rows + (-1,))
-    return v
-
-
 def estimate_rdm_purity(ds: RcmDataset, keep: set[int]) -> EstimateWithError:
-    """Purity of the reduced state from marginals of the same outcome data."""
-    marginals = marginalize(ds.prob_vectors, keep)
-    return EstimateWithError.from_samples(purity_statistic(marginals))
+    """Purity of the reduced state on the qubits ``keep`` from the same data.
+
+    Each draw's X_P of the marginal on A = ``keep`` is d_A^-1 times the
+    sum of 3^|k| q(k)^2 over the Walsh indices k inside A, read from the
+    cached q^2 columns; no marginal is formed.
+    """
+    n = ds.num_qubits
+    kept = sorted(keep)
+    if not kept or len(kept) >= n:
+        raise ValueError("keep must be a nonempty proper subset of the qubits")
+    if kept[0] < 0 or kept[-1] >= n:
+        raise ValueError(f"qubit indices {kept} out of range")
+    traced = sum(1 << (n - 1 - q) for q in set(range(n)).difference(kept))
+    inside = np.flatnonzero((np.arange(2**n) & traced) == 0)
+    _, weights = _walsh_tables(2 ** len(kept))
+    return EstimateWithError.from_samples(ds.walsh_squares[:, inside] @ weights / 2 ** len(kept))

@@ -180,10 +180,13 @@ class Scenario:
             readout = CalibrationMatrix(np.array(matrix, dtype=float))
         elif "per_qubit_eps" in ro_spec:
             pairs = _array(ro_spec["per_qubit_eps"], "noise.readout.per_qubit_eps", "array")
-            eps = [
-                tuple(_array(pair, f"noise.readout.per_qubit_eps[{i}]", "number"))
-                for i, pair in enumerate(pairs)
-            ]
+            eps = []
+            for i, pair in enumerate(pairs):
+                path = f"noise.readout.per_qubit_eps[{i}]"
+                rates = tuple(_array(pair, path, "number"))
+                if len(rates) != 2:
+                    raise ValueError(f"scenario key {path} has length {len(rates)}, not 2 (eps01, eps10)")
+                eps.append(rates)
             correlation = _typed(ro_spec.get("correlation", 0.0), "noise.readout.correlation", "number")
             readout = synth_calibration_matrix(eps, correlation)
         n_shot = noise.get("n_shot")

@@ -235,8 +235,37 @@ def matmul_born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
     return np.where(flips % 2, -1.0, 1.0) * pauli_expectations(rho)[index]
 
 
+def marginalize(p: np.ndarray, keep: set[int]) -> np.ndarray:
+    """Marginal outcome distribution on the kept qubits, of a vector or of each row.
+
+    Reference for ``rcm.estimate_rdm_purity``, which reads the reduced
+    purity from the Walsh columns of the full outcome vectors: X_P of this
+    marginal is the same number. P(s_A) = sum_{s_B} P(s_A, s_B), with kept
+    qubits keeping their order; the qubit count is log2 of the vector
+    length, which must be a power of two. Each traced qubit q is dropped by
+    adding the two halves of a (..., 2^q, 2, rest) view, highest qubit
+    first: one addition per entry and traced qubit, grouped pairwise when
+    several are traced.
+    """
+    v = np.asarray(p, dtype=float)
+    rows = v.shape[:1] if v.ndim == 2 else ()
+    length = v.shape[-1] if rows else v.size
+    n = length.bit_length() - 1
+    if 2**n != length:
+        raise ValueError(f"outcome vector length {length} is not a power of two")
+    keep_sorted = sorted(keep)
+    if not keep_sorted or len(keep_sorted) >= n:
+        raise ValueError("keep must be a nonempty proper subset of the qubits")
+    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
+        raise ValueError(f"qubit indices {keep_sorted} out of range")
+    for q in sorted(set(range(n)).difference(keep), reverse=True):
+        halves = v.reshape(rows + (2**q, 2, -1))
+        v = (halves[..., 0, :] + halves[..., 1, :]).reshape(rows + (-1,))
+    return v
+
+
 def sum_marginalize(p: np.ndarray, keep: set[int], num_qubits: int) -> np.ndarray:
-    """Reference for ``rcm.marginalize``: one ``sum`` over the traced axes of
+    """Reference for ``marginalize``: one ``sum`` over the traced axes of
     the (2,)*N view of a vector or of each row."""
     v = np.asarray(p, dtype=float)
     rows = v.shape[:1] if v.ndim == 2 else ()

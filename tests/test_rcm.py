@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,13 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nlmagic import (
+    EstimateWithError,
     RcmDataset,
     collect_dataset,
     estimate_purity,
     estimate_rdm_purity,
     estimate_sre,
     estimate_stabilizer_purity,
-    marginalize,
     partial_trace,
     purity,
     sample_local_cliffords,
@@ -21,6 +23,7 @@ from nlmagic import (
     stabilizer_purity_exact,
     synth_calibration_matrix,
 )
+from nlmagic.magic import m2_from_purities
 from nlmagic.noise import clean_probability_vector
 from nlmagic.rcm import (
     _born_walsh,
@@ -29,7 +32,7 @@ from nlmagic.rcm import (
     stabilizer_purity_statistic,
 )
 
-from helpers import matmul_born_walsh, random_mixed, sum_marginalize
+from helpers import marginalize, matmul_born_walsh, random_mixed, sum_marginalize
 
 EXACT_TOL = 1e-12
 # Batched and per-vector statistics run the same arithmetic through
@@ -122,6 +125,48 @@ def test_marginalize_matches_sum_over_traced_axes(rows, data):
         rtol = (2**traced - 1) * np.finfo(float).eps
         np.testing.assert_allclose(batched, reference, rtol=rtol, atol=0)
         np.testing.assert_allclose(vector, vector_reference, rtol=rtol, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(2, 30), st.sampled_from([None, 7, 1000]))
+def test_reduced_purity_from_walsh_columns_equals_purity_of_marginal(num_qubits, seed, draws, n_shot):
+    rng = np.random.default_rng(seed)
+    rho = random_mixed(rng, num_qubits)
+    tuples = rng.integers(0, 24, size=(draws, num_qubits))
+    ds = collect_dataset(rho, tuples, n_shot=n_shot, seed=seed)
+    for size in range(1, num_qubits):
+        for keep in map(set, combinations(range(num_qubits), size)):
+            samples = purity_statistic(marginalize(ds.prob_vectors, keep))
+            reference = EstimateWithError.from_samples(samples)
+            est = estimate_rdm_purity(ds, keep)
+            assert est.n_samples == reference.n_samples
+            np.testing.assert_allclose(est.mean, reference.mean, rtol=1e-14, atol=0)
+            # Per-draw differences of 1e-14 relative move the spread by at
+            # most 1e-14 of the largest statistic.
+            assert abs(est.sample_std - reference.sample_std) <= 1e-14 * samples.max()
+
+
+@pytest.mark.parametrize("keep", [set(), {0, 1, 2}, {3}, {-1}])
+def test_reduced_purity_rejects_keep_that_is_no_proper_subset(keep):
+    ds = collect_dataset(random_mixed(np.random.default_rng(1), 3), sample_local_cliffords(3, 10, 1))
+    with pytest.raises(ValueError, match="proper subset|out of range"):
+        estimate_rdm_purity(ds, keep)
+
+
+@pytest.mark.parametrize("n_shot", [None, 500])
+def test_dataset_caches_statistics_equal_to_the_statistic_functions(n_shot):
+    rho = random_mixed(np.random.default_rng(12), 3)
+    ds = collect_dataset(rho, sample_local_cliffords(3, 200, 12), n_shot=n_shot, seed=12)
+    assert not {"walsh_squares", "purity_samples", "stabilizer_purity_samples"} & set(vars(ds))
+    np.testing.assert_array_equal(ds.purity_samples, purity_statistic(ds.prob_vectors))
+    np.testing.assert_array_equal(ds.stabilizer_purity_samples, stabilizer_purity_statistic(ds.prob_vectors))
+    for cached in (ds.walsh_squares, ds.purity_samples, ds.stabilizer_purity_samples):
+        assert not cached.flags.writeable
+    assert ds.purity_samples is ds.purity_samples
+    west, pest = estimate_stabilizer_purity(ds), estimate_purity(ds)
+    assert west == EstimateWithError.from_samples(stabilizer_purity_statistic(ds.prob_vectors))
+    assert pest == EstimateWithError.from_samples(purity_statistic(ds.prob_vectors))
+    assert estimate_sre(ds).mean == m2_from_purities(west.mean, pest.mean, 8)
 
 
 def test_statistics_reject_non_power_of_two_length():
@@ -234,6 +279,43 @@ def test_dataset_rejects_rows_off_unit_sum():
     probs[1, 0] -= 1.5e-9
     ds = RcmDataset(ids, probs)
     np.testing.assert_allclose(ds.prob_vectors.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("low", [0.25, -5e-13])
+def test_dataset_leaves_the_callers_arrays_writeable_and_unchanged(low):
+    ids, probs = _valid_dataset_inputs()
+    probs[1] = [0.5 - low, 0.25, 0.25, low]
+    ids_before, probs_before = ids.copy(), probs.copy()
+    ds = RcmDataset(ids, probs)
+    assert ids.flags.writeable and probs.flags.writeable
+    np.testing.assert_array_equal(ids, ids_before)
+    assert probs.tobytes() == probs_before.tobytes()
+    assert not ds.clifford_ids.flags.writeable and not ds.prob_vectors.flags.writeable
+    assert not np.shares_memory(ds.prob_vectors, probs)
+
+
+def _clip_sum_divide(p):
+    v = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    return v / v.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("tiny", [None, -1e-13, -0.0, 0.0])
+def test_clean_probability_vector_is_bit_identical_to_clip_sum_divide(tiny):
+    rows = np.random.default_rng(8).dirichlet(np.ones(8), size=20)
+    if tiny is not None:
+        rows[3, 5] += rows[3, 2]
+        rows[3, 2] = tiny
+        rows[11, 0] += rows[11, 7]
+        rows[11, 7] = tiny
+    cleaned = clean_probability_vector(rows)
+    assert cleaned.tobytes() == _clip_sum_divide(rows).tobytes()
+    assert clean_probability_vector(rows[3]).tobytes() == _clip_sum_divide(rows[3]).tobytes()
+    assert not np.shares_memory(cleaned, rows)
+
+
+def test_clean_probability_vector_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        clean_probability_vector([[0.5, 0.5], [np.nan, -0.5]])
 
 
 def test_clean_rows_match_vectors():

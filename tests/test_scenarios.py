@@ -122,10 +122,18 @@ def test_a_scenario_file_must_be_a_json_object():
             {"noise": {"readout": {"matrix": [[1.0, 0.0], [0.0]]}}},
             r"noise.readout.matrix\[1\] has length 1, noise.readout.matrix\[0\] has length 2",
         ),
+        (
+            {"noise": {"readout": {"per_qubit_eps": [[0.01, 0.02], [0.01, 0.02, 0.03]]}}},
+            r"noise.readout.per_qubit_eps\[1\] has length 3, not 2 \(eps01, eps10\)",
+        ),
+        (
+            {"noise": {"readout": {"per_qubit_eps": [[0.01]]}}},
+            r"noise.readout.per_qubit_eps\[0\] has length 1, not 2 \(eps01, eps10\)",
+        ),
     ],
     ids=[
         "n_rand-string", "n_rand-float", "seed-bool", "n_shot-float", "state-string", "estimators-string",
-        "qubits-int", "keep-bool", "readout-ragged",
+        "qubits-int", "keep-bool", "readout-ragged", "eps-triple", "eps-single",
     ],
 )
 def test_wrong_json_types_are_named_errors(changes, message):
