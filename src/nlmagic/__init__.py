@@ -2,18 +2,19 @@
 qubit registers: exact oracles, randomized Clifford measurements, readout
 mitigation, the closed-form erasure floor, and benchmarking fits.
 
-``__all__`` lists the public names, grouped by module. ``run_circuit``
-returns the depolarized state p^k |psi><psi| + (1 - p^k) I/d of a circuit
-with k CZs; the non-local magic of a pure state's reduced purity P_A is
-``nonlocal_magic_noisy(P_A, 1.0)``, and the local part of M2 is
-``magic_report(rho, m2_nonlocal).m2_local``.
+``__all__`` lists the public names, grouped by module. Every prepared
+state is one ``DepolarizedState(psi, s)``, standing for
+s |psi><psi| + (1 - s) I/d: ``run_circuit`` returns it for a circuit with
+k CZs at s = p^k, and every oracle reads its closed form or its cached
+Pauli spectrum. The non-local magic of a pure state's reduced purity P_A
+is ``nonlocal_magic_noisy(P_A, 1.0)``, and the local part of M2 is
+``magic_report(state, m2_nonlocal).m2_local``.
 """
 
 from .qcore import (
-    DensityMatrix,
-    partial_trace,
-    pauli_expectations,
+    DepolarizedState,
     purity,
+    reduced_purity,
 )
 from .circuits import (
     Circuit,
@@ -87,7 +88,7 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "partial_trace", "pauli_expectations", "purity",
+    "DepolarizedState", "purity", "reduced_purity",
     "Circuit", "CliffordElement", "GateSpec", "gate_matrix", "run_circuit",
     "single_qubit_clifford_group", "state_circuit",
     "CalibrationMatrix", "sample_shots", "synth_calibration_matrix",

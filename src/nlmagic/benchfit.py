@@ -41,8 +41,8 @@ class DecayCurve:
             raise ValueError("need at least four points to fit a decay")
         if (np.diff(n) <= 0).any():
             raise ValueError("sequence lengths must be strictly increasing")
-        if (y < 0).any() or (y > 1).any():
-            raise ValueError("survival probabilities must lie in [0, 1]")
+        if not ((y >= 0) & (y <= 1)).all():
+            raise ValueError("survival probabilities must be finite and lie in [0, 1]")
         n.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "n_cliffords", n)

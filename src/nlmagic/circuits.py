@@ -9,13 +9,14 @@ depolarizing channel attaches to the CZ inside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .qcore import ATOL_STRUCT, DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, apply_to_axis
+from .qcore import ATOL_STRUCT, PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState, apply_to_axis
 
 GATE_KINDS = frozenset(
     {"Rx", "Ry", "Rz", "Rxy", "H", "S", "T", "X", "Y", "Z", "CZ", "CNOT"}
@@ -40,8 +41,12 @@ class GateSpec:
         arity = 2 if self.kind in _TWO_QUBIT else 1
         if len(self.qubits) != arity or len(set(self.qubits)) != arity:
             raise ValueError(f"{self.kind} needs {arity} distinct qubit indices")
+        if min(self.qubits) < 0:
+            raise ValueError(f"{self.kind} qubit indices must be >= 0, not {self.qubits}")
         if len(self.angles) != _N_ANGLES.get(self.kind, 0):
             raise ValueError(f"{self.kind} takes {_N_ANGLES.get(self.kind, 0)} angle(s)")
+        if not all(map(math.isfinite, self.angles)):
+            raise ValueError(f"{self.kind} angles must be finite, not {self.angles}")
 
 
 @dataclass(frozen=True)
@@ -117,17 +122,17 @@ def _expand_cnot(g: GateSpec) -> list[GateSpec]:
     ]
 
 
-def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
+def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DepolarizedState:
     """Apply the circuit to |0...0> and return its state under the global
     depolarizing channel rho -> p rho + (1 - p) I/d after every CZ
     (including the CZ inside an expanded CNOT), with survival ``p_dep_cz``.
 
     That channel commutes with every unitary, so k CZs leave
     s |psi><psi| + (1 - s) I/d with s = p_dep_cz^k, where |psi> is the
-    noise-free output; the mixture is formed once, at the end, and skipped
-    when s is 1. |psi> is held as a (2,)*N tensor: a single-qubit gate is
-    one ``qcore.apply_to_axis`` on its qubit's axis, and a CZ negates the
-    amplitudes where both of its qubits are 1.
+    noise-free output: the returned state is (|psi>, s). |psi> is held as a
+    (2,)*N tensor: a single-qubit gate is one ``qcore.apply_to_axis`` on its
+    qubit's axis, and a CZ negates the amplitudes where both of its qubits
+    are 1.
     """
     if not 0.0 <= p_dep_cz <= 1.0:
         raise ValueError("p_dep_cz must lie in [0, 1]")
@@ -144,12 +149,7 @@ def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
                 n_cz += 1
             else:
                 psi = apply_to_axis(gate_matrix(g), psi, g.qubits[0])
-    psi = psi.ravel()
-    rho = np.outer(psi, psi.conj())
-    s = p_dep_cz**n_cz
-    if s < 1.0:
-        rho = s * rho + (1.0 - s) * np.eye(psi.size) / psi.size
-    return DensityMatrix(rho)
+    return DepolarizedState(psi, p_dep_cz**n_cz)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .mitigation import (
     readout_fidelity,
 )
 from .noise import CalibrationMatrix
-from .qcore import partial_trace, purity
+from .qcore import reduced_purity
 from .rcm import exhaustive_size
 from .scenarios import (
     Report,
@@ -154,16 +154,14 @@ def _emit(report: Report, args) -> int:
 
 def _cmd_magic_exact(args) -> int:
     scenario = _load_scenario(args)
-    rho = scenario.prepare()
-    oracles = magic_report(rho)
+    state = scenario.prepare()
+    oracles = magic_report(state)
     report = Report(name=f"{scenario.name}-exact", seed=scenario.seed)
     report.values.append(ReportValue("purity", "oracle", oracles.purity))
     report.values.append(ReportValue("stab_purity", "oracle", oracles.stabilizer_purity))
     report.values.append(ReportValue("sre", "oracle", oracles.m2))
-    if rho.num_qubits == 2:
-        report.values.append(
-            ReportValue("rdm_purity[0]", "oracle", purity(partial_trace(rho, {0})))
-        )
+    if state.num_qubits == 2:
+        report.values.append(ReportValue("rdm_purity[0]", "oracle", reduced_purity(state, {0})))
     return _emit(report, args)
 
 
@@ -209,8 +207,7 @@ def _cmd_mitigate(args) -> int:
 def _cmd_erase_sweep(args) -> int:
     grid = degree_grid(args.step_deg, "--step-deg")
     scenario = _load_scenario(args)
-    rho = scenario.prepare()
-    result = sweep_landscape(rho, grid, grid)
+    result = sweep_landscape(scenario.prepare(), grid, grid)
     report = Report(name=f"{scenario.name}-sweep", seed=scenario.seed)
     report.values.append(ReportValue("sweep_min", "estimate", result.residual_m2))
     report.values.append(

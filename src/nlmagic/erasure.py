@@ -15,10 +15,11 @@ side-B rotations, as ``sweep_landscape`` takes, is one (4A, 4) x (4, 4B)
 matrix product of the stacked R_A t with the stacked R_B, taken in blocks
 of side-A rows (``_pair_m2``).
 
-The floor needs no search for the states this package prepares,
-s |psi><psi| + (1 - s) I/4: local rotations fix T[0, 0] and the purity,
-so the depolarizing term does not move the minimum, which psi reaches in
-Schmidt form sqrt(lam) |00> + sqrt(1 - lam) |11> (``optimize_erasure``).
+Every state is a ``DepolarizedState`` (psi, s), rho = s |psi><psi| +
+(1 - s) I/4, whose cached Pauli spectrum is T. The floor needs no search:
+local rotations fix T[0, 0] and the purity, so the depolarizing term does
+not move the minimum, which psi reaches in Schmidt form
+sqrt(lam) |00> + sqrt(1 - lam) |11> (``optimize_erasure``).
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .magic import OutOfModelError, m2_from_expectations, schmidt_decomposition
-from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, expectations_from_matrix
+from .magic import m2_from_expectations, schmidt_decomposition
+from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState
 
 _TWO_PI = 2.0 * np.pi
 _EYE4 = np.eye(4)
-_SIGMA = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+_SIGMA = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 # Pairs per block of ``_pair_m2``: each temporary then holds 16 Ki doubles
 # (128 KiB). On a 2-core Xeon VM a 128 x 128 rotation grid and the fig4
 # sweep both ran fastest near this size, about twice as fast as in one
@@ -64,7 +65,7 @@ class ErasureAngles:
 class OptConfig:
     """Unread: ``optimize_erasure`` is a closed form. ``seed`` is kept only
     because the ``oracles`` workload and the self-check of ``perfbench``
-    call ``optimize_erasure(rho, OptConfig(seed=...))``."""
+    call ``optimize_erasure(state, OptConfig(seed=...))``."""
 
     seed: int = 0
 
@@ -79,10 +80,10 @@ class ErasureResult:
     phi_grid: Optional[np.ndarray] = None
 
 
-def _correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    if rho.num_qubits != 2:
+def _correlation_matrix(state: DepolarizedState) -> np.ndarray:
+    if state.num_qubits != 2:
         raise ValueError("erasure is defined for two-qubit states")
-    return expectations_from_matrix(rho.matrix, 2).reshape(4, 4)
+    return state.pauli_spectrum.reshape(4, 4)
 
 
 def _plane_rotation(theta, i: int, j: int) -> np.ndarray:
@@ -108,7 +109,7 @@ def pauli_rotation(alpha, beta, gamma) -> np.ndarray:
 
 def _transfer_matrix(u: np.ndarray) -> np.ndarray:
     """Pauli-transfer matrix of a 2x2 unitary: R[a, b] = Tr(sigma_b U^dag sigma_a U) / 2."""
-    return np.array([expectations_from_matrix(u.conj().T @ sigma @ u, 1) for sigma in _SIGMA]) / 2
+    return np.einsum("bij,aji->ab", _SIGMA, u.conj().T @ _SIGMA @ u).real / 2
 
 
 def _m2_from_correlations(t: np.ndarray) -> np.ndarray:
@@ -138,29 +139,26 @@ def _euler(r: np.ndarray) -> np.ndarray:
     return np.array([alpha, beta, total - alpha if r[3, 3] >= 0 else alpha - diff])
 
 
-def erasure_objective(rho: DensityMatrix, angles: ErasureAngles) -> float:
+def erasure_objective(state: DepolarizedState, angles: ErasureAngles) -> float:
     """M2 after applying the local rotations to the state."""
     a = angles.as_array()
-    return float(_m2_from_correlations(pauli_rotation(*a[:3]) @ _correlation_matrix(rho) @ pauli_rotation(*a[3:]).T))
+    return float(_m2_from_correlations(pauli_rotation(*a[:3]) @ _correlation_matrix(state) @ pauli_rotation(*a[3:]).T))
 
 
-def optimize_erasure(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> ErasureResult:
-    """Erasure floor of rho = s |psi><psi| + (1 - s) I/4 (for a pure state,
-    its non-local magic) and the Euler angles of U_A = u^dag, U_B = conj(vh)
-    that reach it, u sigma vh being the SVD of psi as a 2x2 matrix. Raises
-    ``OutOfModelError`` when the three smallest eigenvalues of rho differ
-    by more than 1e-10, the positivity level of ``DensityMatrix``.
+def optimize_erasure(state: DepolarizedState, cfg: OptConfig = OptConfig()) -> ErasureResult:
+    """Erasure floor of the two-qubit state (psi, s) (for a pure state, its
+    non-local magic) and the Euler angles of U_A = u^dag, U_B = conj(vh)
+    that reach it, u sigma vh being the SVD of psi as a 2x2 matrix. Any s
+    is in model: the depolarizing term does not move the minimum.
     ``cfg`` is unread.
     """
-    eigenvalues, u, _, vh = schmidt_decomposition(rho)
-    if (spread := eigenvalues[2] - eigenvalues[0]) > 1e-10:
-        raise OutOfModelError(f"rho is not s|psi><psi| + (1 - s) I/4: its 3 smallest eigenvalues span {spread:.3e}")
+    u, _, vh = schmidt_decomposition(state)
     angles = ErasureAngles(*_euler(_transfer_matrix(u.conj().T)), *_euler(_transfer_matrix(vh.conj())))
-    return ErasureResult(angles=angles, residual_m2=erasure_objective(rho, angles), evaluations=1)
+    return ErasureResult(angles=angles, residual_m2=erasure_objective(state, angles), evaluations=1)
 
 
 def sweep_landscape(
-    rho: DensityMatrix, gamma_grid: Sequence[float], phi_grid: Sequence[float]
+    state: DepolarizedState, gamma_grid: Sequence[float], phi_grid: Sequence[float]
 ) -> ErasureResult:
     """Residual M2 over Rz(gamma) (x) Rz(phi) rotations, all other angles 0.
 
@@ -168,7 +166,7 @@ def sweep_landscape(
     location and value of its minimum. Both grids must be non-empty, 1-D
     and finite.
     """
-    t = _correlation_matrix(rho)
+    t = _correlation_matrix(state)
     gammas = np.asarray(list(gamma_grid), dtype=float)
     phis = np.asarray(list(phi_grid), dtype=float)
     for grid in (gammas, phis):

@@ -23,12 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qcore import (
-    DensityMatrix,
-    expectations_from_matrix,
-    partial_trace,
-    purity,
-)
+from .qcore import DepolarizedState, purity
 
 LOG2_4_3 = np.log2(4.0 / 3.0)
 
@@ -74,37 +69,36 @@ class SchmidtSpectrum:
         return cls(lam, 2.0 * np.arccos(np.sqrt(lam)))
 
 
-def schmidt_decomposition(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues of a two-qubit state (ascending) and the SVD u, sigma, vh
-    of its leading eigenvector psi reshaped to 2x2: u^dag (x) conj(vh) takes
-    psi to sigma_0 |00> + sigma_1 |11>, with sigma_0 >= sigma_1 >= 0."""
-    if rho.num_qubits != 2:
+def schmidt_decomposition(state: DepolarizedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD u, sigma, vh of a two-qubit state's psi reshaped to 2x2:
+    u^dag (x) conj(vh) takes psi to sigma_0 |00> + sigma_1 |11>, with
+    sigma_0 >= sigma_1 >= 0."""
+    if state.num_qubits != 2:
         raise ValueError("Schmidt decomposition is defined here for two qubits")
-    eigenvalues, vectors = np.linalg.eigh(rho.matrix)
-    u, sigma, vh = np.linalg.svd(vectors[:, -1].reshape(2, 2))
-    return eigenvalues, u, sigma, vh
+    return np.linalg.svd(state.psi.reshape(2, 2))
 
 
-def schmidt_spectrum(rho: DensityMatrix) -> SchmidtSpectrum:
+def schmidt_spectrum(state: DepolarizedState) -> SchmidtSpectrum:
     """Schmidt weight of a pure two-qubit state (largest weight first)."""
-    _, _, sigma, _ = schmidt_decomposition(rho)
-    if purity(rho) < 1.0 - 1e-9:
+    _, sigma, _ = schmidt_decomposition(state)
+    if purity(state) < 1.0 - 1e-9:
         raise ValueError("state must be pure to read off Schmidt weights")
     return SchmidtSpectrum.from_lambda(min(float(sigma[0] ** 2), 1.0))
 
 
-def stabilizer_purity_exact(rho: DensityMatrix) -> float:
-    """W(rho) = d^-2 sum_P Tr(P rho)^4 over the contracted Pauli spectrum."""
-    return _stabilizer_purity(expectations_from_matrix(rho.matrix, rho.num_qubits), rho.dim)
+def stabilizer_purity_exact(state: DepolarizedState) -> float:
+    """W(rho) = d^-2 sum_P Tr(P rho)^4 over the cached Pauli spectrum."""
+    return _stabilizer_purity(state.pauli_spectrum, state.dim)
 
 
 def _stabilizer_purity(t: np.ndarray, dim: int) -> float:
-    return float((t**4).sum()) / dim**2
+    # Squared twice, as in M2: t ** 4 would call pow() per entry.
+    return float(((t**2) ** 2).sum()) / dim**2
 
 
-def sre_exact(rho: DensityMatrix) -> float:
+def sre_exact(state: DepolarizedState) -> float:
     """Degree-2 stabilizer Renyi entropy, mixed-state convention."""
-    return float(m2_from_expectations(expectations_from_matrix(rho.matrix, rho.num_qubits), rho.dim))
+    return float(m2_from_expectations(state.pauli_spectrum, state.dim))
 
 
 def m2_from_expectations(t: np.ndarray, dim: int) -> np.ndarray:
@@ -119,16 +113,16 @@ def m2_from_purities(w, pur, dim: int):
     return -np.log2(w) + np.log2(pur) - np.log2(dim)
 
 
-def magic_report(rho: DensityMatrix, m2_nonlocal: Optional[float] = None) -> MagicReport:
-    """Purity, W and M2 of ``rho`` (W and M2 from one Pauli spectrum), and
-    the local part of M2 when the non-local part is given."""
-    t = expectations_from_matrix(rho.matrix, rho.num_qubits)
-    m2 = float(m2_from_expectations(t, rho.dim))
+def magic_report(state: DepolarizedState, m2_nonlocal: Optional[float] = None) -> MagicReport:
+    """Purity, W and M2 of ``state`` (W and M2 from its cached Pauli
+    spectrum), and the local part of M2 when the non-local part is given."""
+    t = state.pauli_spectrum
+    m2 = float(m2_from_expectations(t, state.dim))
     if m2_nonlocal is not None and m2_nonlocal > m2 + 1e-9:
         raise ValueError(f"non-local magic {m2_nonlocal} exceeds total {m2}")
     return MagicReport(
-        purity=purity(rho),
-        stabilizer_purity=_stabilizer_purity(t, rho.dim),
+        purity=purity(state),
+        stabilizer_purity=_stabilizer_purity(t, state.dim),
         m2=m2,
         m2_nonlocal=m2_nonlocal,
         m2_local=None if m2_nonlocal is None else m2 - m2_nonlocal,
@@ -205,7 +199,7 @@ def sre_nlm_depolarized(p_err: float, theta: float) -> float:
 # Distillation bound checker
 
 
-def check_distillation_lemma(psi: DensityMatrix, c_factorized: np.ndarray) -> Optional[bool]:
+def check_distillation_lemma(psi: DepolarizedState, c_factorized: np.ndarray) -> Optional[bool]:
     """Check that a factorized Clifford distills at most the local magic.
 
     ``psi`` is a pure two-qubit state on subsystems A (qubit 0) and
@@ -214,7 +208,10 @@ def check_distillation_lemma(psi: DensityMatrix, c_factorized: np.ndarray) -> Op
     If the output splits as psi' on (A, B) times phi on the ancilla, returns
     True when M2(phi) <= local magic of psi (up to 1e-9), False when the
     bound is violated. Returns None when the output does not factorize,
-    which makes the bound inapplicable rather than violated.
+    which makes the bound inapplicable rather than violated. The output is
+    read as a 4x2 matrix (A B, ancilla), whose SVD sigma_0 u_0 vh_0 +
+    sigma_1 u_1 vh_1 gives the ancilla's purity 1 - 2 sigma_0^2 sigma_1^2
+    and, when that is 1, phi = vh_0.
     """
     if psi.num_qubits != 2:
         raise ValueError("input state must be on two qubits")
@@ -225,13 +222,10 @@ def check_distillation_lemma(psi: DensityMatrix, c_factorized: np.ndarray) -> Op
         raise ValueError("Clifford must act on three qubits")
     if np.max(np.abs(c.conj().T @ c - np.eye(8))) > 1e-9:
         raise ValueError("Clifford must be unitary")
-    ancilla = np.zeros((2, 2), dtype=complex)
-    ancilla[0, 0] = 1.0
-    full = np.kron(psi.matrix, ancilla)
-    out = DensityMatrix(c @ full @ c.conj().T)
-    phi = partial_trace(out, {2})
-    if purity(phi) < 1.0 - 1e-9:
+    out = c @ np.kron(psi.psi, [1.0, 0.0])
+    _, sigma, vh = np.linalg.svd(out.reshape(4, 2))
+    if 2.0 * (sigma[0] * sigma[1]) ** 2 > 1e-9:
         return None
     spec = schmidt_spectrum(psi)
     m_local = magic_report(psi, nonlocal_magic_schmidt(spec.lam)).m2_local
-    return sre_exact(phi) <= m_local + 1e-9
+    return sre_exact(DepolarizedState(vh[0])) <= m_local + 1e-9

@@ -29,8 +29,8 @@ class CalibrationMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("calibration matrix must be square")
-        if (m < -1e-12).any() or (m > 1 + 1e-12).any():
-            raise ValueError("calibration entries must lie in [0, 1]")
+        if not ((m >= -1e-12) & (m <= 1 + 1e-12)).all():
+            raise ValueError("calibration entries must be finite and lie in [0, 1]")
         cols = m.sum(axis=0)
         if np.max(np.abs(cols - 1.0)) > _ATOL_COLUMN:
             raise ValueError("calibration matrix columns must each sum to 1")

@@ -1,17 +1,22 @@
-"""Dense complex linear algebra for small qubit registers.
+"""Prepared states and their Pauli spectra for small qubit registers.
 
-States are handed around as validated density matrices (noise makes
-everything mixed), and operators are plain complex numpy arrays.
-Qubit 0 is the most significant bit of a computational-basis index, i.e.
-the leftmost factor of a tensor product; where a full product is needed,
-it is ``np.kron`` with qubit 0 first.
+Every state the package prepares is the depolarized pure state
 
-The Pauli spectrum Tr(P rho) is read by per-qubit contraction rather than
-against a stack of 4^N Pauli matrices. rho is reshaped to (2,)*2N, whose
-axis q is qubit q's row index i_q and axis N + q its column index j_q.
-Each qubit's (i_q, j_q) pair is fused into one axis of size 4, and the
-fixed map T[a, 2 i + j] = sigma_a[j, i] is applied on each of the N axes:
-O(N 4^N) work and memory of the size of rho.
+    rho = s |psi><psi| + (1 - s) I/d,
+
+held as ``DepolarizedState(psi, s)``: the unit vector psi of length
+d = 2^N and the survival s in [0, 1]. Its oracles are closed functions of
+(psi, s): purity s^2 + (1 - s^2)/d, and the Pauli spectrum
+Tr(P rho) = s Tr(P psi psi^dag), plus 1 - s on the identity, computed once
+per state and cached. Qubit 0 is the most significant bit of a
+computational-basis index, i.e. the leftmost factor of a tensor product;
+where a full product is needed, it is ``np.kron`` with qubit 0 first.
+
+The Pauli spectrum is read by per-qubit contraction rather than against a
+stack of 4^N Pauli matrices. The products psi_i conj(psi_j) are formed
+with each qubit's (row, column) pair (i_q, j_q) on one axis of size 4, and
+the fixed map T[a, 2 i + j] = sigma_a[j, i] is applied on each of the N
+axes: O(N 4^N) work and memory of the size of psi psi^dag.
 
 ``apply_to_axis`` is the one primitive that applies a small matrix to a
 qubit axis: it serves that spectrum and, on the (2,)*N state vector, every
@@ -24,11 +29,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-# Structural invariants (hermiticity, trace, stochasticity) are checked at
-# 1e-12.
+# Structural invariants (state norm, unitarity) are checked at 1e-12.
 ATOL_STRUCT = 1e-12
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -59,68 +64,85 @@ def pauli_matrix_stack(num_qubits: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """A validated d x d density operator; ``num_qubits`` is log2(d).
+class DepolarizedState:
+    """rho = s |psi><psi| + (1 - s) I/d, from a unit vector ``psi`` of
+    length d = 2^N and the survival ``survival`` = s; ``num_qubits`` is N.
 
-    Construction checks hermiticity and unit trace at 1e-12, positivity at
-    -1e-10 on the spectrum, and the purity bounds 1/d <= Tr(rho^2) <= 1.
+    Construction checks a power-of-two length of at least 2, finite
+    amplitudes, a norm within 1e-12 of 1 and a finite s in [0, 1]; ``psi``
+    is stored as a read-only complex copy.
     """
 
-    matrix: np.ndarray
+    psi: np.ndarray
+    survival: float = 1.0
     num_qubits: int = field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        d = m.shape[0]
-        n = int(round(np.log2(d)))
-        if m.shape != (d, d) or 2**n != d:
-            raise ValueError(f"matrix shape {m.shape} is not a {2**n}-dim operator")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_STRUCT:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > ATOL_STRUCT or abs(np.trace(m).imag) > ATOL_STRUCT:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-12")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -1e-10:
-            raise ValueError(f"negative eigenvalue {eigs.min():.3e} below -1e-10")
-        pur = float(np.trace(m @ m).real)
-        if pur < 1.0 / d - ATOL_STRUCT or pur > 1.0 + ATOL_STRUCT:
-            raise ValueError(f"purity {pur} outside [1/d, 1]")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        v = np.array(self.psi, dtype=complex).ravel()
+        n = v.size.bit_length() - 1
+        if v.size < 2 or 2**n != v.size:
+            raise ValueError(f"state vector length {v.size} is not a power of two >= 2")
+        if not np.isfinite(v).all():
+            raise ValueError("state vector entries must be finite")
+        if abs(np.linalg.norm(v) - 1.0) > ATOL_STRUCT:
+            raise ValueError(f"state vector norm {np.linalg.norm(v)} differs from 1 beyond 1e-12")
+        s = float(self.survival)
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"survival {s} must be a finite number in [0, 1]")
+        v.flags.writeable = False
+        object.__setattr__(self, "psi", v)
+        object.__setattr__(self, "survival", s)
         object.__setattr__(self, "num_qubits", n)
 
     @property
     def dim(self) -> int:
-        return 2**self.num_qubits
+        return self.psi.size
 
-    @classmethod
-    def from_state_vector(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            raise ValueError("cannot normalize a zero vector")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in [1/d, 1]."""
-    m = rho.matrix
-    return float(np.trace(m @ m).real)
+    @cached_property
+    def pauli_spectrum(self) -> np.ndarray:
+        """Tr(P rho) for all 4^N Pauli strings in lexicographic order,
+        read-only: s Tr(P psi psi^dag), plus 1 - s on the identity."""
+        t = pure_pauli_spectrum(self.psi)
+        t *= self.survival
+        t[0] += 1.0 - self.survival
+        t.flags.writeable = False
+        return t
 
 
-def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
-    """Tr(P rho) for all 4^N Pauli strings in lexicographic order.
-
-    The returned values are real and satisfy sum_P Tr(P rho)^2 = d Tr(rho^2).
-    """
-    return expectations_from_matrix(rho.matrix, rho.num_qubits)
+def purity(state: DepolarizedState) -> float:
+    """Tr(rho^2) = s^2 + (1 - s^2)/d, in [1/d, 1]."""
+    s2 = state.survival**2
+    return s2 + (1.0 - s2) / state.dim
 
 
-def expectations_from_matrix(mat: np.ndarray, num_qubits: int) -> np.ndarray:
-    n = num_qubits
-    pairs = [axis for q in range(n) for axis in (q, n + q)]
-    fused = np.asarray(mat).reshape((2,) * (2 * n)).transpose(pairs).reshape((4,) * n)
+def kept_qubits(keep, num_qubits: int) -> list[int]:
+    """``keep`` sorted, once it is a nonempty proper subset of the
+    ``num_qubits`` qubits."""
+    kept = sorted(keep)
+    if not kept or len(kept) >= num_qubits:
+        raise ValueError("keep must be a nonempty proper subset of the qubits")
+    if kept[0] < 0 or kept[-1] >= num_qubits:
+        raise ValueError(f"qubit indices {kept} out of range for {num_qubits} qubits")
+    return kept
+
+
+def reduced_purity(state: DepolarizedState, keep) -> float:
+    """Tr(rho_A^2) of the reduced state on the qubits A = ``keep``:
+    d_A^-1 sum Tr(P rho)^2 over the Pauli strings that are the identity on
+    every traced qubit."""
+    n = state.num_qubits
+    kept = kept_qubits(keep, n)
+    on_kept = tuple(slice(None) if q in kept else 0 for q in range(n))
+    t = state.pauli_spectrum.reshape((4,) * n)[on_kept]
+    return float((t**2).sum()) / 2 ** len(kept)
+
+
+def pure_pauli_spectrum(psi: np.ndarray) -> np.ndarray:
+    """Tr(P psi psi^dag) for all 4^N Pauli strings in lexicographic order,
+    from a state vector of length 2^N."""
+    n = psi.size.bit_length() - 1
+    # psi_i conj(psi_j), each qubit's (i_q, j_q) pair on one axis of size 4.
+    fused = (psi.reshape((2, 1) * n) * psi.conj().reshape((1, 2) * n)).reshape((4,) * n)
     for q in range(n):
         fused = apply_to_axis(_PAULI_MAP, fused, q)
     return fused.real.ravel()
@@ -131,24 +153,3 @@ def apply_to_axis(m: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
     ``t``, as one matrix product with that axis moved to the front."""
     x = t.reshape(math.prod(t.shape[:axis]), len(m), -1).transpose(1, 0, 2)
     return np.dot(m, x.reshape(len(m), -1)).reshape(x.shape).transpose(1, 0, 2).reshape(t.shape)
-
-
-def partial_trace(rho: DensityMatrix, keep: set[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept qubit subset.
-
-    ``keep`` must be a nonempty proper subset of {0, ..., N-1}; kept qubits
-    retain their relative order.
-    """
-    n = rho.num_qubits
-    keep_sorted = sorted(keep)
-    if not keep_sorted or len(keep_sorted) >= n:
-        raise ValueError("keep must be a nonempty proper subset of the qubits")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise ValueError(f"qubit indices {keep_sorted} out of range for {n} qubits")
-    traced = [q for q in range(n) if q not in keep_sorted]
-    t = rho.matrix.reshape((2,) * (2 * n))
-    # Row axis of qubit q is q, column axis is n + q.
-    for k, q in enumerate(traced):
-        t = np.trace(t, axis1=q - k, axis2=q - k + n - k)
-    d_keep = 2 ** len(keep_sorted)
-    return DensityMatrix(t.reshape(d_keep, d_keep))

@@ -8,10 +8,11 @@ of it goes through the Walsh transform of p,
 
 with Z^k the Z string on the qubits set in k. For each of the 24 Cliffords
 C^dag Z C is a signed Pauli, so q of a draw is a signed gather from the 4^N
-Pauli expectations of rho, and p = WHT(q) / d. A cached (24, N) code table
-turns every draw's Clifford ids into its gather positions with one float
-product over the whole (draws x outcomes) array, and one gather from a
-table of both signs of every expectation reads all draws at once.
+Pauli expectations of rho (the state's cached ``pauli_spectrum``), and
+p = WHT(q) / d. A cached (24, N) code table turns every draw's Clifford ids
+into its gather positions with one float product over the whole (draws x
+outcomes) array, and one gather from a table of both signs of every
+expectation reads all draws at once.
 
 Pairs and quadruples of outcome strings are weighted by (-2)^-|XOR|, the
 tensor power of W = [[1, -1/2], [-1/2, 1]]. With h = [[1, 1], [1, -1]],
@@ -47,7 +48,7 @@ import numpy as np
 from .circuits import single_qubit_clifford_group
 from .magic import m2_from_purities
 from .noise import CalibrationMatrix, clean_probability_vector, sample_shots
-from .qcore import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, pauli_expectations
+from .qcore import PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState, kept_qubits
 
 _LN2 = float(np.log(2.0))
 
@@ -216,7 +217,7 @@ def _born_codes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, bits
 
 
-def _born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
+def _born_walsh(state: DepolarizedState, ids: np.ndarray) -> np.ndarray:
     """q(k) = Tr(C^dag Z^k C rho) of every draw, shape (n_draws, d).
 
     Qubit j of Walsh index k carries C_j^dag Z C_j = sign * Pauli when its
@@ -229,12 +230,12 @@ def _born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
     ids. One gather from the signed table (-1)^f Tr(P_i rho), held at
     (N+1) i + f, then reads q.
     """
-    n = rho.num_qubits
+    n = state.num_qubits
     if ids.ndim != 2 or ids.shape[1] != n:
         raise ValueError(f"every draw needs one Clifford id per qubit ({n})")
     _check_ids(ids)
     codes, bits = _born_codes(n)
-    signed = np.multiply.outer(pauli_expectations(rho), (-1.0) ** np.arange(n + 1))
+    signed = np.multiply.outer(state.pauli_spectrum, (-1.0) ** np.arange(n + 1))
     drawn = np.empty(ids.shape)
     for j in range(n):
         drawn[:, j] = codes[:, j][ids[:, j]]
@@ -242,7 +243,7 @@ def _born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
 
 
 def collect_dataset(
-    rho: DensityMatrix,
+    state: DepolarizedState,
     tuples: np.ndarray,
     readout: Optional[CalibrationMatrix] = None,
     n_shot: Optional[int] = None,
@@ -261,14 +262,14 @@ def collect_dataset(
     Walsh rows once, when an estimator first reads them.
     """
     ids = np.array(tuples, dtype=int)
-    hadamard, _ = _walsh_tables(rho.dim)
-    probs = _born_walsh(rho, ids) @ hadamard
-    probs /= rho.dim
+    hadamard, _ = _walsh_tables(state.dim)
+    probs = _born_walsh(state, ids) @ hadamard
+    probs /= state.dim
     if readout is not None:
-        if readout.dim != rho.dim:
+        if readout.dim != state.dim:
             raise ValueError(
                 f"readout calibration is {readout.dim}x{readout.dim}, "
-                f"but the {rho.num_qubits}-qubit register has {rho.dim} outcomes"
+                f"but the {state.num_qubits}-qubit register has {state.dim} outcomes"
             )
         probs = probs @ readout.matrix.T
     if n_shot is not None:
@@ -357,11 +358,7 @@ def estimate_rdm_purity(ds: RcmDataset, keep: set[int]) -> EstimateWithError:
     cached q^2 columns; no marginal is formed.
     """
     n = ds.num_qubits
-    kept = sorted(keep)
-    if not kept or len(kept) >= n:
-        raise ValueError("keep must be a nonempty proper subset of the qubits")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise ValueError(f"qubit indices {kept} out of range")
+    kept = kept_qubits(keep, n)
     traced = sum(1 << (n - 1 - q) for q in set(range(n)).difference(kept))
     inside = np.flatnonzero((np.arange(2**n) & traced) == 0)
     _, weights = _walsh_tables(2 ** len(kept))

@@ -13,6 +13,7 @@ the same scenario and seed produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +31,7 @@ from .magic import (
 )
 from .mitigation import mitigate_least_squares
 from .noise import CalibrationMatrix, synth_calibration_matrix
-from .qcore import DensityMatrix, partial_trace, purity
+from .qcore import DepolarizedState, purity, reduced_purity
 from .rcm import (
     EstimateWithError,
     collect_dataset,
@@ -78,12 +79,14 @@ _JSON_TYPES = {
 
 
 def _typed(value, path: str, kind: str, source: str = "scenario"):
-    """``value`` once it has the JSON type ``kind`` (a boolean is no number);
-    ``path`` names it in the error, the empty path being the whole file, and
-    ``source`` names the kind of file."""
+    """``value`` once it has the JSON type ``kind`` (a boolean is no number,
+    and neither is NaN or Infinity); ``path`` names it in the error, the
+    empty path being the whole file, and ``source`` names the kind of file."""
+    where = f"{source} key {path}" if path else f"a {source} file"
     if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
-        where = f"{source} key {path}" if path else f"a {source} file"
         raise ValueError(f"{where} must be a JSON {kind}, not {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite JSON number, not {json.dumps(value)}")
     return value
 
 
@@ -140,8 +143,8 @@ class Scenario:
             return self.circuit
         return state_circuit(self.state_id, self.state_params)
 
-    def prepare(self) -> DensityMatrix:
-        """The state the circuit prepares under the depolarizing noise."""
+    def prepare(self) -> DepolarizedState:
+        """The state (psi, s) the circuit prepares under the depolarizing noise."""
         return run_circuit(self.build_circuit(), self.p_dep_cz)
 
     @classmethod
@@ -327,24 +330,24 @@ def measure(scenario: Scenario) -> dict:
     Returns ``{label: (estimate, oracle)}`` in estimator order, the oracle
     being the exact value on the prepared state.
     """
-    rho = scenario.prepare()
-    tuples = sample_local_cliffords(rho.num_qubits, scenario.n_rand, scenario.seed)
-    ds = collect_dataset(rho, tuples, scenario.readout, scenario.n_shot, scenario.seed)
+    state = scenario.prepare()
+    tuples = sample_local_cliffords(state.num_qubits, scenario.n_rand, scenario.seed)
+    ds = collect_dataset(state, tuples, scenario.readout, scenario.n_shot, scenario.seed)
     if scenario.mitigation:
         ds = ds.with_vectors(mitigate_least_squares(ds.prob_vectors, scenario.readout))
     results = {}
     for est_spec in scenario.estimators:
         label = est_spec
         if est_spec == "purity":
-            est, oracle = estimate_purity(ds), purity(rho)
+            est, oracle = estimate_purity(ds), purity(state)
         elif est_spec == "stab_purity":
-            est, oracle = estimate_stabilizer_purity(ds), stabilizer_purity_exact(rho)
+            est, oracle = estimate_stabilizer_purity(ds), stabilizer_purity_exact(state)
         elif est_spec == "sre":
-            est, oracle = estimate_sre(ds), sre_exact(rho)
+            est, oracle = estimate_sre(ds), sre_exact(state)
         elif isinstance(est_spec, tuple) and est_spec[0] == "rdm_purity":
             keep = set(est_spec[1])
             label = f"rdm_purity[{','.join(str(q) for q in sorted(keep))}]"
-            est, oracle = estimate_rdm_purity(ds, keep), purity(partial_trace(rho, keep))
+            est, oracle = estimate_rdm_purity(ds, keep), reduced_purity(state, keep)
         else:
             raise ValueError(f"unknown estimator {est_spec!r}")
         if label in results:

@@ -6,24 +6,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nlmagic import DensityMatrix, ErasureAngles, gate_matrix
+from nlmagic import DepolarizedState, ErasureAngles, gate_matrix
 from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
 from nlmagic.erasure import _correlation_matrix, _euler, _m2_from_correlations, _pair_m2, pauli_rotation
-from nlmagic.qcore import pauli_expectations
+from nlmagic.qcore import _PAULI_MAP, apply_to_axis, kept_qubits, pauli_matrix_stack
 from nlmagic.rcm import _clifford_z_images
 
 
-def random_pure(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
+def random_pure(rng: np.random.Generator, num_qubits: int) -> DepolarizedState:
+    return random_depolarized(rng, num_qubits, 1.0)
+
+
+def random_depolarized(rng: np.random.Generator, num_qubits: int, survival=None) -> DepolarizedState:
+    """A Haar-random psi at the given survival, or at one drawn uniformly
+    from [0, 1] when none is given."""
     d = 2**num_qubits
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return DensityMatrix.from_state_vector(vec)
-
-
-def random_mixed(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
-    d = 2**num_qubits
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho))
+    return DepolarizedState(vec / np.linalg.norm(vec), rng.uniform() if survival is None else survival)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -32,18 +31,30 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def depolarize(rho: DensityMatrix, p_dep: float) -> DensityMatrix:
-    """Global depolarizing channel p rho + (1 - p) I/d on the full register,
-    as a validated state: the channel ``run_circuit`` applies in place after
-    every CZ."""
-    d = rho.dim
-    return DensityMatrix(p_dep * rho.matrix + (1.0 - p_dep) * (np.eye(d, dtype=complex) / d))
+def density_matrix(state: DepolarizedState) -> np.ndarray:
+    """The explicit d x d matrix s |psi><psi| + (1 - s) I/d of a state."""
+    s, d = state.survival, state.dim
+    return s * np.outer(state.psi, state.psi.conj()) + (1.0 - s) * np.eye(d) / d
 
 
-def kron_run_circuit(circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
-    """Reference for ``run_circuit``: every gate is a d x d Kronecker-built
-    operator applied as u @ rho @ u^dag, and every depolarized state is
-    validated as a ``DensityMatrix``."""
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
+    """Reference reduced density matrix of an explicit d x d matrix on the
+    kept qubits, which retain their relative order: one ``np.trace`` per
+    traced qubit of the (2,)*2N view."""
+    n = rho.shape[0].bit_length() - 1
+    kept = kept_qubits(keep, n)
+    traced = [q for q in range(n) if q not in kept]
+    t = np.asarray(rho).reshape((2,) * (2 * n))
+    # Row axis of qubit q is q, column axis is n + q.
+    for k, q in enumerate(traced):
+        t = np.trace(t, axis1=q - k, axis2=q - k + n - k)
+    return t.reshape(2 ** len(kept), 2 ** len(kept))
+
+
+def kron_run_circuit(circuit, p_dep_cz: float = 1.0) -> np.ndarray:
+    """Reference for ``run_circuit``: the explicit d x d state, every gate a
+    d x d Kronecker-built operator applied as u @ rho @ u^dag and the
+    channel p rho + (1 - p) I/d applied after every CZ."""
     if not 0.0 <= p_dep_cz <= 1.0:
         raise ValueError("p_dep_cz must lie in [0, 1]")
     n = circuit.num_qubits
@@ -61,8 +72,8 @@ def kron_run_circuit(circuit, p_dep_cz: float = 1.0) -> DensityMatrix:
                 u = functools.reduce(np.kron, factors)
             state = u @ state @ u.conj().T
             if g.kind == "CZ" and p_dep_cz < 1.0:
-                state = depolarize(DensityMatrix(state), p_dep_cz).matrix.copy()
-    return DensityMatrix(state)
+                state = p_dep_cz * state + (1.0 - p_dep_cz) * (np.eye(d, dtype=complex) / d)
+    return state
 
 
 def loop_clifford_group() -> list[np.ndarray]:
@@ -84,12 +95,31 @@ def loop_clifford_group() -> list[np.ndarray]:
     return elements
 
 
-def einsum_landscape(rho: DensityMatrix, gammas, phis) -> np.ndarray:
-    """Reference for ``sweep_landscape``'s landscape: one three-operand
-    einsum over every (gamma, phi) pair of Rz rotations."""
+def expectations_from_matrix(mat: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Reference Pauli spectrum Re Tr(P mat) of an explicit d x d matrix by
+    per-qubit contraction: mat as (2,)*2N, each qubit's (row, column) pair
+    fused into one axis of size 4 and ``qcore._PAULI_MAP`` applied per axis."""
+    n = num_qubits
+    pairs = [axis for q in range(n) for axis in (q, n + q)]
+    fused = np.asarray(mat).reshape((2,) * (2 * n)).transpose(pairs).reshape((4,) * n)
+    for q in range(n):
+        fused = apply_to_axis(_PAULI_MAP, fused, q)
+    return fused.real.ravel()
+
+
+def stack_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Reference Pauli spectrum Tr(P rho) of an explicit matrix, one trace
+    per matrix of the 4^N stack (N <= 5: the stack takes 16^(N+1) bytes)."""
+    return np.einsum("pij,ji->p", pauli_matrix_stack(rho.shape[0].bit_length() - 1), rho).real
+
+
+def einsum_landscape(rho: np.ndarray, gammas, phis) -> np.ndarray:
+    """Reference for ``sweep_landscape``'s landscape on an explicit 4 x 4
+    matrix: one three-operand einsum over every (gamma, phi) pair of Rz
+    rotations of its stack spectrum."""
     ra = pauli_rotation(0.0, 0.0, np.asarray(gammas, dtype=float))
     rb = pauli_rotation(0.0, 0.0, np.asarray(phis, dtype=float))
-    return _m2_from_correlations(np.einsum("Aai,ij,Bbj->ABab", ra, _correlation_matrix(rho), rb))
+    return _m2_from_correlations(np.einsum("Aai,ij,Bbj->ABab", ra, stack_spectrum(rho).reshape(4, 4), rb))
 
 
 def per_row_pair_m2(ra: np.ndarray, t: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -150,7 +180,7 @@ def grid_candidates() -> np.ndarray:
     return combos.reshape(3, -1).T
 
 
-def bfgs_erasure(rho: DensityMatrix, tol: float = 1e-8, max_evaluations: int = 5000, seed: int = 0) -> BfgsResult:
+def bfgs_erasure(rho: DepolarizedState, tol: float = 1e-8, max_evaluations: int = 5000, seed: int = 0) -> BfgsResult:
     """Reference for ``optimize_erasure``: a numerical minimization of the
     erasure objective that assumes nothing about the state.
 
@@ -222,7 +252,7 @@ def loop_landscape_to_csv(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matmul_born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
+def matmul_born_walsh(rho: DepolarizedState, ids: np.ndarray) -> np.ndarray:
     """Reference for ``rcm._born_walsh``: the Pauli index and the sign-flip
     count of every (draw, Walsh index) pair from two integer matrix
     products, the sign from the count's parity."""
@@ -232,7 +262,7 @@ def matmul_born_walsh(rho: DensityMatrix, ids: np.ndarray) -> np.ndarray:
     bits = (np.arange(2**n)[:, None] >> place) & 1
     index = (paulis[ids] * 4**place) @ bits.T
     flips = (signs[ids] < 0).astype(int) @ bits.T
-    return np.where(flips % 2, -1.0, 1.0) * pauli_expectations(rho)[index]
+    return np.where(flips % 2, -1.0, 1.0) * rho.pauli_spectrum[index]
 
 
 def marginalize(p: np.ndarray, keep: set[int]) -> np.ndarray:
@@ -253,11 +283,7 @@ def marginalize(p: np.ndarray, keep: set[int]) -> np.ndarray:
     n = length.bit_length() - 1
     if 2**n != length:
         raise ValueError(f"outcome vector length {length} is not a power of two")
-    keep_sorted = sorted(keep)
-    if not keep_sorted or len(keep_sorted) >= n:
-        raise ValueError("keep must be a nonempty proper subset of the qubits")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise ValueError(f"qubit indices {keep_sorted} out of range")
+    kept_qubits(keep, n)
     for q in sorted(set(range(n)).difference(keep), reverse=True):
         halves = v.reshape(rows + (2**q, 2, -1))
         v = (halves[..., 0, :] + halves[..., 1, :]).reshape(rows + (-1,))

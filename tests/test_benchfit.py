@@ -64,6 +64,13 @@ def test_decay_curve_rejects_lengths_that_are_not_integers(bad):
         DecayCurve(np.array([1.0, bad, 30.0, 40.0]), np.array([0.9, 0.8, 0.7, 0.6]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.1])
+def test_decay_curve_rejects_survival_that_is_no_probability(bad):
+    # NaN fails every comparison, so it is rejected by asking for [0, 1].
+    with pytest.raises(ValueError, match=r"^survival probabilities must be finite and lie in \[0, 1\]$"):
+        DecayCurve(np.array([1, 10, 30, 40]), np.array([0.9, bad, 0.7, 0.6]))
+
+
 def test_csv_header_is_read_only_on_the_first_non_blank_line():
     rows = "1,0.9\n2,0.8\n3,0.7\n5,0.6\n"
     curve = decay_curve_from_csv("\n length,survival\n" + rows)

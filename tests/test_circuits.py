@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from nlmagic import (
     Circuit,
+    DepolarizedState,
     GateSpec,
     gate_matrix,
     purity,
@@ -15,7 +16,7 @@ from nlmagic import (
 )
 from nlmagic.circuits import _N_ANGLES, STATE_IDS, canonical_phase
 
-from helpers import kron_run_circuit, loop_clifford_group, random_pure
+from helpers import density_matrix, kron_run_circuit, loop_clifford_group
 
 
 ALL_1Q = ["Rx", "Ry", "Rz", "Rxy", "H", "S", "T", "X", "Y", "Z"]
@@ -72,6 +73,20 @@ def test_gate_spec_validation():
         GateSpec("H", (0,), (0.1,))
     with pytest.raises(ValueError):
         Circuit(1, (GateSpec("H", (1,)),))
+
+
+@pytest.mark.parametrize("angles", [(float("inf"),), (float("nan"),)])
+def test_non_finite_angles_are_rejected(angles):
+    # numpy would warn and hand NaN amplitudes on to the state.
+    with pytest.raises(ValueError, match="Rx angles must be finite"):
+        GateSpec("Rx", (0,), angles)
+
+
+@pytest.mark.parametrize("kind, qubits", [("H", (-2,)), ("CZ", (1, -1)), ("CNOT", (-1, 0))])
+def test_negative_qubit_indices_are_rejected(kind, qubits):
+    # Python would read -2 on three qubits as qubit 1.
+    with pytest.raises(ValueError, match=rf"{kind} qubit indices must be >= 0, not \({qubits[0]}"):
+        GateSpec(kind, qubits)
 
 
 def test_run_circuit_preserves_purity_without_noise():
@@ -135,8 +150,8 @@ def _pure_state_vector(circuit):
 @settings(max_examples=60, deadline=None)
 @given(random_circuits(), st.floats(0.0, 1.0))
 def test_run_circuit_matches_kronecker_reference(circuit, p):
-    got = run_circuit(circuit, p).matrix
-    assert np.max(np.abs(got - kron_run_circuit(circuit, p).matrix)) <= 1e-14
+    got = density_matrix(run_circuit(circuit, p))
+    assert np.max(np.abs(got - kron_run_circuit(circuit, p))) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,7 +163,9 @@ def test_noisy_circuit_is_depolarized_pure_state(circuit, p):
     psi = _pure_state_vector(circuit)
     d = psi.size
     closed = p**k * np.outer(psi, psi.conj()) + (1.0 - p**k) * np.eye(d) / d
-    assert np.max(np.abs(run_circuit(circuit, p).matrix - closed)) <= 1e-14
+    state = run_circuit(circuit, p)
+    assert state.survival == p**k
+    assert np.max(np.abs(density_matrix(state) - closed)) <= 1e-14
 
 
 CATALOGUE = [(sid, None) for sid in sorted(STATE_IDS - {"nlm", "m_sweep"})]
@@ -164,7 +181,7 @@ def test_catalogue_states_equal_kronecker_reference_within_two_eps(p):
     # the bound leaves one more ulp.
     for state_id, params in CATALOGUE:
         circuit = state_circuit(state_id, params)
-        got, want = run_circuit(circuit, p).matrix, kron_run_circuit(circuit, p).matrix
+        got, want = density_matrix(run_circuit(circuit, p)), kron_run_circuit(circuit, p)
         assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps, (state_id, params)
 
 
@@ -196,10 +213,7 @@ def test_clifford_group_distinct_and_closed():
 def test_clifford_invariance_on_stabilizer_states():
     zero = run_circuit(Circuit(1, ()))
     for elem in single_qubit_clifford_group():
-        rotated = elem.matrix @ zero.matrix @ elem.matrix.conj().T
-        from nlmagic import DensityMatrix
-
-        assert sre_exact(DensityMatrix(rotated)) < 1e-10
+        assert sre_exact(DepolarizedState(elem.matrix @ zero.psi)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +221,7 @@ def test_clifford_invariance_on_stabilizer_states():
 
 
 def _state_vector(state_id, params=None):
-    rho = run_circuit(state_circuit(state_id, params))
-    eigs, vecs = np.linalg.eigh(rho.matrix)
-    return vecs[:, -1]
+    return run_circuit(state_circuit(state_id, params)).psi
 
 
 def test_lm_state_amplitudes():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlmagic import CalibrationMatrix, magic, mitigate_least_squares
+from nlmagic import CalibrationMatrix, mitigate_least_squares, qcore
 from nlmagic.cli import build_parser, main
 
 SCENARIO = {
@@ -192,8 +192,19 @@ def test_mitigate_json(probabilities, tmp_path, capsys):
             "key counts[1] has length 1, counts[0] has length 2",
         ),
         ({"calibration": CALIBRATION}, "key probabilities must be a JSON array, not null"),
+        (
+            {"calibration": [[1.0, float("nan")], [0.0, 1.0]], "probabilities": [0.5, 0.5]},
+            "key calibration[0][1] must be a finite JSON number, not NaN",
+        ),
+        (
+            {"calibration": CALIBRATION, "probabilities": [0.5, float("nan"), 0.25, 0.25]},
+            "key probabilities[1] must be a finite JSON number, not NaN",
+        ),
     ],
-    ids=["no-n_shot", "array", "no-calibration", "ragged-probabilities", "ragged-counts", "no-probabilities"],
+    ids=[
+        "no-n_shot", "array", "no-calibration", "ragged-probabilities", "ragged-counts", "no-probabilities",
+        "nan-calibration", "nan-probability",
+    ],
 )
 def test_malformed_mitigate_input_is_a_clear_error(payload, message, tmp_path, capsys):
     path = tmp_path / "mitigate.json"
@@ -211,10 +222,34 @@ def test_rb_row_without_survival_is_a_clear_error(tmp_path, capsys):
     assert err == "error: line 2 has no survival column: '1'\n"
 
 
+def test_rb_survival_that_is_no_probability_is_a_clear_error(tmp_path, capsys):
+    path = tmp_path / "rb.csv"
+    path.write_text("length,survival\n1,0.9\n2,NaN\n3,0.7\n5,0.6\n")
+    code, _, err = run(capsys, ["fit", "rb", "--input", str(path)])
+    assert code == 1
+    assert err == "error: survival probabilities must be finite and lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        ('{"kind": "Rx", "qubits": [0], "angles_deg": [Infinity]}', "angles_deg[0] must be a finite JSON number"),
+        ('{"kind": "H", "qubits": [-1]}', "H qubit indices must be >= 0, not (-1,)"),
+    ],
+    ids=["infinite-angle", "negative-qubit"],
+)
+def test_bad_gates_in_a_scenario_are_clear_errors(gate, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"version": 1, "state": {"circuit": {"num_qubits": 3, "gates": [%s]}}}' % gate)
+    code, out, err = run(capsys, ["magic", "exact", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and "Warning" not in err
+
+
 def test_magic_exact_computes_one_pauli_spectrum(scenario_path, monkeypatch, capsys):
     calls = []
-    real = magic.expectations_from_matrix
-    monkeypatch.setattr(magic, "expectations_from_matrix", lambda *a: calls.append(a) or real(*a))
+    real = qcore.pure_pauli_spectrum
+    monkeypatch.setattr(qcore, "pure_pauli_spectrum", lambda *a: calls.append(a) or real(*a))
     code, out, _ = run(capsys, ["magic", "exact", "--scenario", str(scenario_path)])
     assert code == 0
     assert len(calls) == 1

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmagic import (
-    DensityMatrix,
+    DepolarizedState,
     OptConfig,
     magic_report,
     nonlocal_magic_noisy,
@@ -13,16 +16,17 @@ from nlmagic import (
     purity,
     report_fig4,
     run_circuit,
+    schmidt_spectrum,
     sre_exact,
     sre_nlm_depolarized,
     stabilizer_purity_exact,
     state_circuit,
 )
-from nlmagic import magic
+from nlmagic import magic, qcore
 from nlmagic.circuits import H_MATRIX
 from nlmagic.qcore import pauli_matrix_stack
 
-from helpers import depolarize, random_pure
+from helpers import density_matrix, partial_trace, random_pure
 
 
 def test_nonlocal_magic_of_maximal_entanglement_is_positive_zero():
@@ -48,16 +52,33 @@ def test_noise_free_inversion_is_the_reduced_purity_closed_form():
 @pytest.mark.parametrize("theta_deg", [0.0, 5.0, 20.0, 45.0, 90.0, 137.0])
 def test_depolarized_nlm_closed_form_matches_oracle(survival, theta_deg):
     theta = np.deg2rad(theta_deg)
-    rho = depolarize(run_circuit(state_circuit("nlm", {"theta": theta})), survival)
+    rho = DepolarizedState(run_circuit(state_circuit("nlm", {"theta": theta})).psi, survival)
     assert abs(sre_nlm_depolarized(1.0 - survival, theta) - sre_exact(rho)) <= 1e-12
 
 
 def test_sre_is_additive_at_eight_qubits():
     rng = np.random.default_rng(8)
     a, b = random_pure(rng, 4), random_pure(rng, 4)
-    product = DensityMatrix(np.kron(a.matrix, b.matrix))
+    product = DepolarizedState(np.kron(a.psi, b.psi))
     assert product.num_qubits == 8
     assert abs(sre_exact(product) - (sre_exact(a) + sre_exact(b))) <= 1e-10
+
+
+def test_sre_is_additive_at_ten_qubits_within_a_memory_bound():
+    rng = np.random.default_rng(10)
+    a, b = random_pure(rng, 5), random_pure(rng, 5)
+    product = DepolarizedState(np.kron(a.psi, b.psi))
+    tracemalloc.start()
+    try:
+        total = sre_exact(product)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert abs(total - (sre_exact(a) + sre_exact(b))) <= 1e-12
+    # The fused psi_i conj(psi_j) at N = 10 is 16 MiB; the measured peak is
+    # 64.0 MiB, four such arrays at once inside one per-axis product. The
+    # bound leaves a quarter more.
+    assert peak_mb < 80.0
 
 
 def test_oracles_build_no_pauli_matrix_stack():
@@ -70,15 +91,29 @@ def test_oracles_build_no_pauli_matrix_stack():
 
 
 def test_magic_report_computes_one_pauli_spectrum(monkeypatch):
-    rho = depolarize(run_circuit(state_circuit("m")), 0.95)
-    expected = (purity(rho), stabilizer_purity_exact(rho), sre_exact(rho))
+    fresh = run_circuit(state_circuit("m"), 0.95)
+    expected = (purity(fresh), stabilizer_purity_exact(fresh), sre_exact(fresh))
     calls = []
-    real = magic.expectations_from_matrix
-    monkeypatch.setattr(magic, "expectations_from_matrix", lambda *a: calls.append(a) or real(*a))
+    real = qcore.pure_pauli_spectrum
+    monkeypatch.setattr(qcore, "pure_pauli_spectrum", lambda *a: calls.append(a) or real(*a))
+    rho = run_circuit(state_circuit("m"), 0.95)
     report = magic_report(rho, 0.1)
+    assert (stabilizer_purity_exact(rho), sre_exact(rho)) == expected[1:]
     assert len(calls) == 1
     assert (report.purity, report.stabilizer_purity, report.m2) == expected
     assert report.m2_local == report.m2 - 0.1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_schmidt_spectrum_matches_the_explicit_reduced_state(seed):
+    state = random_pure(np.random.default_rng(seed), 2)
+    reduced = partial_trace(density_matrix(state), {0})
+    # The SVD of psi against the spectrum of rho_A: measured 5 eps over
+    # 2,000 states.
+    assert abs(schmidt_spectrum(state).lam - np.linalg.eigvalsh(reduced)[-1]) <= 16 * np.finfo(float).eps
+    with pytest.raises(ValueError, match="must be pure"):
+        schmidt_spectrum(DepolarizedState(state.psi, 0.99))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +150,7 @@ def test_a_non_factorized_clifford_violates_the_distillation_bound():
     # sqrt(lam)|00> + sqrt(1 - lam)|11> it leaves (A, B) in |00> and moves
     # the non-local magic onto the ancilla, beyond the (zero) local magic.
     lam = 0.8
-    psi = DensityMatrix.from_state_vector([np.sqrt(lam), 0, 0, np.sqrt(1 - lam)])
+    psi = DepolarizedState([np.sqrt(lam), 0, 0, np.sqrt(1 - lam)])
     c = np.zeros((8, 8))
     for a, b, anc in np.ndindex(2, 2, 2):
         c[4 * anc + 2 * (a ^ b) + a, 4 * a + 2 * b + anc] = 1.0

@@ -121,6 +121,12 @@ def test_dimension_mismatch_raises(shape):
         mitigate_least_squares(np.full(shape, 0.25), HARSH)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_calibration_matrix_rejects_entries_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"calibration entries must be finite and lie in \[0, 1\]"):
+        CalibrationMatrix(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize(
     "counts, n_shot, message",
     [

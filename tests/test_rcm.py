@@ -14,8 +14,8 @@ from nlmagic import (
     estimate_rdm_purity,
     estimate_sre,
     estimate_stabilizer_purity,
-    partial_trace,
     purity,
+    reduced_purity,
     sample_local_cliffords,
     sample_shots,
     single_qubit_clifford_group,
@@ -32,7 +32,7 @@ from nlmagic.rcm import (
     stabilizer_purity_statistic,
 )
 
-from helpers import marginalize, matmul_born_walsh, random_mixed, sum_marginalize
+from helpers import density_matrix, marginalize, matmul_born_walsh, random_depolarized, sum_marginalize
 
 EXACT_TOL = 1e-12
 # Batched and per-vector statistics run the same arithmetic through
@@ -50,7 +50,7 @@ def reference_born(rho, ids):
     c = np.array([[1.0 + 0j]])
     for i in ids:
         c = np.kron(c, group[i].matrix)
-    return np.einsum("ij,jk,ik->i", c, rho.matrix, c.conj()).real
+    return np.einsum("ij,jk,ik->i", c, density_matrix(rho), c.conj()).real
 
 
 def reference_statistics(p):
@@ -131,7 +131,7 @@ def test_marginalize_matches_sum_over_traced_axes(rows, data):
 @given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(2, 30), st.sampled_from([None, 7, 1000]))
 def test_reduced_purity_from_walsh_columns_equals_purity_of_marginal(num_qubits, seed, draws, n_shot):
     rng = np.random.default_rng(seed)
-    rho = random_mixed(rng, num_qubits)
+    rho = random_depolarized(rng, num_qubits)
     tuples = rng.integers(0, 24, size=(draws, num_qubits))
     ds = collect_dataset(rho, tuples, n_shot=n_shot, seed=seed)
     for size in range(1, num_qubits):
@@ -148,14 +148,14 @@ def test_reduced_purity_from_walsh_columns_equals_purity_of_marginal(num_qubits,
 
 @pytest.mark.parametrize("keep", [set(), {0, 1, 2}, {3}, {-1}])
 def test_reduced_purity_rejects_keep_that_is_no_proper_subset(keep):
-    ds = collect_dataset(random_mixed(np.random.default_rng(1), 3), sample_local_cliffords(3, 10, 1))
+    ds = collect_dataset(random_depolarized(np.random.default_rng(1), 3), sample_local_cliffords(3, 10, 1))
     with pytest.raises(ValueError, match="proper subset|out of range"):
         estimate_rdm_purity(ds, keep)
 
 
 @pytest.mark.parametrize("n_shot", [None, 500])
 def test_dataset_caches_statistics_equal_to_the_statistic_functions(n_shot):
-    rho = random_mixed(np.random.default_rng(12), 3)
+    rho = random_depolarized(np.random.default_rng(12), 3)
     ds = collect_dataset(rho, sample_local_cliffords(3, 200, 12), n_shot=n_shot, seed=12)
     assert not {"walsh_squares", "purity_samples", "stabilizer_purity_samples"} & set(vars(ds))
     np.testing.assert_array_equal(ds.purity_samples, purity_statistic(ds.prob_vectors))
@@ -182,7 +182,7 @@ def test_statistics_reject_non_power_of_two_length():
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exhaustive_average_equals_oracles(num_qubits, seed):
-    rho = random_mixed(np.random.default_rng([seed, num_qubits]), num_qubits)
+    rho = random_depolarized(np.random.default_rng([seed, num_qubits]), num_qubits)
     tuples = sample_local_cliffords(num_qubits, 24**num_qubits, 0)
     ds = collect_dataset(rho, tuples)
     assert ds.n_samples == 24**num_qubits
@@ -191,14 +191,14 @@ def test_exhaustive_average_equals_oracles(num_qubits, seed):
     assert abs(estimate_sre(ds).mean - sre_exact(rho)) <= EXACT_TOL
     subsets = [{q} for q in range(num_qubits)] if num_qubits > 1 else []
     for keep in subsets + ([{0, 2}] if num_qubits == 3 else []):
-        oracle = purity(partial_trace(rho, keep))
+        oracle = reduced_purity(rho, keep)
         assert abs(estimate_rdm_purity(ds, keep).mean - oracle) <= EXACT_TOL
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 def test_born_probabilities_match_density_matrix_rule(num_qubits):
     rng = np.random.default_rng(num_qubits)
-    rho = random_mixed(rng, num_qubits)
+    rho = random_depolarized(rng, num_qubits)
     tuples = rng.integers(0, 24, size=(60, num_qubits))
     ds = collect_dataset(rho, tuples)
     for ids, p in zip(tuples, ds.prob_vectors):
@@ -209,7 +209,7 @@ def test_born_probabilities_match_density_matrix_rule(num_qubits):
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 40))
 def test_born_walsh_equals_integer_matmul_reference(num_qubits, seed, extra):
     rng = np.random.default_rng(seed)
-    rho = random_mixed(rng, num_qubits)
+    rho = random_depolarized(rng, num_qubits)
     # Every one of the 24 ids on each qubit, then random draws.
     every_id = np.stack([rng.permutation(24) for _ in range(num_qubits)], axis=1)
     ids = np.concatenate([every_id, rng.integers(0, 24, size=(extra, num_qubits))])
@@ -242,7 +242,7 @@ def test_dataset_rejects_ids_outside_group(bad_id):
 
 @pytest.mark.parametrize("bad_id", [-1, 24])
 def test_collect_rejects_ids_outside_group(bad_id):
-    rho = random_mixed(np.random.default_rng(0), 2)
+    rho = random_depolarized(np.random.default_rng(0), 2)
     ids, _ = _valid_dataset_inputs()
     ids[2, 1] = bad_id
     with pytest.raises(ValueError, match=r"\[0, 24\)"):
@@ -250,13 +250,13 @@ def test_collect_rejects_ids_outside_group(bad_id):
 
 
 def test_collect_rejects_wrong_qubit_count():
-    rho = random_mixed(np.random.default_rng(0), 2)
+    rho = random_depolarized(np.random.default_rng(0), 2)
     with pytest.raises(ValueError, match="one Clifford id per qubit"):
         collect_dataset(rho, np.zeros((4, 3), dtype=int))
 
 
 def test_collect_rejects_readout_of_another_register_size():
-    rho = random_mixed(np.random.default_rng(0), 2)
+    rho = random_depolarized(np.random.default_rng(0), 2)
     lam = synth_calibration_matrix([(0.02, 0.04)] * 3)
     with pytest.raises(ValueError, match="readout calibration is 8x8"):
         collect_dataset(rho, sample_local_cliffords(2, 10, 0), lam)
@@ -332,7 +332,7 @@ def _shot_noise(seed, n_shot=1000, readout=None):
 
 
 def test_shot_frequencies_are_counts_and_normalized():
-    rho = random_mixed(np.random.default_rng(4), 2)
+    rho = random_depolarized(np.random.default_rng(4), 2)
     n_shot = 1000
     ds = collect_dataset(rho, sample_local_cliffords(2, 50, 4), **_shot_noise(4, n_shot, True))
     counts = ds.prob_vectors * n_shot
@@ -342,7 +342,7 @@ def test_shot_frequencies_are_counts_and_normalized():
 
 @pytest.mark.parametrize("readout", [False, True])
 def test_same_seed_same_dataset(readout):
-    rho = random_mixed(np.random.default_rng(5), 2)
+    rho = random_depolarized(np.random.default_rng(5), 2)
     tuples = sample_local_cliffords(2, 40, 5)
     first = collect_dataset(rho, tuples, **_shot_noise(9, readout=readout))
     again = collect_dataset(rho, tuples, **_shot_noise(9, readout=readout))
@@ -352,7 +352,7 @@ def test_same_seed_same_dataset(readout):
 
 
 def test_shot_stream_is_spawn_key_one_of_the_seed():
-    rho = random_mixed(np.random.default_rng(6), 2)
+    rho = random_depolarized(np.random.default_rng(6), 2)
     tuples = sample_local_cliffords(2, 30, 6)
     exact = collect_dataset(rho, tuples).prob_vectors
     sampled = collect_dataset(rho, tuples, **_shot_noise(6, 500)).prob_vectors
@@ -361,7 +361,7 @@ def test_shot_stream_is_spawn_key_one_of_the_seed():
 
 
 def test_readout_is_calibration_product():
-    rho = random_mixed(np.random.default_rng(7), 2)
+    rho = random_depolarized(np.random.default_rng(7), 2)
     tuples = sample_local_cliffords(2, 30, 7)
     lam = synth_calibration_matrix([(0.1, 0.2), (0.05, 0.15)], correlation=0.02)
     exact = collect_dataset(rho, tuples).prob_vectors

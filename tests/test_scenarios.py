@@ -141,6 +141,33 @@ def test_wrong_json_types_are_named_errors(changes, message):
         load(**changes)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"version": 1, "state": {"circuit": {"num_qubits": 1, "gates": '
+            '[{"kind": "Rx", "qubits": [0], "angles_deg": [Infinity]}]}}}',
+            r"state.circuit.gates\[0\].angles_deg\[0\] must be a finite JSON number, not Infinity",
+        ),
+        ('{"version": 1, "state": {"id": "nlm", "params": {"theta_deg": -Infinity}}}', "state.params.theta_deg"),
+        ('{"version": 1, "state": {"id": "m"}, "noise": {"p_dep_cz": NaN}}', "noise.p_dep_cz must be a finite JSON number, not NaN"),
+        ('{"version": 1, "state": {"id": "m"}, "noise": {"readout": {"matrix": [[1, 0], [NaN, 1]]}}}', r"matrix\[1\]\[0\]"),
+        ('{"version": 1, "state": {"id": "m"}, "noise": {"readout": {"per_qubit_eps": [[0.01, 1e400]]}}}', "Infinity"),
+    ],
+    ids=["angle-inf", "param-minus-inf", "p_dep-nan", "matrix-nan", "eps-overflow"],
+)
+def test_non_finite_numbers_are_named_errors(text, message):
+    # Python's json reads NaN, Infinity and overflowing literals as floats.
+    with pytest.raises(ValueError, match=f"^scenario key .*{message}"):
+        Scenario.from_json(text)
+
+
+def test_negative_qubit_index_in_a_scenario_is_an_error():
+    gates = [{"kind": "H", "qubits": [-1]}]
+    with pytest.raises(ValueError, match=r"H qubit indices must be >= 0, not \(-1,\)"):
+        load(state={"circuit": {"num_qubits": 3, "gates": gates}})
+
+
 def test_misspelt_scenario_no_longer_loads_with_defaults():
     text = json.dumps({**BASE, "noise": {"nshot": 100}, "mitigaton": True, "n_rnd": 10})
     with pytest.raises(ValueError, match="mitigaton, n_rnd"):
