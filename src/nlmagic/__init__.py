@@ -6,9 +6,9 @@ mitigation, the closed-form erasure floor, and benchmarking fits.
 state is one ``DepolarizedState(psi, s)``, standing for
 s |psi><psi| + (1 - s) I/d: ``run_circuit`` returns it for a circuit with
 k CZs at s = p^k, and every oracle reads its closed form or its cached
-Pauli spectrum. The non-local magic of a pure state's reduced purity P_A
-is ``nonlocal_magic_noisy(P_A, 1.0)``, and the local part of M2 is
-``magic_report(state, m2_nonlocal).m2_local``.
+Pauli spectrum. The non-local magic of a pure two-qubit state is
+``nonlocal_magic(reduced_purity(state, {0}))``, and its local magic is
+``sre_exact(state)`` minus that.
 """
 
 from .qcore import (
@@ -31,14 +31,10 @@ from .noise import (
     synth_calibration_matrix,
 )
 from .magic import (
-    MagicReport,
-    SchmidtSpectrum,
     check_distillation_lemma,
-    magic_report,
+    nonlocal_magic,
     nonlocal_magic_noisy,
-    nonlocal_magic_schmidt,
     nonlocal_magic_theta,
-    schmidt_spectrum,
     sre_exact,
     sre_nlm_depolarized,
     stabilizer_purity_exact,
@@ -92,9 +88,8 @@ __all__ = [
     "Circuit", "CliffordElement", "GateSpec", "gate_matrix", "run_circuit",
     "single_qubit_clifford_group", "state_circuit",
     "CalibrationMatrix", "sample_shots", "synth_calibration_matrix",
-    "MagicReport", "SchmidtSpectrum", "check_distillation_lemma", "magic_report",
-    "nonlocal_magic_noisy", "nonlocal_magic_schmidt", "nonlocal_magic_theta",
-    "schmidt_spectrum", "sre_exact", "sre_nlm_depolarized", "stabilizer_purity_exact",
+    "check_distillation_lemma", "nonlocal_magic", "nonlocal_magic_noisy", "nonlocal_magic_theta",
+    "sre_exact", "sre_nlm_depolarized", "stabilizer_purity_exact",
     "EstimateWithError", "RcmDataset", "collect_dataset", "estimate_purity",
     "estimate_rdm_purity", "estimate_sre", "estimate_stabilizer_purity",
     "sample_local_cliffords",

@@ -22,7 +22,7 @@ class FitFailureError(RuntimeError):
     """The decay fit left the physical parameter range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayCurve:
     """Survival probability versus number of random gates."""
 

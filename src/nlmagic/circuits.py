@@ -156,7 +156,7 @@ def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DepolarizedState:
 # Single-qubit Clifford group
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordElement:
     """A single-qubit Clifford unitary, canonicalized modulo global phase."""
 
@@ -208,21 +208,20 @@ def single_qubit_clifford_group() -> tuple[CliffordElement, ...]:
 # ---------------------------------------------------------------------------
 # Named preparation circuits
 
-STATE_IDS = frozenset(
-    {
-        "psi0",
-        "psi1",
-        "psi2",
-        "psi3",
-        "psi4",
-        "lm",
-        "lm_erased",
-        "m",
-        "m_erased",
-        "nlm",
-        "m_sweep",
-    }
-)
+# Each catalogue id with the parameters (radians) it accepts.
+STATE_PARAMS = {
+    "psi0": (),
+    "psi1": ("phase",),
+    "psi2": ("phase",),
+    "psi3": ("phase0", "phase1"),
+    "psi4": (),
+    "lm": (),
+    "lm_erased": (),
+    "m": (),
+    "m_erased": (),
+    "nlm": ("theta",),
+    "m_sweep": ("gamma", "phi"),
+}
 
 # Rz(3*pi/8) turns the pi/8 phase injected by the m-state circuit into the
 # Clifford phase pi/2, which removes all of its locally erasable magic.
@@ -232,13 +231,17 @@ M_ERASE_ANGLE = 3 * np.pi / 8
 def state_circuit(state_id: str, params: Optional[Mapping[str, float]] = None) -> Circuit:
     """Gate list for one of the named benchmark states.
 
-    ``params`` uses radians. ``psi1``/``psi2``/``psi3`` accept optional
-    ``phase`` (``phase0``/``phase1`` for psi3) appending an Rz; ``nlm``
-    requires ``theta``; ``m_sweep`` requires ``gamma`` and ``phi``.
+    ``params`` uses radians and takes only the keys ``STATE_PARAMS`` lists
+    for the id. ``psi1``/``psi2``/``psi3`` accept optional ``phase``
+    (``phase0``/``phase1`` for psi3) appending an Rz; ``nlm`` requires
+    ``theta``; ``m_sweep`` requires ``gamma`` and ``phi``.
     """
     params = dict(params or {})
-    if state_id not in STATE_IDS:
+    if state_id not in STATE_PARAMS:
         raise ValueError(f"unknown state id {state_id!r}")
+    if unknown := sorted(set(params) - set(STATE_PARAMS[state_id])):
+        accepted = ", ".join(STATE_PARAMS[state_id]) or "none"
+        raise ValueError(f"state {state_id!r} takes no parameter {', '.join(unknown)} (it takes {accepted})")
 
     def phase_gate(qubit, key="phase"):
         if key in params:

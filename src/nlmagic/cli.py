@@ -27,7 +27,7 @@ import numpy as np
 
 from .benchfit import avg_gate_fidelity, decay_curve_from_csv, fit_exp_decay
 from .erasure import degree_grid, landscape_to_csv, sweep_landscape
-from .magic import magic_report
+from .magic import sre_exact, stabilizer_purity_exact
 from .mitigation import (
     InitializationCounts,
     calibration_from_counts,
@@ -35,7 +35,7 @@ from .mitigation import (
     readout_fidelity,
 )
 from .noise import CalibrationMatrix
-from .qcore import reduced_purity
+from .qcore import purity, reduced_purity
 from .rcm import exhaustive_size
 from .scenarios import (
     Report,
@@ -155,11 +155,10 @@ def _emit(report: Report, args) -> int:
 def _cmd_magic_exact(args) -> int:
     scenario = _load_scenario(args)
     state = scenario.prepare()
-    oracles = magic_report(state)
     report = Report(name=f"{scenario.name}-exact", seed=scenario.seed)
-    report.values.append(ReportValue("purity", "oracle", oracles.purity))
-    report.values.append(ReportValue("stab_purity", "oracle", oracles.stabilizer_purity))
-    report.values.append(ReportValue("sre", "oracle", oracles.m2))
+    report.values.append(ReportValue("purity", "oracle", purity(state)))
+    report.values.append(ReportValue("stab_purity", "oracle", stabilizer_purity_exact(state)))
+    report.values.append(ReportValue("sre", "oracle", sre_exact(state)))
     if state.num_qubits == 2:
         report.values.append(ReportValue("rdm_purity[0]", "oracle", reduced_purity(state, {0})))
     return _emit(report, args)

@@ -70,7 +70,7 @@ class OptConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErasureResult:
     angles: ErasureAngles
     residual_m2: float

@@ -11,62 +11,22 @@ extends it to mixed states. M2 vanishes exactly on stabilizer states and on
 the maximally mixed state, and is invariant under Clifford conjugation.
 
 For two qubits the non-local part (the minimum of M2 over local unitaries)
-is a closed function of the Schmidt weight lambda, and hence of the purity
-of either single-qubit reduced state, which is what makes it measurable
-without tomography.
+of a pure state is a polynomial in the purity P_A of either single-qubit
+reduced state,
+
+    M_NL = -log2(4 P_A^2 - 6 P_A + 3),    P_A in [1/2, 1],
+
+which is what makes it measurable without tomography. (With Schmidt weight
+lambda, P_A = lambda^2 + (1 - lambda)^2.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .qcore import DepolarizedState, purity
-
-LOG2_4_3 = np.log2(4.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class MagicReport:
-    purity: float
-    stabilizer_purity: float
-    m2: float
-    m2_nonlocal: Optional[float] = None
-    m2_local: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.stabilizer_purity <= 1.0:
-            raise ValueError("stabilizer purity must lie in (0, 1]")
-        if self.m2 < -1e-10:
-            raise ValueError("m2 must be nonnegative up to 1e-10")
-        if self.m2_nonlocal is not None and self.m2_local is not None:
-            if abs(self.m2_local - (self.m2 - self.m2_nonlocal)) > 1e-12:
-                raise ValueError("m2_local must equal m2 - m2_nonlocal")
-
-
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Two-qubit Schmidt weights {lambda, 1-lambda}, with lambda >= 1/2."""
-
-    lam: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.5 <= self.lam <= 1.0 + 1e-12:
-            raise ValueError("canonical Schmidt weight must lie in [0.5, 1]")
-        if abs(self.lam - np.cos(self.theta / 2) ** 2) > 1e-12:
-            raise ValueError("lambda and theta are inconsistent")
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "SchmidtSpectrum":
-        lam = float(lam)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
-        lam = max(lam, 1.0 - lam)
-        lam = min(lam, 1.0)
-        return cls(lam, 2.0 * np.arccos(np.sqrt(lam)))
+from .qcore import ATOL_STRUCT, DepolarizedState, purity, reduced_purity
 
 
 def schmidt_decomposition(state: DepolarizedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,22 +38,10 @@ def schmidt_decomposition(state: DepolarizedState) -> tuple[np.ndarray, np.ndarr
     return np.linalg.svd(state.psi.reshape(2, 2))
 
 
-def schmidt_spectrum(state: DepolarizedState) -> SchmidtSpectrum:
-    """Schmidt weight of a pure two-qubit state (largest weight first)."""
-    _, sigma, _ = schmidt_decomposition(state)
-    if purity(state) < 1.0 - 1e-9:
-        raise ValueError("state must be pure to read off Schmidt weights")
-    return SchmidtSpectrum.from_lambda(min(float(sigma[0] ** 2), 1.0))
-
-
 def stabilizer_purity_exact(state: DepolarizedState) -> float:
     """W(rho) = d^-2 sum_P Tr(P rho)^4 over the cached Pauli spectrum."""
-    return _stabilizer_purity(state.pauli_spectrum, state.dim)
-
-
-def _stabilizer_purity(t: np.ndarray, dim: int) -> float:
     # Squared twice, as in M2: t ** 4 would call pow() per entry.
-    return float(((t**2) ** 2).sum()) / dim**2
+    return float(((state.pauli_spectrum**2) ** 2).sum()) / state.dim**2
 
 
 def sre_exact(state: DepolarizedState) -> float:
@@ -113,32 +61,22 @@ def m2_from_purities(w, pur, dim: int):
     return -np.log2(w) + np.log2(pur) - np.log2(dim)
 
 
-def magic_report(state: DepolarizedState, m2_nonlocal: Optional[float] = None) -> MagicReport:
-    """Purity, W and M2 of ``state`` (W and M2 from its cached Pauli
-    spectrum), and the local part of M2 when the non-local part is given."""
-    t = state.pauli_spectrum
-    m2 = float(m2_from_expectations(t, state.dim))
-    if m2_nonlocal is not None and m2_nonlocal > m2 + 1e-9:
-        raise ValueError(f"non-local magic {m2_nonlocal} exceeds total {m2}")
-    return MagicReport(
-        purity=purity(state),
-        stabilizer_purity=_stabilizer_purity(t, state.dim),
-        m2=m2,
-        m2_nonlocal=m2_nonlocal,
-        m2_local=None if m2_nonlocal is None else m2 - m2_nonlocal,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Closed forms for two-qubit non-local magic
 
 
-def nonlocal_magic_schmidt(lam: float) -> float:
-    """M_NL = -log2(4 (lam-1) lam (1-2 lam)^2 + 1) for Schmidt weight lam."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+def nonlocal_magic(p_a: float) -> float:
+    """M_NL = -log2(4 P_A^2 - 6 P_A + 3) of a pure two-qubit state whose
+    single-qubit reduced purity is P_A in [1/2, 1].
+
+    A P_A within ATOL_STRUCT outside that interval is rounding (a Bell
+    state's purity sums to 0.5 - 5.6e-16) and is clamped onto it.
+    """
+    if not 0.5 - ATOL_STRUCT <= p_a <= 1.0 + ATOL_STRUCT:
+        raise ValueError(f"reduced purity {p_a} of a pure two-qubit state must lie in [0.5, 1]")
+    p_a = min(max(p_a, 0.5), 1.0)
     # 0.0 - log2(1) is +0.0, where -log2(1) would be -0.0.
-    return float(0.0 - np.log2(4.0 * (lam - 1.0) * lam * (1.0 - 2.0 * lam) ** 2 + 1.0))
+    return float(0.0 - np.log2(4.0 * p_a**2 - 6.0 * p_a + 3.0))
 
 
 def nonlocal_magic_theta(theta: float) -> float:
@@ -146,39 +84,28 @@ def nonlocal_magic_theta(theta: float) -> float:
     return float(np.log2(8.0 / (7.0 + np.cos(4.0 * theta))))
 
 
-def rdm_purity_noisy(lam: float, p_dep: float) -> float:
-    """Reduced purity of a Schmidt-form state after global depolarizing.
-
-    Tr(rho_A^2) = p^2 (lam^2 + (1-lam)^2) + p (1-p) + (1-p)^2 / 2.
-    """
-    pure = lam**2 + (1.0 - lam) ** 2
-    return p_dep**2 * pure + p_dep * (1.0 - p_dep) + (1.0 - p_dep) ** 2 / 2.0
-
-
 class OutOfModelError(ValueError):
     """A measured value is incompatible with the assumed noise model."""
 
 
 def nonlocal_magic_noisy(p_a_measured: float, p_dep: float, atol: float = 1e-9) -> float:
-    """Invert the depolarized reduced-purity relation and evaluate M_NL.
+    """Undo global depolarizing on a measured reduced purity and evaluate M_NL.
 
-    Solves Tr(rho_A^2) = p^2 (lam^2 + (1-lam)^2) + p(1-p) + (1-p)^2/2 for
-    the Schmidt weight lam in [0.5, 1] and plugs it into the closed form.
-    A measured purity outside the attainable interval (beyond ``atol``)
-    signals a mismatch with the global depolarizing model and raises.
+    The channel maps the pure-state reduced purity P_A affinely,
+    Tr(rho_A^2) = p^2 P_A + p(1-p) + (1-p)^2/2, so P_A follows by inverting
+    that map and is clamped onto [1/2, 1]. A measured purity outside the
+    attainable interval (beyond ``atol``) signals a mismatch with the
+    global depolarizing model and raises.
     """
     if not 0.0 < p_dep <= 1.0:
         raise ValueError("p_dep must lie in (0, 1]")
-    lo = rdm_purity_noisy(0.5, p_dep)
-    hi = rdm_purity_noisy(1.0, p_dep)
-    if p_a_measured < lo - atol or p_a_measured > hi + atol:
+    offset = p_dep * (1.0 - p_dep) + (1.0 - p_dep) ** 2 / 2.0
+    lo, hi = p_dep**2 / 2.0 + offset, p_dep**2 + offset
+    if not lo - atol <= p_a_measured <= hi + atol:
         raise OutOfModelError(
             f"reduced purity {p_a_measured} outside attainable [{lo}, {hi}]"
         )
-    pure = (min(max(p_a_measured, lo), hi) - p_dep * (1.0 - p_dep) - (1.0 - p_dep) ** 2 / 2.0) / p_dep**2
-    # lam^2 + (1-lam)^2 = pure  =>  lam = (1 + sqrt(2 pure - 1)) / 2
-    lam = 0.5 * (1.0 + np.sqrt(max(2.0 * pure - 1.0, 0.0)))
-    return nonlocal_magic_schmidt(lam)
+    return nonlocal_magic(min(max((p_a_measured - offset) / p_dep**2, 0.5), 1.0))
 
 
 def sre_nlm_depolarized(p_err: float, theta: float) -> float:
@@ -206,9 +133,11 @@ def check_distillation_lemma(psi: DepolarizedState, c_factorized: np.ndarray) ->
     B (qubit 1); an ancilla in |0> is appended as qubit 2 and
     ``c_factorized`` (an 8x8 Clifford of the form C_A (x) C_BC) is applied.
     If the output splits as psi' on (A, B) times phi on the ancilla, returns
-    True when M2(phi) <= local magic of psi (up to 1e-9), False when the
-    bound is violated. Returns None when the output does not factorize,
-    which makes the bound inapplicable rather than violated. The output is
+    True when M2(phi) <= the local magic of psi (up to 1e-9), False when
+    the bound is violated. The local magic is M2(psi) minus the non-local
+    magic ``nonlocal_magic(P_A)`` of qubit 0's reduced purity P_A. Returns
+    None when the output does not factorize, which makes the bound
+    inapplicable rather than violated. The output is
     read as a 4x2 matrix (A B, ancilla), whose SVD sigma_0 u_0 vh_0 +
     sigma_1 u_1 vh_1 gives the ancilla's purity 1 - 2 sigma_0^2 sigma_1^2
     and, when that is 1, phi = vh_0.
@@ -226,6 +155,5 @@ def check_distillation_lemma(psi: DepolarizedState, c_factorized: np.ndarray) ->
     _, sigma, vh = np.linalg.svd(out.reshape(4, 2))
     if 2.0 * (sigma[0] * sigma[1]) ** 2 > 1e-9:
         return None
-    spec = schmidt_spectrum(psi)
-    m_local = magic_report(psi, nonlocal_magic_schmidt(spec.lam)).m2_local
+    m_local = sre_exact(psi) - nonlocal_magic(reduced_purity(psi, {0}))
     return sre_exact(DepolarizedState(vh[0])) <= m_local + 1e-9

@@ -27,7 +27,7 @@ class ConvergenceError(RuntimeError):
     """The solver hit its step cap before every row reached the optimum."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitializationCounts:
     """Counts of measured outcomes per prepared computational state.
 

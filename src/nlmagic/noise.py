@@ -19,7 +19,7 @@ import numpy as np
 _ATOL_COLUMN = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationMatrix:
     """Column-stochastic matrix of readout probabilities p(measured i | prepared j)."""
 

@@ -63,7 +63,7 @@ def pauli_matrix_stack(num_qubits: int) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepolarizedState:
     """rho = s |psi><psi| + (1 - s) I/d, from a unit vector ``psi`` of
     length d = 2^N and the survival ``survival`` = s; ``num_qubits`` is N.

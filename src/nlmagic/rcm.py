@@ -86,7 +86,7 @@ def _check_ids(ids: np.ndarray) -> None:
         raise ValueError("Clifford ids must lie in [0, 24)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RcmDataset:
     """Outcome probability vectors for a sequence of Clifford draws.
 

@@ -22,9 +22,9 @@ import numpy as np
 from .circuits import Circuit, GateSpec, state_circuit, run_circuit
 from .erasure import degree_grid, landscape_to_csv, sweep_landscape
 from .magic import (
+    nonlocal_magic,
     nonlocal_magic_noisy,
     nonlocal_magic_theta,
-    schmidt_spectrum,
     sre_exact,
     sre_nlm_depolarized,
     stabilizer_purity_exact,
@@ -137,11 +137,13 @@ class Scenario:
         if self.mitigation and self.readout is None:
             raise ValueError("mitigation needs a readout calibration matrix")
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        # A catalogue circuit is built here, once, so a bad id or parameter
+        # fails on construction as a bad explicit circuit does.
+        built = self.circuit or state_circuit(self.state_id, self.state_params)
+        object.__setattr__(self, "_built", built)
 
     def build_circuit(self) -> Circuit:
-        if self.circuit is not None:
-            return self.circuit
-        return state_circuit(self.state_id, self.state_params)
+        return self._built
 
     def prepare(self) -> DepolarizedState:
         """The state (psi, s) the circuit prepares under the depolarizing noise."""
@@ -543,7 +545,7 @@ def report_fig4(seed: int = 0) -> Report:
     clean = run_circuit(base)
     noisy_sweep = sweep_landscape(noisy, grid, grid)
     clean_sweep = sweep_landscape(clean, grid, grid)
-    nl_oracle = nonlocal_magic_theta(schmidt_spectrum(clean).theta)
+    nl_oracle = nonlocal_magic(reduced_purity(clean, {0}))
 
     report = Report(name="fig4", seed=seed)
     report.values.append(

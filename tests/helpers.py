@@ -95,6 +95,18 @@ def loop_clifford_group() -> list[np.ndarray]:
     return elements
 
 
+def nonlocal_magic_schmidt(lam: float) -> float:
+    """Reference two-qubit non-local magic in the Schmidt weight lam,
+    -log2(4 (lam - 1) lam (1 - 2 lam)^2 + 1): the reduced-purity form with
+    P_A = lam^2 + (1 - lam)^2 substituted."""
+    return float(-np.log2(4.0 * (lam - 1.0) * lam * (1.0 - 2.0 * lam) ** 2 + 1.0))
+
+
+def schmidt_state(lam: float, survival: float = 1.0) -> DepolarizedState:
+    """sqrt(lam)|00> + sqrt(1 - lam)|11> at the given survival."""
+    return DepolarizedState([np.sqrt(lam), 0.0, 0.0, np.sqrt(1.0 - lam)], survival)
+
+
 def expectations_from_matrix(mat: np.ndarray, num_qubits: int) -> np.ndarray:
     """Reference Pauli spectrum Re Tr(P mat) of an explicit d x d matrix by
     per-qubit contraction: mat as (2,)*2N, each qubit's (row, column) pair

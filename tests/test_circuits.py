@@ -14,7 +14,7 @@ from nlmagic import (
     sre_exact,
     state_circuit,
 )
-from nlmagic.circuits import _N_ANGLES, STATE_IDS, canonical_phase
+from nlmagic.circuits import _N_ANGLES, STATE_PARAMS, canonical_phase
 
 from helpers import density_matrix, kron_run_circuit, loop_clifford_group
 
@@ -168,7 +168,7 @@ def test_noisy_circuit_is_depolarized_pure_state(circuit, p):
     assert np.max(np.abs(density_matrix(state) - closed)) <= 1e-14
 
 
-CATALOGUE = [(sid, None) for sid in sorted(STATE_IDS - {"nlm", "m_sweep"})]
+CATALOGUE = [(sid, None) for sid in sorted(set(STATE_PARAMS) - {"nlm", "m_sweep"})]
 CATALOGUE += [("nlm", {"theta": t}) for t in np.deg2rad(np.arange(0, 181, 5))]
 CATALOGUE += [
     ("m_sweep", {"gamma": g, "phi": f}) for g in np.linspace(0, 2 * np.pi, 9) for f in np.linspace(0, 2 * np.pi, 9)
@@ -289,6 +289,19 @@ def test_state_circuit_errors():
         state_circuit("nlm")
     with pytest.raises(ValueError):
         state_circuit("m_sweep", {"gamma": 0.1})
+
+
+@pytest.mark.parametrize(
+    "state_id, params, key, accepted",
+    [
+        ("m", {"theta": 0.5}, "theta", "none"),
+        ("psi3", {"phase": 0.1}, "phase", "phase0, phase1"),
+        ("nlm", {"theta": 0.1, "gamma": 0.2}, "gamma", "theta"),
+    ],
+)
+def test_unknown_state_parameters_are_named_errors(state_id, params, key, accepted):
+    with pytest.raises(ValueError, match=rf"^state '{state_id}' takes no parameter {key} \(it takes {accepted}\)$"):
+        state_circuit(state_id, params)
 
 
 def test_m_sweep_appends_rotations():

@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlmagic import CalibrationMatrix, mitigate_least_squares, qcore
+from nlmagic import (
+    CalibrationMatrix,
+    mitigate_least_squares,
+    purity,
+    qcore,
+    run_circuit,
+    sre_exact,
+    stabilizer_purity_exact,
+    state_circuit,
+)
 from nlmagic.cli import build_parser, main
 
 SCENARIO = {
@@ -247,13 +256,16 @@ def test_bad_gates_in_a_scenario_are_clear_errors(gate, message, tmp_path, capsy
 
 
 def test_magic_exact_computes_one_pauli_spectrum(scenario_path, monkeypatch, capsys):
+    fresh = run_circuit(state_circuit("m"), SCENARIO["noise"]["p_dep_cz"])
+    expected = {"purity": purity(fresh), "stab_purity": stabilizer_purity_exact(fresh), "sre": sre_exact(fresh)}
     calls = []
     real = qcore.pure_pauli_spectrum
     monkeypatch.setattr(qcore, "pure_pauli_spectrum", lambda *a: calls.append(a) or real(*a))
-    code, out, _ = run(capsys, ["magic", "exact", "--scenario", str(scenario_path)])
+    code, out, _ = run(capsys, ["magic", "exact", "--scenario", str(scenario_path), "--format", "json"])
     assert code == 0
     assert len(calls) == 1
-    assert "stab_purity" in out
+    values = {v["name"]: v["value"] for v in json.loads(out)["values"]}
+    assert {k: values[k] for k in expected} == expected
 
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, capsys):

@@ -9,12 +9,12 @@ from nlmagic import (
     ErasureAngles,
     OptConfig,
     erasure_objective,
-    nonlocal_magic_schmidt,
+    nonlocal_magic,
     nonlocal_magic_theta,
     optimize_erasure,
     report_fig4,
+    reduced_purity,
     run_circuit,
-    schmidt_spectrum,
     sre_nlm_depolarized,
     state_circuit,
     sweep_landscape,
@@ -45,6 +45,7 @@ from helpers import (
     per_row_pair_m2,
     random_depolarized,
     random_pure,
+    schmidt_state,
     stack_spectrum,
 )
 
@@ -154,7 +155,7 @@ def _schmidt_state(lam, euler, s=1.0) -> DepolarizedState:
         rz_matrix(euler[0]) @ ry_matrix(euler[1]) @ rz_matrix(euler[2]),
         rz_matrix(euler[3]) @ ry_matrix(euler[4]) @ rz_matrix(euler[5]),
     )
-    return DepolarizedState(u @ np.array([np.sqrt(lam), 0.0, 0.0, np.sqrt(1.0 - lam)]), s)
+    return DepolarizedState(u @ schmidt_state(lam).psi, s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,7 +163,7 @@ def _schmidt_state(lam, euler, s=1.0) -> DepolarizedState:
 def test_floor_of_pure_states_is_their_nonlocal_magic(lam, euler):
     rho = _schmidt_state(lam, euler)
     result = optimize_erasure(rho)
-    assert abs(result.residual_m2 - nonlocal_magic_schmidt(schmidt_spectrum(rho).lam)) <= 1e-12
+    assert abs(result.residual_m2 - nonlocal_magic(reduced_purity(rho, {0}))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,7 +203,8 @@ def test_floor_matches_the_explicit_matrix(seed, s):
 
 @pytest.mark.parametrize("p", [0.99, 0.959, 0.9, 0.7])
 def test_floor_of_depolarized_m_is_closed_form(p):
-    theta = schmidt_spectrum(run_circuit(state_circuit("m"))).theta
+    # The m circuit's Rx(pi/8) sets its Schmidt angle: lam = cos^2(pi/16).
+    theta = np.pi / 8
     result = optimize_erasure(run_circuit(state_circuit("m"), p))
     assert abs(result.residual_m2 - sre_nlm_depolarized(1.0 - p, theta)) <= 1e-12
 
@@ -228,7 +230,7 @@ def test_noise_free_sweep_minimum_is_nonlocal_magic():
     rho = run_circuit(state_circuit("m"))
     grid = np.deg2rad(np.arange(0.0, 360.0, 22.5))
     result = sweep_landscape(rho, grid, grid)
-    expected = nonlocal_magic_theta(schmidt_spectrum(rho).theta)
+    expected = nonlocal_magic_theta(np.pi / 8)
     assert abs(result.residual_m2 - expected) <= 1e-10
 
 

@@ -9,35 +9,45 @@ from hypothesis import strategies as st
 from nlmagic import (
     DepolarizedState,
     OptConfig,
-    magic_report,
+    nonlocal_magic,
     nonlocal_magic_noisy,
-    nonlocal_magic_schmidt,
+    nonlocal_magic_theta,
     optimize_erasure,
-    purity,
+    reduced_purity,
     report_fig4,
     run_circuit,
-    schmidt_spectrum,
     sre_exact,
     sre_nlm_depolarized,
-    stabilizer_purity_exact,
     state_circuit,
 )
-from nlmagic import magic, qcore
+from nlmagic import magic
 from nlmagic.circuits import H_MATRIX
 from nlmagic.qcore import pauli_matrix_stack
 
-from helpers import density_matrix, partial_trace, random_pure
+from helpers import density_matrix, nonlocal_magic_schmidt, partial_trace, random_pure, schmidt_state
+
+EPS = np.finfo(float).eps
 
 
 def test_nonlocal_magic_of_maximal_entanglement_is_positive_zero():
-    assert math.copysign(1.0, nonlocal_magic_schmidt(0.5)) == 1.0
+    assert math.copysign(1.0, nonlocal_magic(0.5)) == 1.0
+    assert math.copysign(1.0, nonlocal_magic(1.0)) == 1.0
     assert math.copysign(1.0, nonlocal_magic_noisy(0.5, 1.0)) == 1.0
+    # The Bell state's reduced purity sums to 0.5 - 5.6e-16.
+    bell = run_circuit(state_circuit("psi4"))
+    assert math.copysign(1.0, nonlocal_magic(reduced_purity(bell, {0}))) == 1.0
+
+
+@pytest.mark.parametrize("p_a", [0.4, 1.1, float("nan")])
+def test_nonlocal_magic_rejects_a_purity_outside_its_domain(p_a):
+    with pytest.raises(ValueError, match=r"must lie in \[0.5, 1\]"):
+        nonlocal_magic(p_a)
 
 
 @pytest.mark.parametrize("p_dep", [1.0, 0.959, 0.5, 0.1])
 def test_noisy_inversion_recovers_the_schmidt_closed_form(p_dep):
     for lam in np.linspace(0.5, 1.0, 401):
-        measured = magic.rdm_purity_noisy(lam, p_dep)
+        measured = reduced_purity(schmidt_state(lam, p_dep), {0})
         assert abs(nonlocal_magic_noisy(measured, p_dep) - nonlocal_magic_schmidt(lam)) <= 1e-12
 
 
@@ -46,6 +56,22 @@ def test_noise_free_inversion_is_the_reduced_purity_closed_form():
     for p_a in np.linspace(0.5, 1.0, 201):
         expected = -np.log2(4.0 * p_a**2 - 6.0 * p_a + 3.0)
         assert abs(nonlocal_magic_noisy(p_a, 1.0) - expected) <= 1e-12
+        assert nonlocal_magic(p_a) == nonlocal_magic_noisy(p_a, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-2 * np.pi, 2 * np.pi))
+def test_one_formula_matches_schmidt_erasure_and_theta_forms(seed, theta):
+    state = random_pure(np.random.default_rng(seed), 2)
+    m_nl = nonlocal_magic(reduced_purity(state, {0}))
+    lam = np.linalg.eigvalsh(partial_trace(density_matrix(state), {0}))[-1]
+    # Measured over 3,000 states (and 3,000 angles): at most 16 eps against
+    # the Schmidt form, 14 eps against the erasure floor and 19 eps against
+    # the theta form; each bound leaves a factor of four.
+    assert abs(m_nl - nonlocal_magic_schmidt(lam)) <= 64 * EPS
+    assert abs(m_nl - optimize_erasure(state).residual_m2) <= 64 * EPS
+    nlm = run_circuit(state_circuit("nlm", {"theta": theta}))
+    assert abs(nonlocal_magic(reduced_purity(nlm, {0})) - nonlocal_magic_theta(theta)) <= 64 * EPS
 
 
 @pytest.mark.parametrize("survival", [1.0, 0.99, 0.95, 0.8, 0.5, 0.0])
@@ -84,36 +110,10 @@ def test_sre_is_additive_at_ten_qubits_within_a_memory_bound():
 def test_oracles_build_no_pauli_matrix_stack():
     pauli_matrix_stack.cache_clear()
     rho = run_circuit(state_circuit("m"))
-    magic_report(rho)
+    sre_exact(rho)
     optimize_erasure(rho, OptConfig(seed=0))
     report_fig4()
     assert pauli_matrix_stack.cache_info().currsize == 0
-
-
-def test_magic_report_computes_one_pauli_spectrum(monkeypatch):
-    fresh = run_circuit(state_circuit("m"), 0.95)
-    expected = (purity(fresh), stabilizer_purity_exact(fresh), sre_exact(fresh))
-    calls = []
-    real = qcore.pure_pauli_spectrum
-    monkeypatch.setattr(qcore, "pure_pauli_spectrum", lambda *a: calls.append(a) or real(*a))
-    rho = run_circuit(state_circuit("m"), 0.95)
-    report = magic_report(rho, 0.1)
-    assert (stabilizer_purity_exact(rho), sre_exact(rho)) == expected[1:]
-    assert len(calls) == 1
-    assert (report.purity, report.stabilizer_purity, report.m2) == expected
-    assert report.m2_local == report.m2 - 0.1
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_schmidt_spectrum_matches_the_explicit_reduced_state(seed):
-    state = random_pure(np.random.default_rng(seed), 2)
-    reduced = partial_trace(density_matrix(state), {0})
-    # The SVD of psi against the spectrum of rho_A: measured 5 eps over
-    # 2,000 states.
-    assert abs(schmidt_spectrum(state).lam - np.linalg.eigvalsh(reduced)[-1]) <= 16 * np.finfo(float).eps
-    with pytest.raises(ValueError, match="must be pure"):
-        schmidt_spectrum(DepolarizedState(state.psi, 0.99))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_a_non_factorized_clifford_violates_the_distillation_bound():
     # sqrt(lam)|00> + sqrt(1 - lam)|11> it leaves (A, B) in |00> and moves
     # the non-local magic onto the ancilla, beyond the (zero) local magic.
     lam = 0.8
-    psi = DepolarizedState([np.sqrt(lam), 0, 0, np.sqrt(1 - lam)])
+    psi = schmidt_state(lam)
     c = np.zeros((8, 8))
     for a, b, anc in np.ndindex(2, 2, 2):
         c[4 * anc + 2 * (a ^ b) + a, 4 * a + 2 * b + anc] = 1.0

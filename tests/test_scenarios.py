@@ -66,8 +66,10 @@ def test_from_json_defaults():
         ({"state": {"id": "m", "circuit": {"num_qubits": 1, "gates": []}}}, "exactly one"),
         ({"state": {}}, "exactly one"),
         ({"state": None}, "exactly one"),
+        ({"state": {"id": "m", "params": {"theta_deg": 30}}}, "state 'm' takes no parameter theta"),
+        ({"state": {"id": "bogus"}}, "unknown state id 'bogus'"),
     ],
-    ids=["version", "estimator", "id-and-circuit", "neither", "no-state"],
+    ids=["version", "estimator", "id-and-circuit", "neither", "no-state", "unknown-param", "unknown-id"],
 )
 def test_from_json_rejects_bad_scenarios(changes, message):
     with pytest.raises(ValueError, match=message):
