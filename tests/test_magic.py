@@ -13,14 +13,16 @@ from nlmagic import (
     nonlocal_magic_noisy,
     nonlocal_magic_theta,
     optimize_erasure,
+    purity,
     reduced_purity,
     report_fig4,
     run_circuit,
     sre_exact,
     sre_nlm_depolarized,
+    stabilizer_purity_exact,
     state_circuit,
 )
-from nlmagic import magic
+from nlmagic import magic, qcore
 from nlmagic.circuits import H_MATRIX
 from nlmagic.qcore import pauli_matrix_stack
 
@@ -105,6 +107,22 @@ def test_sre_is_additive_at_ten_qubits_within_a_memory_bound():
     # 64.0 MiB, four such arrays at once inside one per-axis product. The
     # bound leaves a quarter more.
     assert peak_mb < 80.0
+
+
+def test_magic_report_computes_one_pauli_spectrum(monkeypatch):
+    fresh = run_circuit(state_circuit("m"), 0.95)
+    expected = (purity(fresh), stabilizer_purity_exact(fresh), sre_exact(fresh), reduced_purity(fresh, {0}))
+    clean_nlm = nonlocal_magic(reduced_purity(run_circuit(state_circuit("m")), {0}))
+    calls = []
+    real = qcore.pure_pauli_spectrum
+    monkeypatch.setattr(qcore, "pure_pauli_spectrum", lambda *a: calls.append(a) or real(*a))
+    rho = run_circuit(state_circuit("m"), 0.95)
+    report = (purity(rho), stabilizer_purity_exact(rho), sre_exact(rho), reduced_purity(rho, {0}))
+    assert (stabilizer_purity_exact(rho), sre_exact(rho)) == expected[1:3]
+    assert len(calls) == 1
+    assert report == expected
+    # The non-local part of the SRE, read off the same spectrum.
+    assert abs(nonlocal_magic_noisy(report[3], rho.survival) - clean_nlm) <= 1e-12
 
 
 def test_oracles_build_no_pauli_matrix_stack():
