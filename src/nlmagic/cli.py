@@ -36,7 +36,6 @@ from .mitigation import (
 )
 from .noise import CalibrationMatrix
 from .qcore import purity, reduced_purity
-from .rcm import exhaustive_size
 from .scenarios import (
     Report,
     ReportValue,
@@ -92,7 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--exhaustive",
         action="store_true",
-        help="use every Clifford tuple exactly once",
+        help=(
+            "measure each of the 6^N signed Pauli bases once instead of n_rand random draws "
+            "(N <= 6): the mean is the exact 24^N Clifford average, sample_std the spread of "
+            "the Clifford ensemble and sampling_error that of a 6^N-draw i.i.d. mean; "
+            "n_shot shots are drawn for each basis"
+        ),
     )
 
     p_mit = sub.add_parser("mitigate", help="readout error mitigation")
@@ -165,11 +169,7 @@ def _cmd_magic_exact(args) -> int:
 
 
 def _cmd_rcm_estimate(args) -> int:
-    scenario = _load_scenario(args)
-    if args.exhaustive:
-        n = scenario.build_circuit().num_qubits
-        scenario = dataclasses.replace(scenario, n_rand=exhaustive_size(n))
-    return _emit(run_scenario(scenario), args)
+    return _emit(run_scenario(_load_scenario(args), args.exhaustive), args)
 
 
 def _cmd_mitigate(args) -> int:

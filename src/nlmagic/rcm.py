@@ -35,6 +35,15 @@ as the cache. Means, sample standard deviations (the N-1 form) and
 sampling errors s/sqrt(N) are reported for every estimator. The same shot
 data serves both statistics; their O(1/N_shot) plug-in bias is accepted
 and left uncorrected.
+
+Since a draw acts only through the signed Paulis C^dag Z C, and each of
+the six is the image of four Cliffords, the exact average over all 24^N
+tuples is the uniform average over the 6^N signed Pauli bases of
+``signed_bases`` (the random Pauli measurements of Huang, Kueng and
+Preskill, Nat. Phys. 2020). For that exhaustive average the mean is exact;
+``sample_std`` is the per-draw spread of the Clifford ensemble, and
+``sampling_error`` is the standard error that a mean of 6^N i.i.d. draws
+would have, not an error of the exact value.
 """
 
 from __future__ import annotations
@@ -45,10 +54,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import single_qubit_clifford_group
 from .magic import m2_from_purities
 from .noise import CalibrationMatrix, clean_probability_vector, sample_shots
-from .qcore import PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState, kept_qubits
+from .qcore import DepolarizedState, kept_qubits
 
 _LN2 = float(np.log(2.0))
 
@@ -59,7 +67,13 @@ class UndersampledDataError(ValueError):
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """Mean, spread and finite-sampling error of a per-draw statistic."""
+    """Mean, spread and finite-sampling error of a per-draw statistic.
+
+    ``sample_std`` is the spread of the statistic over the draws and
+    ``sampling_error`` = sample_std / sqrt(n_samples) the standard error of
+    an i.i.d. mean. Over the 6^N signed bases the mean is exact, and the
+    two fields describe the Clifford ensemble, not an error of the mean.
+    """
 
     mean: float
     sample_std: float
@@ -144,47 +158,52 @@ class RcmDataset:
 
 
 def sample_local_cliffords(n_qubits: int, n_rand: int, seed: int) -> np.ndarray:
-    """Uniform i.i.d. id tuples over {0..23}^N, shape (n_rand, n_qubits).
-
-    When ``n_rand`` equals 24^N every tuple is returned exactly once, in
-    lexicographic order, turning the sample mean into an exact group average.
-    """
+    """Uniform i.i.d. id tuples over {0..23}^N, shape (n_rand, n_qubits)."""
     if n_rand < 2:
         raise ValueError("n_rand must be >= 2")
-    if n_rand == 24**n_qubits:
-        grids = np.meshgrid(*([np.arange(24)] * n_qubits), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.integers(0, 24, size=(n_rand, n_qubits))
 
 
-# 24^4 = 331,776 draws peak at about 240 MB; 24^5 would need (K, 32) float
-# arrays of about 2 GB each.
-MAX_EXHAUSTIVE_QUBITS = 4
+# Per Clifford id (``circuits.single_qubit_clifford_group`` order), the Pauli
+# (1, 2, 3 for X, Y, Z) and the sign of C^dag Z C. Each of the six signed
+# Paulis is the image of exactly four ids.
+_CLIFFORD_Z_IMAGES = np.array(
+    [
+        (3, 1), (1, 1), (3, 1), (1, 1), (2, -1), (3, 1), (2, 1), (1, 1),
+        (2, -1), (1, -1), (3, 1), (2, 1), (3, -1), (1, 1), (2, -1), (1, -1),
+        (2, 1), (3, -1), (3, -1), (2, -1), (1, -1), (1, -1), (2, 1), (3, -1),
+    ]
+)  # fmt: skip
+_CLIFFORD_Z_IMAGES.flags.writeable = False
+
+# The lowest Clifford id whose C^dag Z C is +X, -X, +Y, -Y, +Z, -Z.
+_SIGNED_BASIS_IDS = np.array(
+    [np.flatnonzero((_CLIFFORD_Z_IMAGES == (a, s)).all(axis=1))[0] for a in (1, 2, 3) for s in (1, -1)]
+)
+
+# 6^6 = 46,656 bases make (K, 64) float arrays of 24 MB each; 6^7 would
+# make (K, 128) arrays of 287 MB each.
+MAX_EXHAUSTIVE_QUBITS = 6
 
 
 def exhaustive_size(n_qubits: int) -> int:
-    """Number of draws, 24^N, of the exhaustive local-Clifford average."""
+    """Number of draws, 6^N, of the exhaustive local-Clifford average."""
     if n_qubits > MAX_EXHAUSTIVE_QUBITS:
         raise ValueError(
-            f"the exhaustive average over {n_qubits} qubits needs 24^{n_qubits} = "
-            f"{24**n_qubits:,} Clifford draws; it is limited to "
-            f"{MAX_EXHAUSTIVE_QUBITS} qubits ({24**MAX_EXHAUSTIVE_QUBITS:,} draws)"
+            f"the exhaustive average over {n_qubits} qubits needs 6^{n_qubits} = "
+            f"{6**n_qubits:,} signed Pauli bases; it is limited to "
+            f"{MAX_EXHAUSTIVE_QUBITS} qubits ({6**MAX_EXHAUSTIVE_QUBITS:,} bases)"
         )
-    return 24**n_qubits
+    return 6**n_qubits
 
 
-@lru_cache(maxsize=1)
-def _clifford_z_images() -> tuple[np.ndarray, np.ndarray]:
-    """Per Clifford id, the Pauli (1, 2, 3 for X, Y, Z) and sign of C^dag Z C."""
-    paulis, signs = [], []
-    for c in single_qubit_clifford_group():
-        image = c.matrix.conj().T @ PAULI_Z @ c.matrix
-        overlaps = [np.trace(s @ image).real / 2 for s in (PAULI_X, PAULI_Y, PAULI_Z)]
-        a = int(np.argmax(np.abs(overlaps)))
-        paulis.append(a + 1)
-        signs.append(np.sign(overlaps[a]))
-    return np.array(paulis), np.array(signs)
+def signed_bases(n_qubits: int) -> np.ndarray:
+    """One Clifford id tuple per signed Pauli basis, shape (6^N, N), whose
+    uniform average is the 24^N Clifford average. Each qubit runs through
+    the lowest ids of +X, -X, +Y, -Y, +Z, -Z, the first qubit slowest."""
+    exhaustive_size(n_qubits)
+    return _SIGNED_BASIS_IDS[np.indices((6,) * n_qubits).reshape(n_qubits, -1).T]
 
 
 @lru_cache(maxsize=8)
@@ -207,7 +226,7 @@ def _born_codes(n: int) -> tuple[np.ndarray, np.ndarray]:
     Qubit j's code for Clifford id c is (N+1) Pauli_c 4^(N-1-j), plus 1 when
     C^dag Z C carries a minus sign; bits[j, k] is bit j of Walsh index k.
     """
-    paulis, signs = _clifford_z_images()
+    paulis, signs = _CLIFFORD_Z_IMAGES.T
     place = np.arange(n - 1, -1, -1)
     codes = (n + 1) * paulis[:, None] * 4**place + (signs[:, None] < 0)
     bits = (np.arange(2**n) >> place[:, None]) & 1

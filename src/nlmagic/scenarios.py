@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import Circuit, GateSpec, state_circuit, run_circuit
+from .circuits import STATE_PARAMS, Circuit, GateSpec, state_circuit, run_circuit
 from .erasure import degree_grid, landscape_to_csv, sweep_landscape
 from .magic import (
     nonlocal_magic,
@@ -40,6 +40,7 @@ from .rcm import (
     estimate_sre,
     estimate_stabilizer_purity,
     sample_local_cliffords,
+    signed_bases,
 )
 
 SCHEMA_VERSION = 1
@@ -158,9 +159,18 @@ class Scenario:
         if "params" in state and "circuit" in state:
             raise ValueError("state.params apply to a catalogue id, not to state.circuit")
         params = {}
+        accepted = STATE_PARAMS.get(state.get("id"))
         for k, v in _typed(state.get("params", {}), "state.params", "object").items():
             v = _typed(v, f"state.params.{k}", "number")
-            params[k.removesuffix("_deg")] = np.deg2rad(v) if k.endswith("_deg") else v
+            name = k.removesuffix("_deg")
+            if accepted is not None and name not in accepted:
+                raise ValueError(
+                    f"unknown scenario key state.params.{k} "
+                    f"(state {state['id']!r} takes {', '.join(accepted) or 'none'})"
+                )
+            if name in params:
+                raise ValueError(f"scenario keys state.params.{name} and state.params.{name}_deg are exclusive")
+            params[name] = np.deg2rad(v) if k.endswith("_deg") else v
         circuit = None
         if "circuit" in state:
             spec = _known(state["circuit"], "state.circuit.", "num_qubits gates")
@@ -325,15 +335,20 @@ def _flag_tol(est: EstimateWithError, n_shot: Optional[int]) -> float:
     return 3.0 * est.sampling_error + floor
 
 
-def measure(scenario: Scenario) -> dict:
+def measure(scenario: Scenario, exhaustive: bool = False) -> dict:
     """Prepare, measure under random local Cliffords, mitigate readout if
     asked, and estimate.
 
-    Returns ``{label: (estimate, oracle)}`` in estimator order, the oracle
-    being the exact value on the prepared state.
+    The scenario's ``n_rand`` i.i.d. draws are measured, or with
+    ``exhaustive`` one draw per signed Pauli basis (``signed_bases``), whose
+    mean is the exact Clifford average; shots, if the scenario asks for
+    them, are then drawn for each of the 6^N bases. Returns ``{label:
+    (estimate, oracle)}`` in estimator order, the oracle being the exact
+    value on the prepared state.
     """
+    n = scenario.build_circuit().num_qubits
+    tuples = signed_bases(n) if exhaustive else sample_local_cliffords(n, scenario.n_rand, scenario.seed)
     state = scenario.prepare()
-    tuples = sample_local_cliffords(state.num_qubits, scenario.n_rand, scenario.seed)
     ds = collect_dataset(state, tuples, scenario.readout, scenario.n_shot, scenario.seed)
     if scenario.mitigation:
         ds = ds.with_vectors(mitigate_least_squares(ds.prob_vectors, scenario.readout))
@@ -358,10 +373,11 @@ def measure(scenario: Scenario) -> dict:
     return results
 
 
-def run_scenario(scenario: Scenario) -> Report:
-    """Run the scenario's measurement and compare every estimate with its oracle."""
+def run_scenario(scenario: Scenario, exhaustive: bool = False) -> Report:
+    """Run the scenario's measurement (``measure``) and compare every
+    estimate with its oracle."""
     report = Report(name=scenario.name, seed=scenario.seed)
-    for label, (est, oracle) in measure(scenario).items():
+    for label, (est, oracle) in measure(scenario, exhaustive).items():
         report.values.append(ReportValue.from_estimate(label, est))
         report.values.append(ReportValue(label, "oracle", oracle))
         report.flags.append(

@@ -10,7 +10,7 @@ from nlmagic import DepolarizedState, ErasureAngles, gate_matrix
 from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
 from nlmagic.erasure import _correlation_matrix, _euler, _m2_from_correlations, _pair_m2, pauli_rotation
 from nlmagic.qcore import _PAULI_MAP, apply_to_axis, kept_qubits, pauli_matrix_stack
-from nlmagic.rcm import _clifford_z_images
+from nlmagic.rcm import _CLIFFORD_Z_IMAGES
 
 
 def random_pure(rng: np.random.Generator, num_qubits: int) -> DepolarizedState:
@@ -93,6 +93,13 @@ def loop_clifford_group() -> list[np.ndarray]:
                     fresh.append(cand)
         frontier = fresh
     return elements
+
+
+def all_clifford_tuples(num_qubits: int) -> np.ndarray:
+    """Reference for ``rcm.signed_bases``: every one of the 24^N local
+    Clifford id tuples once, in lexicographic order, shape (24^N, N)."""
+    grids = np.meshgrid(*([np.arange(24)] * num_qubits), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def nonlocal_magic_schmidt(lam: float) -> float:
@@ -269,7 +276,7 @@ def matmul_born_walsh(rho: DepolarizedState, ids: np.ndarray) -> np.ndarray:
     count of every (draw, Walsh index) pair from two integer matrix
     products, the sign from the count's parity."""
     n = rho.num_qubits
-    paulis, signs = _clifford_z_images()
+    paulis, signs = _CLIFFORD_Z_IMAGES.T
     place = np.arange(n - 1, -1, -1)
     bits = (np.arange(2**n)[:, None] >> place) & 1
     index = (paulis[ids] * 4**place) @ bits.T

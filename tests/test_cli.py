@@ -62,20 +62,43 @@ def test_exit_2_when_a_flag_fails(capsys):
     assert "FAIL" in out
 
 
-def test_exhaustive_over_four_qubits_exits_1_before_collecting(tmp_path, monkeypatch, capsys):
-    from nlmagic import cli
+def test_exhaustive_over_six_qubits_exits_1_before_collecting(tmp_path, monkeypatch, capsys):
+    from nlmagic import scenarios
 
-    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("exhaustive run started"))
-    gates = [{"kind": "H", "qubits": [q]} for q in range(5)]
-    path = tmp_path / "n5.json"
+    monkeypatch.setattr(scenarios, "collect_dataset", lambda *a: pytest.fail("exhaustive run collected"))
+    monkeypatch.setattr(scenarios.Scenario, "prepare", lambda *a: pytest.fail("exhaustive run prepared"))
+    gates = [{"kind": "H", "qubits": [q]} for q in range(7)]
+    path = tmp_path / "n7.json"
     path.write_text(
-        json.dumps({"version": 1, "name": "n5", "state": {"circuit": {"num_qubits": 5, "gates": gates}}})
+        json.dumps({"version": 1, "name": "n7", "state": {"circuit": {"num_qubits": 7, "gates": gates}}})
     )
     code, out, err = run(capsys, ["rcm", "estimate", "--scenario", str(path), "--exhaustive"])
     assert code == 1
     assert out == ""
-    assert "over 5 qubits needs 24^5 = 7,962,624 Clifford draws" in err
-    assert "limited to 4 qubits" in err
+    assert "over 7 qubits needs 6^7 = 279,936 signed Pauli bases" in err
+    assert "limited to 6 qubits" in err
+
+
+def test_exhaustive_six_qubit_estimate_passes_every_flag(tmp_path, capsys):
+    gates = [{"kind": "Rxy", "qubits": [q], "angles_deg": [20.0 + 15 * q, 7.0 * q]} for q in range(6)]
+    gates += [{"kind": "T", "qubits": [q]} for q in range(6)]
+    gates += [{"kind": "CZ", "qubits": [q, q + 1]} for q in range(5)]
+    scenario = {
+        "version": 1,
+        "name": "n6",
+        "state": {"circuit": {"num_qubits": 6, "gates": gates}},
+        "noise": {"p_dep_cz": 0.97},
+        "n_rand": 10,
+        "estimators": ["purity", "stab_purity", "sre", {"rdm_purity": {"keep": [0, 5]}}],
+    }
+    path = tmp_path / "n6.json"
+    path.write_text(json.dumps(scenario))
+    code, out, _ = run(capsys, ["rcm", "estimate", "--scenario", str(path), "--exhaustive", "--format", "json"])
+    report = json.loads(out)
+    assert code == 0
+    assert all(flag["passed"] for flag in report["flags"])
+    # n_rand is ignored: one draw per signed basis.
+    assert {v["n_samples"] for v in report["values"] if v["provenance"] == "estimate"} == {6**6}
 
 
 def test_workers_flag_is_gone(scenario_path, capsys):

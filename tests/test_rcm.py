@@ -25,14 +25,25 @@ from nlmagic import (
 )
 from nlmagic.magic import m2_from_purities
 from nlmagic.noise import clean_probability_vector
+from nlmagic.qcore import PAULI_X, PAULI_Y, PAULI_Z
 from nlmagic.rcm import (
+    _CLIFFORD_Z_IMAGES,
     _born_walsh,
     exhaustive_size,
     purity_statistic,
+    signed_bases,
     stabilizer_purity_statistic,
 )
 
-from helpers import density_matrix, marginalize, matmul_born_walsh, random_depolarized, sum_marginalize
+from helpers import (
+    all_clifford_tuples,
+    density_matrix,
+    loop_clifford_group,
+    marginalize,
+    matmul_born_walsh,
+    random_depolarized,
+    sum_marginalize,
+)
 
 EXACT_TOL = 1e-12
 # Batched and per-vector statistics run the same arithmetic through
@@ -175,17 +186,16 @@ def test_statistics_reject_non_power_of_two_length():
 
 
 # ---------------------------------------------------------------------------
-# Exact identities: the exhaustive 24^N exact-probability average equals
-# the oracle.
+# Exact identities: the exhaustive exact-probability average over the 6^N
+# signed Pauli bases equals the 24^N Clifford average and the oracle.
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exhaustive_average_equals_oracles(num_qubits, seed):
     rho = random_depolarized(np.random.default_rng([seed, num_qubits]), num_qubits)
-    tuples = sample_local_cliffords(num_qubits, 24**num_qubits, 0)
-    ds = collect_dataset(rho, tuples)
-    assert ds.n_samples == 24**num_qubits
+    ds = collect_dataset(rho, signed_bases(num_qubits))
+    assert ds.n_samples == 6**num_qubits
     assert abs(estimate_purity(ds).mean - purity(rho)) <= EXACT_TOL
     assert abs(estimate_stabilizer_purity(ds).mean - stabilizer_purity_exact(rho)) <= EXACT_TOL
     assert abs(estimate_sre(ds).mean - sre_exact(rho)) <= EXACT_TOL
@@ -193,6 +203,57 @@ def test_exhaustive_average_equals_oracles(num_qubits, seed):
     for keep in subsets + ([{0, 2}] if num_qubits == 3 else []):
         oracle = reduced_purity(rho, keep)
         assert abs(estimate_rdm_purity(ds, keep).mean - oracle) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("readout", [False, True], ids=["exact", "asymmetric-readout"])
+def test_signed_bases_average_equals_every_clifford_tuple(num_qubits, readout):
+    rho = random_depolarized(np.random.default_rng([7, num_qubits]), num_qubits, 0.96)
+    lam = synth_calibration_matrix([(0.02, 0.05)] * num_qubits) if readout else None
+    bases = collect_dataset(rho, signed_bases(num_qubits), lam)
+    every = collect_dataset(rho, all_clifford_tuples(num_qubits), lam)
+    assert (bases.n_samples, every.n_samples) == (6**num_qubits, 24**num_qubits)
+    # Every draw's vector repeats one basis vector exactly; only the order
+    # of the sums differs.
+    pairs = [(estimate_purity, ()), (estimate_stabilizer_purity, ()), (estimate_sre, ())]
+    pairs += [(estimate_rdm_purity, ({q},)) for q in range(num_qubits) if num_qubits > 1]
+    for estimator, args in pairs:
+        np.testing.assert_allclose(estimator(bases, *args).mean, estimator(every, *args).mean, rtol=1e-14, atol=0)
+    cov = [np.cov(ds.stabilizer_purity_samples, ds.purity_samples, bias=True) for ds in (bases, every)]
+    np.testing.assert_allclose(cov[0], cov[1], rtol=1e-12, atol=1e-15)
+
+
+def test_clifford_z_images_are_the_loop_closure_conjugates():
+    images = []
+    for c in loop_clifford_group():
+        image = c.conj().T @ PAULI_Z @ c
+        overlaps = [np.trace(s @ image).real / 2 for s in (PAULI_X, PAULI_Y, PAULI_Z)]
+        a = int(np.argmax(np.abs(overlaps)))
+        assert abs(abs(overlaps[a]) - 1.0) <= 1e-12
+        images.append((a + 1, int(np.sign(overlaps[a]))))
+    np.testing.assert_array_equal(_CLIFFORD_Z_IMAGES, images)
+    signed, counts = np.unique(_CLIFFORD_Z_IMAGES, axis=0, return_counts=True)
+    assert len(signed) == 6 and (counts == 4).all()
+
+
+def test_signed_bases_take_the_lowest_id_of_each_signed_pauli():
+    ids = signed_bases(1)[:, 0]
+    assert ids.tolist() == [1, 9, 6, 4, 0, 12]
+    assert _CLIFFORD_Z_IMAGES[ids].tolist() == [[1, 1], [1, -1], [2, 1], [2, -1], [3, 1], [3, -1]]
+    for i in ids:
+        assert not (_CLIFFORD_Z_IMAGES[:i] == _CLIFFORD_Z_IMAGES[i]).all(axis=1).any()
+    two = signed_bases(2)
+    assert two.shape == (36, 2)
+    assert two[:7].tolist() == [[1, 1], [1, 9], [1, 6], [1, 4], [1, 0], [1, 12], [9, 1]]
+    assert len(np.unique(_CLIFFORD_Z_IMAGES[signed_bases(3)].reshape(216, -1), axis=0)) == 216
+
+
+def test_sample_local_cliffords_draws_iid_at_every_count():
+    # 576 = 24^2 draws are random like any other count, not an enumeration.
+    first, second = sample_local_cliffords(2, 576, 1), sample_local_cliffords(2, 576, 2)
+    assert first.shape == second.shape == (576, 2)
+    assert not np.array_equal(first, second)
+    np.testing.assert_array_equal(first, sample_local_cliffords(2, 576, 1))
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
@@ -216,10 +277,12 @@ def test_born_walsh_equals_integer_matmul_reference(num_qubits, seed, extra):
     np.testing.assert_array_equal(_born_walsh(rho, ids), matmul_born_walsh(rho, ids))
 
 
-def test_exhaustive_size_is_bounded_at_four_qubits():
-    assert [exhaustive_size(n) for n in (1, 2, 3, 4)] == [24, 576, 13824, 331776]
-    with pytest.raises(ValueError, match=r"over 5 qubits needs 24\^5 = 7,962,624 Clifford draws"):
-        exhaustive_size(5)
+def test_exhaustive_size_is_bounded_at_six_qubits():
+    assert [exhaustive_size(n) for n in range(1, 7)] == [6, 36, 216, 1296, 7776, 46656]
+    message = r"over 7 qubits needs 6\^7 = 279,936 signed Pauli bases; it is limited to 6 qubits \(46,656 bases\)"
+    for call in (exhaustive_size, signed_bases):
+        with pytest.raises(ValueError, match=message):
+            call(7)
 
 
 # ---------------------------------------------------------------------------

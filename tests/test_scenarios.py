@@ -66,10 +66,15 @@ def test_from_json_defaults():
         ({"state": {"id": "m", "circuit": {"num_qubits": 1, "gates": []}}}, "exactly one"),
         ({"state": {}}, "exactly one"),
         ({"state": None}, "exactly one"),
-        ({"state": {"id": "m", "params": {"theta_deg": 30}}}, "state 'm' takes no parameter theta"),
+        ({"state": {"id": "m", "params": {"theta_deg": 30}}}, r"^unknown scenario key state\.params\.theta_deg \(state 'm' takes none\)$"),
+        ({"state": {"id": "psi1", "params": {"phase0": 0.1}}}, r"^unknown scenario key state\.params\.phase0 \(state 'psi1' takes phase\)$"),
+        ({"state": {"id": "nlm", "params": {"theta": 0.5, "theta_deg": 30}}}, r"^scenario keys state\.params\.theta and state\.params\.theta_deg are exclusive$"),
         ({"state": {"id": "bogus"}}, "unknown state id 'bogus'"),
     ],
-    ids=["version", "estimator", "id-and-circuit", "neither", "no-state", "unknown-param", "unknown-id"],
+    ids=[
+        "version", "estimator", "id-and-circuit", "neither", "no-state", "unknown-param",
+        "unknown-radian-param", "param-in-radians-and-degrees", "unknown-id",
+    ],
 )
 def test_from_json_rejects_bad_scenarios(changes, message):
     with pytest.raises(ValueError, match=message):
@@ -228,8 +233,8 @@ def test_run_scenario_reports_the_stage_estimates_and_oracles():
 
 
 def test_stage_oracles_are_exact_values_of_the_prepared_state():
-    scenario = Scenario("s", state_id="lm", p_dep_cz=0.9, n_rand=24**2)
-    results = measure(scenario)
+    scenario = Scenario("s", state_id="lm", p_dep_cz=0.9)
+    results = measure(scenario, exhaustive=True)
     for est, oracle in results.values():
         assert est.mean == pytest.approx(oracle, abs=1e-12)
     assert results["purity"][1] == pytest.approx(0.75 * 0.9**2 + 0.25, abs=1e-12)
