@@ -12,6 +12,13 @@ Each command takes only the flags it reads: ``--scenario`` and ``--seed``
 where a scenario file is loaded (``--seed`` alone on the reports), and
 ``--format csv`` only where the output has a curve (``report fig3``,
 ``report fig4``, ``mitigate`` and ``erase sweep``).
+
+``_COMMANDS`` is the one table of commands: their words, handlers and
+options. An invocation builds only its own command's parser. The full
+parser tree, assembled from the same table, is built only for help and
+usage errors that name no complete command (``nlmagic``, ``nlmagic -h``,
+``nlmagic rcm``, ``nlmagic bogus``) and for an unrecognized argument, so
+every message stays argparse's own.
 """
 
 from __future__ import annotations
@@ -59,36 +66,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; ``parse_args`` keeps no
-    state between calls."""
-    parser = _Parser(prog="nlmagic")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _output_options(p, curve=False):
+    """``--out`` and ``--format``; csv prints a curve, so only commands that
+    make one offer it."""
+    p.add_argument("--out", type=Path, default=None, help="directory for outputs")
+    formats = ("json", "csv", "text") if curve else ("json", "text")
+    p.add_argument("--format", choices=formats, default="text", dest="fmt")
 
-    def add_output(p, curve=False):
-        """``--out`` and ``--format``; csv prints a curve, so only commands
-        that make one offer it."""
-        p.add_argument("--out", type=Path, default=None, help="directory for outputs")
-        formats = ("json", "csv", "text") if curve else ("json", "text")
-        p.add_argument("--format", choices=formats, default="text", dest="fmt")
 
-    def add_scenario(p):
-        p.add_argument("--scenario", type=Path, help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
+def _scenario_options(p, curve=False):
+    """``--scenario`` and ``--seed``, then the output options."""
+    p.add_argument("--scenario", type=Path, help="scenario JSON file")
+    p.add_argument("--seed", type=int, default=None, help="override the seed")
+    _output_options(p, curve)
 
-    p_magic = sub.add_parser("magic", help="exact magic oracles")
-    magic_sub = p_magic.add_subparsers(dest="action", required=True)
-    p_exact = magic_sub.add_parser("exact", help="oracle values for a scenario state")
-    add_scenario(p_exact)
-    add_output(p_exact)
 
-    p_rcm = sub.add_parser("rcm", help="randomized Clifford measurements")
-    rcm_sub = p_rcm.add_subparsers(dest="action", required=True)
-    p_est = rcm_sub.add_parser("estimate", help="run the sampled pipeline")
-    add_scenario(p_est)
-    add_output(p_est)
-    p_est.add_argument(
+def _estimate_options(p):
+    _scenario_options(p)
+    p.add_argument(
         "--exhaustive",
         action="store_true",
         help=(
@@ -99,35 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_mit = sub.add_parser("mitigate", help="readout error mitigation")
-    add_output(p_mit, curve=True)
-    p_mit.add_argument("--input", type=Path, required=True, help="JSON with calibration and probabilities")
 
-    p_erase = sub.add_parser("erase", help="local magic erasure")
-    erase_sub = p_erase.add_subparsers(dest="action", required=True)
-    p_sweep = erase_sub.add_parser("sweep", help="two-angle residual landscape")
-    add_scenario(p_sweep)
-    add_output(p_sweep, curve=True)
-    p_sweep.add_argument("--step-deg", type=float, default=7.5)
+def _mitigate_options(p):
+    _output_options(p, curve=True)
+    p.add_argument("--input", type=Path, required=True, help="JSON with calibration and probabilities")
 
-    p_fit = sub.add_parser("fit", help="benchmarking fits")
-    fit_sub = p_fit.add_subparsers(dest="action", required=True)
-    p_rb = fit_sub.add_parser("rb", help="exponential decay fit")
-    add_output(p_rb)
-    p_rb.add_argument("--input", type=Path, required=True, help="CSV of length,survival")
-    p_rb.add_argument("--dim", type=int, default=2, help="Hilbert dimension for fidelity")
 
-    p_report = sub.add_parser("report", help="bundled reference reports")
-    report_sub = p_report.add_subparsers(dest="action", required=True)
-    for name in ("table1", "fig3", "fig4"):
-        rp = report_sub.add_parser(name)
-        rp.add_argument("--seed", type=int, default=0, help="report seed")
-        add_output(rp, curve=name != "table1")
-        if name in ("table1", "fig3"):
-            rp.add_argument("--p-dep", type=float, default=None)
-            rp.add_argument("--n-rand", type=int, default=None)
-            rp.add_argument("--n-shot", type=int, default=None)
-    return parser
+def _sweep_options(p):
+    _scenario_options(p, curve=True)
+    p.add_argument("--step-deg", type=float, default=7.5)
+
+
+def _rb_options(p):
+    _output_options(p)
+    p.add_argument("--input", type=Path, required=True, help="CSV of length,survival")
+    p.add_argument("--dim", type=int, default=2, help="Hilbert dimension for fidelity")
+
+
+def _report_options(p, curve=True, sampled=True):
+    """``report fig4`` takes ``sampled=False``; ``table1`` prints no curve."""
+    p.add_argument("--seed", type=int, default=0, help="report seed")
+    _output_options(p, curve)
+    if sampled:
+        p.add_argument("--p-dep", type=float, default=None)
+        p.add_argument("--n-rand", type=int, default=None)
+        p.add_argument("--n-shot", type=int, default=None)
 
 
 def _load_scenario(args) -> Scenario:
@@ -241,20 +232,80 @@ def _cmd_report(args) -> int:
     return _emit(build(p_dep=args.p_dep, seed=args.seed, **kwargs), args)
 
 
+# The command words, each command's handler and the function that adds its
+# options, and the help of each word (None: argparse lists the word bare).
+# The full tree lists the commands in this order.
 _COMMANDS = {
-    "magic": _cmd_magic_exact,
-    "rcm": _cmd_rcm_estimate,
-    "mitigate": _cmd_mitigate,
-    "erase": _cmd_erase_sweep,
-    "fit": _cmd_fit_rb,
-    "report": _cmd_report,
+    ("magic", "exact"): (
+        _cmd_magic_exact, _scenario_options, ("exact magic oracles", "oracle values for a scenario state")
+    ),
+    ("rcm", "estimate"): (
+        _cmd_rcm_estimate, _estimate_options, ("randomized Clifford measurements", "run the sampled pipeline")
+    ),
+    ("mitigate",): (_cmd_mitigate, _mitigate_options, ("readout error mitigation",)),
+    ("erase", "sweep"): (_cmd_erase_sweep, _sweep_options, ("local magic erasure", "two-angle residual landscape")),
+    ("fit", "rb"): (_cmd_fit_rb, _rb_options, ("benchmarking fits", "exponential decay fit")),
+    ("report", "table1"): (_cmd_report, lambda p: _report_options(p, curve=False), ("bundled reference reports", None)),
+    ("report", "fig3"): (_cmd_report, _report_options, ("bundled reference reports", None)),
+    ("report", "fig4"): (_cmd_report, lambda p: _report_options(p, sampled=False), ("bundled reference reports", None)),
 }
 
 
-def main(argv=None) -> int:
+def _help(text) -> dict:
+    return {} if text is None else {"help": text}
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_parser(words: tuple) -> argparse.ArgumentParser:
+    """The parser of one command, built once per process: the one the full
+    tree would hand ``argv`` after the command words, with the same
+    ``command`` and ``action`` in its namespace."""
+    parser = _Parser(prog=" ".join(("nlmagic",) + words))
+    _COMMANDS[words][1](parser)
+    parser.set_defaults(**dict(zip(("command", "action"), words)))
+    return parser
+
+
+@functools.lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, built once per process from ``_COMMANDS``;
+    ``parse_args`` keeps no state between calls."""
+    parser = _Parser(prog="nlmagic")
+    commands = parser.add_subparsers(dest="command", required=True)
+    actions = {}
+    for words, (_, add_options, helps) in _COMMANDS.items():
+        if len(words) == 1:
+            leaf = commands.add_parser(words[0], **_help(helps[0]))
+        else:
+            if words[0] not in actions:
+                group = commands.add_parser(words[0], **_help(helps[0]))
+                actions[words[0]] = group.add_subparsers(dest="action", required=True)
+            leaf = actions[words[0]].add_parser(words[1], **_help(helps[1]))
+        add_options(leaf)
+    return parser
+
+
+def _parse(argv: list):
+    """``(handler, args)`` for ``argv``. A complete command is read by its own
+    parser alone. The full tree is built only when ``argv`` names no
+    complete command or leaves an argument unrecognized, and reads it as
+    it always did: it prints argparse's own help or usage error and exits,
+    or dispatches a command written in a form only the tree accepts."""
+    for n in (2, 1):
+        words = tuple(argv[:n])
+        if words in _COMMANDS:
+            args, extras = _leaf_parser(words).parse_known_args(argv[n:])
+            if not extras:
+                return _COMMANDS[words][0], args
+            break
     args = build_parser().parse_args(argv)
+    return _COMMANDS[(args.command, args.action) if "action" in args else (args.command,)][0], args
+
+
+def main(argv=None) -> int:
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return _COMMANDS[args.command](args)
+        return handler(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -205,9 +205,11 @@ def landscape_to_csv(result: ErasureResult) -> str:
     """CSV rows (gamma_deg, phi_deg, m2) for plotting."""
     if result.landscape is None:
         raise ValueError("result carries no landscape")
-    lines = ["gamma_deg,phi_deg,m2"]
-    phis = [f",{f:.6f}," for f in np.degrees(result.phi_grid)]
+    # One %-format per landscape row: its template holds the gamma and phi
+    # text, and "%.12f" formats a float exactly as format(v, ".12f") does.
+    lines = ["gamma_deg,phi_deg,m2\n"]
+    cells = [f",{phi:.6f},%.12f\n" for phi in np.degrees(result.phi_grid)]
     for g, row in zip(np.degrees(result.gamma_grid), result.landscape.tolist()):
         gamma = f"{g:.6f}"
-        lines.extend(gamma + f + format(v, ".12f") for f, v in zip(phis, row))
-    return "\n".join(lines) + "\n"
+        lines.append((gamma + gamma.join(cells)) % tuple(row))
+    return "".join(lines)

@@ -120,7 +120,9 @@ def _known(spec, path: str, keys: str) -> dict:
 class Scenario:
     name: str
     state_id: Optional[str] = None
-    state_params: dict = field(default_factory=dict)
+    # (name, value) pairs sorted by name, so a scenario is hashable; a dict
+    # is accepted and converted.
+    state_params: tuple = ()
     circuit: Optional[Circuit] = None
     p_dep_cz: float = 1.0
     readout: Optional[CalibrationMatrix] = None
@@ -138,9 +140,10 @@ class Scenario:
         if self.mitigation and self.readout is None:
             raise ValueError("mitigation needs a readout calibration matrix")
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "state_params", tuple(sorted(dict(self.state_params).items())))
         # A catalogue circuit is built here, once, so a bad id or parameter
         # fails on construction as a bad explicit circuit does.
-        built = self.circuit or state_circuit(self.state_id, self.state_params)
+        built = self.circuit or state_circuit(self.state_id, dict(self.state_params))
         object.__setattr__(self, "_built", built)
 
     def build_circuit(self) -> Circuit:

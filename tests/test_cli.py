@@ -17,6 +17,7 @@ from nlmagic import (
     stabilizer_purity_exact,
     state_circuit,
 )
+from nlmagic import cli
 from nlmagic.cli import build_parser, main
 
 SCENARIO = {
@@ -293,6 +294,7 @@ def test_magic_exact_computes_one_pauli_spectrum(scenario_path, monkeypatch, cap
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, capsys):
     assert build_parser() is build_parser()
+    assert all(cli._leaf_parser(words) is cli._leaf_parser(words) for words in cli._COMMANDS)
     argv = ["magic", "exact", "--scenario", str(scenario_path)]
     code, out, _ = run(capsys, argv + ["--seed", "7", "--format", "json"])
     assert code == 0
@@ -300,6 +302,83 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, cap
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out.startswith(f"report: cli-test-exact (seed {SCENARIO['seed']})")
+    leaf = cli._leaf_parser(("magic", "exact"))
+    assert vars(leaf.parse_args(["--seed", "7"]))["seed"] == 7
+    assert vars(leaf.parse_args([])) == {
+        "scenario": None, "seed": None, "out": None, "fmt": "text", "command": "magic", "action": "exact"
+    }
+
+
+def tree_and_leaf(argv, capsys):
+    """``(exit code, stdout, stderr)`` of the full tree's ``parse_args`` and
+    of ``main`` for ``argv``, each of which must exit."""
+    results = []
+    for parse in (build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as exited:
+            parse(argv)
+        captured = capsys.readouterr()
+        results.append((exited.value.code, captured.out, captured.err))
+    return results
+
+
+@pytest.mark.parametrize("words", list(cli._COMMANDS), ids=" ".join)
+def test_each_command_parses_and_prints_as_the_full_tree_does(words, monkeypatch, capsys):
+    argv = [*words, "--input", "x"] if words in (("mitigate",), ("fit", "rb")) else [*words, "--format", "json"]
+    handler, args = cli._parse(argv)
+    assert handler is cli._COMMANDS[words][0]
+    assert vars(args) == vars(build_parser().parse_args(argv))
+    monkeypatch.setenv("COLUMNS", "80")
+    tree, leaf = tree_and_leaf([*words, "--help"], capsys)
+    assert leaf == tree
+    assert leaf[0] == 0 and leaf[1].startswith(f"usage: nlmagic {' '.join(words)} [-h]")
+    for bad in (["--bogus"], ["--format", "xml"], ["stray"]):
+        tree, leaf = tree_and_leaf([*words, *bad], capsys)
+        assert leaf == tree
+        assert leaf[0] == 1 and leaf[1] == "" and leaf[2].startswith("usage: nlmagic")
+
+
+def test_a_command_builds_only_its_own_parser(scenario_path, monkeypatch, capsys):
+    built = []
+    real_init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, **kw: built.append(kw["prog"]) or real_init(self, **kw))
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the full tree was built"))
+    cli._leaf_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run(capsys, ["magic", "exact", "--scenario", str(scenario_path)])
+        assert code == 0
+    assert built == ["nlmagic magic exact"]
+    cli._leaf_parser.cache_clear()
+
+
+TOP_USAGE = "usage: nlmagic [-h] {magic,rcm,mitigate,erase,fit,report} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 1, "", TOP_USAGE + "nlmagic: error: the following arguments are required: command\n"),
+        (["-h"], 0, TOP_USAGE, ""),
+        (
+            ["rcm"],
+            1,
+            "",
+            "usage: nlmagic rcm [-h] {estimate} ...\n"
+            "nlmagic rcm: error: the following arguments are required: action\n",
+        ),
+        (["bogus"], 1, "", TOP_USAGE + "nlmagic: error: argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["none", "help", "incomplete", "unknown"],
+)
+def test_help_and_incomplete_commands_keep_their_messages(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exited.value.code == code
+    assert captured.out.startswith(out) and captured.err.startswith(err)
+    if argv == ["-h"]:
+        for words, (_, _, helps) in cli._COMMANDS.items():
+            assert f"    {words[0]:<20}{helps[0]}\n" in captured.out
 
 
 def test_cli_and_erasure_optimizer_import_no_scipy():

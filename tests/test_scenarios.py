@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -28,12 +29,34 @@ def load(**changes) -> Scenario:
 
 def test_from_json_converts_degrees_to_radians():
     scenario = load(state={"id": "nlm", "params": {"theta_deg": 30}})
-    assert scenario.state_params == {"theta": pytest.approx(np.pi / 6, abs=1e-15)}
+    assert dict(scenario.state_params) == {"theta": pytest.approx(np.pi / 6, abs=1e-15)}
     assert scenario.build_circuit() == state_circuit("nlm", {"theta": np.deg2rad(30)})
     gates = [{"kind": "Rxy", "qubits": [0], "angles_deg": [90, 45]}, {"kind": "CZ", "qubits": [0, 1]}]
     circuit = load(state={"circuit": {"num_qubits": 2, "gates": gates}}).build_circuit()
     assert circuit.gates[0].angles == (np.pi / 2, np.pi / 4)
     assert circuit.gates[1].angles == ()
+
+
+def test_equal_scenarios_hash_equal():
+    params = {"gamma": 0.2, "phi": 0.1}
+    scenario = Scenario("x", state_id="m_sweep", state_params=params, seed=3)
+    same = Scenario("x", state_id="m_sweep", state_params=dict(reversed(params.items())), seed=3)
+    assert scenario == same and hash(scenario) == hash(same)
+    assert scenario.state_params == (("gamma", 0.2), ("phi", 0.1))
+    assert hash(Scenario("x", state_id="m")) == hash(Scenario("x", state_id="m"))
+    assert len({load(), load(), load(seed=1)}) == 2
+    reseeded = dataclasses.replace(scenario, seed=4)
+    assert reseeded.state_params == scenario.state_params
+    assert reseeded == dataclasses.replace(same, seed=4) != scenario
+    assert hash(reseeded) == hash(dataclasses.replace(same, seed=4))
+
+
+def test_from_json_state_params_give_the_same_circuit_and_report():
+    from_file = load(state={"id": "nlm", "params": {"theta_deg": 30}}, n_rand=20, noise={"n_shot": 200})
+    direct = Scenario("s", state_id="nlm", state_params={"theta": np.deg2rad(30)}, n_rand=20, n_shot=200)
+    assert from_file == direct and hash(from_file) == hash(direct)
+    assert from_file.build_circuit() == direct.build_circuit() == state_circuit("nlm", {"theta": np.deg2rad(30)})
+    assert run_scenario(from_file).to_json() == run_scenario(direct).to_json()
 
 
 def test_from_json_builds_readout_from_flip_rates_or_matrix():
