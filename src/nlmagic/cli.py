@@ -34,7 +34,6 @@ import numpy as np
 
 from .benchfit import avg_gate_fidelity, decay_curve_from_csv, fit_exp_decay
 from .erasure import degree_grid, landscape_to_csv, sweep_landscape
-from .magic import sre_exact, stabilizer_purity_exact
 from .mitigation import (
     InitializationCounts,
     calibration_from_counts,
@@ -42,7 +41,6 @@ from .mitigation import (
     readout_fidelity,
 )
 from .noise import CalibrationMatrix
-from .qcore import purity, reduced_purity
 from .scenarios import (
     Report,
     ReportValue,
@@ -50,6 +48,7 @@ from .scenarios import (
     _array,
     _rows,
     _typed,
+    estimator,
     report_fig3,
     report_fig4,
     report_table1,
@@ -151,11 +150,12 @@ def _cmd_magic_exact(args) -> int:
     scenario = _load_scenario(args)
     state = scenario.prepare()
     report = Report(name=f"{scenario.name}-exact", seed=scenario.seed)
-    report.values.append(ReportValue("purity", "oracle", purity(state)))
-    report.values.append(ReportValue("stab_purity", "oracle", stabilizer_purity_exact(state)))
-    report.values.append(ReportValue("sre", "oracle", sre_exact(state)))
+    specs = ["purity", "stab_purity", "sre"]
     if state.num_qubits == 2:
-        report.values.append(ReportValue("rdm_purity[0]", "oracle", reduced_purity(state, {0})))
+        specs.append(("rdm_purity", (0,)))
+    for spec in specs:
+        label, _, oracle = estimator(spec)
+        report.values.append(ReportValue(label, "oracle", oracle(state)))
     return _emit(report, args)
 
 

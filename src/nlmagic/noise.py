@@ -37,6 +37,20 @@ class CalibrationMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    # Compared and hashed by value, so two loads of one scenario file with a
+    # readout block give equal scenarios; the matrix is read-only, so its
+    # shape and bytes stay fixed.
+    def _key(self) -> tuple:
+        return self.matrix.shape, self.matrix.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, CalibrationMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

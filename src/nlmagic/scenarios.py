@@ -1,13 +1,25 @@
 """Scenario-driven pipelines and reference reports.
 
-A scenario bundles a preparation (catalogue id or explicit gate list),
-a noise configuration, and a list of estimators. ``measure`` is the one
-prepare -> measure -> mitigate -> estimate stage; ``run_scenario`` and the
-bundled table1 and fig3 reports turn its estimates and oracles into a
-report holding every number with its provenance (estimate, oracle, theory
-or anchor) and pass/fail flags with explicit tolerances. Angles are
-degrees in files and radians in memory. Reports serialize to stable JSON:
-the same scenario and seed produce byte-identical output.
+A scenario bundles a preparation (catalogue id or explicit gate list), a
+noise configuration and a list of estimator specs. Every sampled number
+reaches a report along one path:
+
+- ``estimator(spec)`` maps an estimator spec to its label, its RCM
+  estimate and its exact oracle; ``measure`` and ``magic exact`` read it.
+- ``measure`` is the one prepare -> measure -> mitigate -> estimate stage
+  and returns each estimate with the oracle of the prepared state.
+- ``run_scenario`` compares each estimate with its oracle. The table1 and
+  fig3 reports are rows of (row name, state id, params); one loop
+  measures every row at the calibrated survival with seed + row index and
+  infers the non-local magic from the reduced purity of qubit 0.
+- ``_compare`` emits an (estimate, oracle) value pair and its flags, for
+  ``run_scenario`` and table1 alike.
+
+fig4 sweeps the erasure angles on exact states and draws nothing. A report
+holds every number with its provenance (estimate, oracle, theory or
+anchor) and pass/fail flags with explicit tolerances. Angles are degrees in
+files and radians in memory. Reports serialize to stable JSON: the same
+scenario and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -64,6 +76,9 @@ SWEEP_MIN_TOL = 0.01
 SWEEP_P_DEP = 0.949
 SWEEP_GRID_STEP_DEG = 7.5
 FIG3_THETA_GRID_DEG = tuple(range(5, 50, 5))
+# The rows of the sampled reports, each (row name, state id, params).
+TABLE1_ROWS = tuple((state_id, state_id, ()) for state_id in TABLE1_MAGIC_ANCHORS)
+FIG3_ROWS = tuple((f"nlm(theta={d})", "nlm", (("theta", float(np.deg2rad(d))),)) for d in FIG3_THETA_GRID_DEG)
 
 
 def calibrate_p_dep() -> float:
@@ -139,6 +154,8 @@ class Scenario:
             raise ValueError("estimator list must be non-empty")
         if self.mitigation and self.readout is None:
             raise ValueError("mitigation needs a readout calibration matrix")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "state_params", tuple(sorted(dict(self.state_params).items())))
         # A catalogue circuit is built here, once, so a bad id or parameter
@@ -278,27 +295,10 @@ class Report:
             "version": SCHEMA_VERSION,
             "name": self.name,
             "seed": self.seed,
-            "values": [
-                {
-                    "name": v.name,
-                    "provenance": v.provenance,
-                    "value": v.value,
-                    "sampling_error": v.sampling_error,
-                    "sample_std": v.sample_std,
-                    "n_samples": v.n_samples,
-                }
-                for v in self.values
-            ],
-            "flags": [
-                {
-                    "name": f.name,
-                    "value": f.value,
-                    "target": f.target,
-                    "tol": f.tol,
-                    "passed": f.passed,
-                }
-                for f in self.flags
-            ],
+            # A dataclass instance holds its fields in its __dict__;
+            # dataclasses.asdict would also deep-copy them, 20x slower.
+            "values": [dict(vars(v)) for v in self.values],
+            "flags": [{**vars(f), "passed": f.passed} for f in self.flags],
             "curves": self.curves,
         }
 
@@ -338,6 +338,29 @@ def _flag_tol(est: EstimateWithError, n_shot: Optional[int]) -> float:
     return 3.0 * est.sampling_error + floor
 
 
+def estimator(spec) -> tuple:
+    """``(label, estimate, oracle)`` for one estimator spec: the label the
+    reports print, the function that estimates the quantity from an RCM
+    dataset and the one that computes it exactly on a prepared state.
+
+    The specs are ``"purity"``, ``"stab_purity"``, ``"sre"`` and
+    ``("rdm_purity", keep)``. The functions are this module's attributes,
+    read when this is called, so a wrapped or patched attribute is the one
+    that runs.
+    """
+    if spec == "purity":
+        return "purity", estimate_purity, purity
+    if spec == "stab_purity":
+        return "stab_purity", estimate_stabilizer_purity, stabilizer_purity_exact
+    if spec == "sre":
+        return "sre", estimate_sre, sre_exact
+    if isinstance(spec, tuple) and spec[0] == "rdm_purity":
+        keep = set(spec[1])
+        label = f"rdm_purity[{','.join(str(q) for q in sorted(keep))}]"
+        return label, lambda ds: estimate_rdm_purity(ds, keep), lambda state: reduced_purity(state, keep)
+    raise ValueError(f"unknown estimator {spec!r}")
+
+
 def measure(scenario: Scenario, exhaustive: bool = False) -> dict:
     """Prepare, measure under random local Cliffords, mitigate readout if
     asked, and estimate.
@@ -356,24 +379,19 @@ def measure(scenario: Scenario, exhaustive: bool = False) -> dict:
     if scenario.mitigation:
         ds = ds.with_vectors(mitigate_least_squares(ds.prob_vectors, scenario.readout))
     results = {}
-    for est_spec in scenario.estimators:
-        label = est_spec
-        if est_spec == "purity":
-            est, oracle = estimate_purity(ds), purity(state)
-        elif est_spec == "stab_purity":
-            est, oracle = estimate_stabilizer_purity(ds), stabilizer_purity_exact(state)
-        elif est_spec == "sre":
-            est, oracle = estimate_sre(ds), sre_exact(state)
-        elif isinstance(est_spec, tuple) and est_spec[0] == "rdm_purity":
-            keep = set(est_spec[1])
-            label = f"rdm_purity[{','.join(str(q) for q in sorted(keep))}]"
-            est, oracle = estimate_rdm_purity(ds, keep), reduced_purity(state, keep)
-        else:
-            raise ValueError(f"unknown estimator {est_spec!r}")
+    for spec in scenario.estimators:
+        label, estimate, oracle = estimator(spec)
         if label in results:
             raise ValueError(f"estimator {label} is listed twice")
-        results[label] = (est, float(oracle))
+        results[label] = (estimate(ds), float(oracle(state)))
     return results
+
+
+def _compare(report: Report, name: str, est: EstimateWithError, oracle: float, *flags: tuple) -> None:
+    """Append ``name``'s estimate and oracle values to ``report``, then one
+    flag per ``(flag name, value, target, tol)``."""
+    report.values += [ReportValue.from_estimate(name, est), ReportValue(name, "oracle", oracle)]
+    report.flags += [ReportFlag(*flag) for flag in flags]
 
 
 def run_scenario(scenario: Scenario, exhaustive: bool = False) -> Report:
@@ -381,20 +399,38 @@ def run_scenario(scenario: Scenario, exhaustive: bool = False) -> Report:
     estimate with its oracle."""
     report = Report(name=scenario.name, seed=scenario.seed)
     for label, (est, oracle) in measure(scenario, exhaustive).items():
-        report.values.append(ReportValue.from_estimate(label, est))
-        report.values.append(ReportValue(label, "oracle", oracle))
-        report.flags.append(
-            ReportFlag(f"{label} vs oracle", est.mean, oracle, _flag_tol(est, scenario.n_shot))
-        )
+        _compare(report, label, est, oracle, (f"{label} vs oracle", est.mean, oracle, _flag_tol(est, scenario.n_shot)))
     return report
 
 
-def _nl_from_rdm(ds_est: EstimateWithError, p_dep: float) -> float:
-    # A sampled reduced purity may fluctuate past the attainable ceiling of
-    # the noise model; tolerate excursions consistent with the sampling
-    # error (they clamp to a product state) and only reject real mismatches.
-    atol = 3.0 * ds_est.sampling_error + 1e-6
-    return nonlocal_magic_noisy(min(ds_est.mean, 1.0), p_dep, atol=atol)
+def _sampled_rows(rows, estimators: tuple, p_dep: Optional[float], seed: int, n_rand: int, n_shot: Optional[int]):
+    """Measure each ``(row name, state id, params)`` of a sampled report.
+
+    Row i is prepared at the survival ``p_dep`` (``calibrate_p_dep()`` if
+    None) and drawn with seed ``seed + i``; ``rdm_purity[0]`` is estimated
+    after ``estimators``. Yields ``(scenario, measure results, non-local
+    magic inferred from the sampled reduced purity)`` per row, in order.
+    """
+    p_dep = calibrate_p_dep() if p_dep is None else p_dep
+    for idx, (name, state_id, params) in enumerate(rows):
+        scenario = Scenario(
+            name=name,
+            state_id=state_id,
+            state_params=params,
+            p_dep_cz=p_dep,
+            n_shot=n_shot,
+            n_rand=n_rand,
+            seed=seed + idx,
+            estimators=estimators + (("rdm_purity", (0,)),),
+        )
+        results = measure(scenario)
+        rdm_est, _ = results["rdm_purity[0]"]
+        # A sampled reduced purity may fluctuate past the attainable ceiling
+        # of the noise model; tolerate excursions consistent with the
+        # sampling error (they clamp to a product state) and only reject
+        # real mismatches.
+        atol = 3.0 * rdm_est.sampling_error + 1e-6
+        yield scenario, results, nonlocal_magic_noisy(min(rdm_est.mean, 1.0), p_dep, atol=atol)
 
 
 def report_table1(
@@ -410,74 +446,34 @@ def report_table1(
     estimates are then checked against the reference purity and magic
     anchors and against their own sampling errors.
     """
-    if p_dep is None:
-        p_dep = calibrate_p_dep()
     report = Report(name="table1", seed=seed)
-    for idx, state_id in enumerate(("lm", "lm_erased", "m", "m_erased")):
-        scenario = Scenario(
-            name=state_id,
-            state_id=state_id,
-            p_dep_cz=p_dep,
-            n_shot=n_shot,
-            n_rand=n_rand,
-            seed=seed + idx,
-            estimators=("purity", "sre", ("rdm_purity", (0,))),
-        )
-        results = measure(scenario)
-        anchors = {"purity": TABLE1_PURITY_ANCHOR, "sre": TABLE1_MAGIC_ANCHORS[state_id]}
-        for key in anchors:
-            est, oracle = results[key]
-            report.values.append(ReportValue.from_estimate(f"{state_id}.{key}", est))
-            report.values.append(ReportValue(f"{state_id}.{key}", "oracle", oracle))
-        for key, anchor in anchors.items():
-            report.values.append(ReportValue(f"{state_id}.{key}", "anchor", anchor))
-        rdm_est, rdm_oracle = results["rdm_purity[0]"]
-        report.values.append(ReportValue.from_estimate(f"{state_id}.rdm_purity[0]", rdm_est))
-        nl_est = _nl_from_rdm(rdm_est, p_dep)
-        report.values.append(ReportValue(f"{state_id}.nonlocal_magic_rdm", "estimate", nl_est))
-        nl_oracle = nonlocal_magic_noisy(rdm_oracle, p_dep)
-        report.values.append(
-            ReportValue(f"{state_id}.nonlocal_magic_rdm", "oracle", nl_oracle)
-        )
+    for scenario, results, nl_est in _sampled_rows(TABLE1_ROWS, ("purity", "sre"), p_dep, seed, n_rand, n_shot):
+        row = scenario.name
+        (pur_est, pur_oracle), (sre_est, sre_oracle) = results["purity"], results["sre"]
+        magic_anchor = TABLE1_MAGIC_ANCHORS[scenario.state_id]
         # The purity anchor pins the calibration: every preparation holds a
         # single two-qubit gate, so the prepared (theory) purity must sit on
         # the anchor. The estimate is checked at its own statistical scale;
         # its intrinsic spread at 400 draws (about 0.04) is wider than the
         # calibration tolerance.
-        pur_est, pur_oracle = results["purity"]
-        sre_est, _ = results["sre"]
-        report.flags.append(
-            ReportFlag(
-                f"{state_id}.purity(theory) vs anchor",
-                pur_oracle,
-                TABLE1_PURITY_ANCHOR,
-                TABLE1_PURITY_TOL,
-            )
+        _compare(
+            report, f"{row}.purity", pur_est, pur_oracle,
+            (f"{row}.purity(theory) vs anchor", pur_oracle, TABLE1_PURITY_ANCHOR, TABLE1_PURITY_TOL),
+            (f"{row}.purity within 3 errors", pur_est.mean, TABLE1_PURITY_ANCHOR, 3.0 * pur_est.sampling_error),
         )
-        report.flags.append(
-            ReportFlag(
-                f"{state_id}.purity within 3 errors",
-                pur_est.mean,
-                TABLE1_PURITY_ANCHOR,
-                3.0 * pur_est.sampling_error,
-            )
+        _compare(
+            report, f"{row}.sre", sre_est, sre_oracle,
+            (f"{row}.sre vs anchor", sre_est.mean, magic_anchor, TABLE1_MAGIC_TOL),
+            (f"{row}.sre within 3 errors", sre_est.mean, magic_anchor, 3.0 * sre_est.sampling_error),
         )
-        report.flags.append(
-            ReportFlag(
-                f"{state_id}.sre vs anchor",
-                sre_est.mean,
-                TABLE1_MAGIC_ANCHORS[state_id],
-                TABLE1_MAGIC_TOL,
-            )
-        )
-        report.flags.append(
-            ReportFlag(
-                f"{state_id}.sre within 3 errors",
-                sre_est.mean,
-                TABLE1_MAGIC_ANCHORS[state_id],
-                3.0 * sre_est.sampling_error,
-            )
-        )
+        rdm_est, rdm_oracle = results["rdm_purity[0]"]
+        report.values += [
+            ReportValue(f"{row}.purity", "anchor", TABLE1_PURITY_ANCHOR),
+            ReportValue(f"{row}.sre", "anchor", magic_anchor),
+            ReportValue.from_estimate(f"{row}.rdm_purity[0]", rdm_est),
+            ReportValue(f"{row}.nonlocal_magic_rdm", "estimate", nl_est),
+            ReportValue(f"{row}.nonlocal_magic_rdm", "oracle", nonlocal_magic_noisy(rdm_oracle, scenario.p_dep_cz)),
+        ]
     return report
 
 
@@ -493,28 +489,13 @@ def report_fig3(
     its error, the closed-form value, and the non-local magic inferred from
     the reduced-state purity.
     """
-    if p_dep is None:
-        p_dep = calibrate_p_dep()
-    p_err = 1.0 - p_dep
     report = Report(name="fig3", seed=seed)
     rows = []
-    for idx, theta_deg in enumerate(FIG3_THETA_GRID_DEG):
-        theta = float(np.deg2rad(theta_deg))
-        scenario = Scenario(
-            name=f"nlm(theta={theta_deg})",
-            state_id="nlm",
-            state_params={"theta": theta},
-            p_dep_cz=p_dep,
-            n_shot=n_shot,
-            n_rand=n_rand,
-            seed=seed + idx,
-            estimators=("sre", ("rdm_purity", (0,))),
-        )
-        results = measure(scenario)
+    sampled = _sampled_rows(FIG3_ROWS, ("sre",), p_dep, seed, n_rand, n_shot)
+    for theta_deg, (scenario, results, nl_est) in zip(FIG3_THETA_GRID_DEG, sampled):
+        theta = dict(scenario.state_params)["theta"]
         sre_est, _ = results["sre"]
-        rdm_est, _ = results["rdm_purity[0]"]
-        theory = sre_nlm_depolarized(p_err, theta)
-        nl_est = _nl_from_rdm(rdm_est, p_dep)
+        theory = sre_nlm_depolarized(1.0 - scenario.p_dep_cz, theta)
         nl_theory = nonlocal_magic_theta(theta)
         rows.append(
             [

@@ -12,6 +12,7 @@ from nlmagic import (
     mitigate_least_squares,
     purity,
     qcore,
+    reduced_purity,
     run_circuit,
     sre_exact,
     stabilizer_purity_exact,
@@ -279,7 +280,7 @@ def test_bad_gates_in_a_scenario_are_clear_errors(gate, message, tmp_path, capsy
     assert err.startswith("error: ") and message in err and "Warning" not in err
 
 
-def test_magic_exact_computes_one_pauli_spectrum(scenario_path, monkeypatch, capsys):
+def test_magic_exact_computes_one_pauli_spectrum(scenario_path, tmp_path, monkeypatch, capsys):
     fresh = run_circuit(state_circuit("m"), SCENARIO["noise"]["p_dep_cz"])
     expected = {"purity": purity(fresh), "stab_purity": stabilizer_purity_exact(fresh), "sre": sre_exact(fresh)}
     calls = []
@@ -289,7 +290,48 @@ def test_magic_exact_computes_one_pauli_spectrum(scenario_path, monkeypatch, cap
     assert code == 0
     assert len(calls) == 1
     values = {v["name"]: v["value"] for v in json.loads(out)["values"]}
-    assert {k: values[k] for k in expected} == expected
+    assert values == {**expected, "rdm_purity[0]": reduced_purity(fresh, {0})}
+    # The reduced purity of qubit 0 is printed at two qubits only.
+    gates = [{"kind": "H", "qubits": [q]} for q in range(3)] + [{"kind": "CZ", "qubits": [0, 1]}]
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps({"version": 1, "state": {"circuit": {"num_qubits": 3, "gates": gates}}}))
+    code, out, _ = run(capsys, ["magic", "exact", "--scenario", str(path), "--format", "json"])
+    assert code == 0
+    assert [v["name"] for v in json.loads(out)["values"]] == ["purity", "stab_purity", "sre"]
+
+
+def test_estimators_and_oracles_are_read_from_the_scenarios_module_when_called(scenario_path, monkeypatch, capsys):
+    # A tracer or a patch replaces the module attribute; a table of
+    # functions captured at import would keep calling the originals.
+    from nlmagic import scenarios
+
+    calls = []
+    for name in ("estimate_sre", "sre_exact"):
+        real = getattr(scenarios, name)
+        monkeypatch.setattr(scenarios, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert run(capsys, ["rcm", "estimate", "--scenario", str(scenario_path)])[0] == 0
+    assert sorted(calls) == ["estimate_sre", "sre_exact"]
+    calls.clear()
+    assert run(capsys, ["magic", "exact", "--scenario", str(scenario_path)])[0] == 0
+    assert calls == ["sre_exact"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rcm", "estimate", "--scenario", "{negative}"],
+        ["rcm", "estimate", "--scenario", "{scenario}", "--seed", "-1"],
+        ["report", "table1", "--seed", "-1"],
+        ["report", "fig3", "--seed", "-1"],
+    ],
+    ids=["scenario-file", "estimate-seed", "table1-seed", "fig3-seed"],
+)
+def test_negative_seed_is_a_named_error(argv, scenario_path, tmp_path, capsys):
+    negative = tmp_path / "negative_seed.json"
+    negative.write_text(json.dumps({**SCENARIO, "seed": -1}))
+    argv = [a.format(negative=negative, scenario=scenario_path) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
 
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, capsys):

@@ -69,6 +69,18 @@ def test_from_json_builds_readout_from_flip_rates_or_matrix():
     assert load().readout is None
 
 
+@pytest.mark.parametrize(
+    "readout", [{"per_qubit_eps": EPS, "correlation": 0.02}, {"matrix": [[0.9, 0.2], [0.1, 0.8]]}],
+    ids=["per_qubit_eps", "matrix"],
+)
+def test_scenario_files_with_readout_compare_and_hash_equal(readout):
+    first, second = load(noise={"readout": readout}), load(noise={"readout": readout})
+    assert first.readout is not second.readout
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second, load()}) == 2
+    assert load(noise={"readout": {"per_qubit_eps": [[0.0, 0.0], [0.0, 0.0]]}}) != first
+
+
 def test_from_json_sorts_reduced_purity_qubits():
     scenario = load(estimators=["sre", {"rdm_purity": {"keep": [2, 0]}}])
     assert scenario.estimators == ("sre", ("rdm_purity", (0, 2)))
