@@ -18,7 +18,6 @@ from .qcore import (
 )
 from .circuits import (
     Circuit,
-    CliffordElement,
     GateSpec,
     gate_matrix,
     run_circuit,
@@ -50,7 +49,6 @@ from .rcm import (
     sample_local_cliffords,
 )
 from .mitigation import (
-    InitializationCounts,
     calibration_from_counts,
     mitigate_least_squares,
     readout_fidelity,
@@ -85,7 +83,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DepolarizedState", "purity", "reduced_purity",
-    "Circuit", "CliffordElement", "GateSpec", "gate_matrix", "run_circuit",
+    "Circuit", "GateSpec", "gate_matrix", "run_circuit",
     "single_qubit_clifford_group", "state_circuit",
     "CalibrationMatrix", "sample_shots", "synth_calibration_matrix",
     "check_distillation_lemma", "nonlocal_magic", "nonlocal_magic_noisy", "nonlocal_magic_theta",
@@ -93,8 +91,7 @@ __all__ = [
     "EstimateWithError", "RcmDataset", "collect_dataset", "estimate_purity",
     "estimate_rdm_purity", "estimate_sre", "estimate_stabilizer_purity",
     "sample_local_cliffords",
-    "InitializationCounts", "calibration_from_counts", "mitigate_least_squares",
-    "readout_fidelity",
+    "calibration_from_counts", "mitigate_least_squares", "readout_fidelity",
     "ErasureAngles", "ErasureResult", "OptConfig", "erasure_objective", "optimize_erasure",
     "sweep_landscape",
     "DecayCurve", "DecayFit", "avg_gate_fidelity", "fit_exp_decay", "synth_rb_curve",

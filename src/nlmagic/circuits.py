@@ -1,5 +1,15 @@
 """Gate set, circuit execution, the single-qubit Clifford group, and the
-catalogue of named preparation circuits.
+catalogue of named preparation circuits, each gate kind and each catalogue
+state declared once, as data:
+
+- ``GATES`` maps each gate kind to (qubit count, angle count, unitary as a
+  function of the angles). ``GateSpec`` reads its checks from it, and
+  ``gate_matrix`` is one lookup and call.
+- ``STATES`` maps each catalogue id to (qubit count, gate template). A
+  template angle written as a name is filled from the state's parameters;
+  a name ending in ``?`` is optional, and its gate is dropped when that
+  parameter is absent. ``STATE_PARAMS``, the parameters each id takes, is
+  derived from it in gate order.
 
 Rotation gates follow the R(theta) = exp(-i theta sigma / 2) convention;
 T is Rz(pi/4) and S is Rz(pi/2) up to global phase. CNOT is never treated
@@ -16,15 +26,45 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .qcore import ATOL_STRUCT, PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState, apply_to_axis
-
-GATE_KINDS = frozenset(
-    {"Rx", "Ry", "Rz", "Rxy", "H", "S", "T", "X", "Y", "Z", "CZ", "CNOT"}
-)
-_TWO_QUBIT = frozenset({"CZ", "CNOT"})
-_N_ANGLES = {"Rx": 1, "Ry": 1, "Rz": 1, "Rxy": 2}
+from .qcore import PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState, apply_to_axis
 
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def ry_matrix(theta: float) -> np.ndarray:
+    return rxy_matrix(theta, np.pi / 2)
+
+
+def rz_matrix(theta: float) -> np.ndarray:
+    return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
+
+
+def rxy_matrix(theta: float, phi: float) -> np.ndarray:
+    """Rotation by theta about the equatorial axis cos(phi) X + sin(phi) Y."""
+    axis = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return c * np.eye(2) - 1j * s * axis
+
+
+_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+_IH = np.kron(np.eye(2), H_MATRIX)
+
+# Each gate kind: (qubit count, angle count, its unitary on its own qubits
+# as a function of the angles, a fresh array per call).
+GATES = {
+    "Rx": (1, 1, lambda theta: rxy_matrix(theta, 0.0)),
+    "Ry": (1, 1, ry_matrix),
+    "Rz": (1, 1, rz_matrix),
+    "Rxy": (1, 2, rxy_matrix),
+    "H": (1, 0, H_MATRIX.copy),
+    "S": (1, 0, lambda: rz_matrix(np.pi / 2)),
+    "T": (1, 0, lambda: rz_matrix(np.pi / 4)),
+    "X": (1, 0, PAULI_X.copy),
+    "Y": (1, 0, PAULI_Y.copy),
+    "Z": (1, 0, PAULI_Z.copy),
+    "CZ": (2, 0, _CZ.copy),
+    "CNOT": (2, 0, lambda: _IH @ _CZ @ _IH),
+}
 
 
 @dataclass(frozen=True)
@@ -36,15 +76,15 @@ class GateSpec:
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        if self.kind not in GATE_KINDS:
+        if self.kind not in GATES:
             raise ValueError(f"unsupported gate kind {self.kind!r}")
-        arity = 2 if self.kind in _TWO_QUBIT else 1
+        arity, n_angles, _ = GATES[self.kind]
         if len(self.qubits) != arity or len(set(self.qubits)) != arity:
             raise ValueError(f"{self.kind} needs {arity} distinct qubit indices")
         if min(self.qubits) < 0:
             raise ValueError(f"{self.kind} qubit indices must be >= 0, not {self.qubits}")
-        if len(self.angles) != _N_ANGLES.get(self.kind, 0):
-            raise ValueError(f"{self.kind} takes {_N_ANGLES.get(self.kind, 0)} angle(s)")
+        if len(self.angles) != n_angles:
+            raise ValueError(f"{self.kind} takes {n_angles} angle(s)")
         if not all(map(math.isfinite, self.angles)):
             raise ValueError(f"{self.kind} angles must be finite, not {self.angles}")
 
@@ -63,54 +103,9 @@ class Circuit:
                 raise ValueError(f"gate {g} addresses qubit outside the register")
 
 
-def rx_matrix(theta: float) -> np.ndarray:
-    return rxy_matrix(theta, 0.0)
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    return rxy_matrix(theta, np.pi / 2)
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
-
-
-def rxy_matrix(theta: float, phi: float) -> np.ndarray:
-    """Rotation by theta about the equatorial axis cos(phi) X + sin(phi) Y."""
-    axis = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return c * np.eye(2) - 1j * s * axis
-
-
 def gate_matrix(g: GateSpec) -> np.ndarray:
     """Unitary of the gate on its own qubits (2x2, or 4x4 for CZ/CNOT)."""
-    if g.kind == "Rx":
-        return rx_matrix(g.angles[0])
-    if g.kind == "Ry":
-        return ry_matrix(g.angles[0])
-    if g.kind == "Rz":
-        return rz_matrix(g.angles[0])
-    if g.kind == "Rxy":
-        return rxy_matrix(*g.angles)
-    if g.kind == "H":
-        return H_MATRIX.copy()
-    if g.kind == "S":
-        return rz_matrix(np.pi / 2)
-    if g.kind == "T":
-        return rz_matrix(np.pi / 4)
-    if g.kind == "X":
-        return PAULI_X.copy()
-    if g.kind == "Y":
-        return PAULI_Y.copy()
-    if g.kind == "Z":
-        return PAULI_Z.copy()
-    if g.kind == "CZ":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if g.kind == "CNOT":
-        ih = np.kron(np.eye(2), H_MATRIX)
-        cz = np.diag([1, 1, 1, -1]).astype(complex)
-        return ih @ cz @ ih
-    raise ValueError(f"unsupported gate kind {g.kind!r}")  # pragma: no cover
+    return GATES[g.kind][2](*g.angles)
 
 
 def _expand_cnot(g: GateSpec) -> list[GateSpec]:
@@ -156,21 +151,6 @@ def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DepolarizedState:
 # Single-qubit Clifford group
 
 
-@dataclass(frozen=True, eq=False)
-class CliffordElement:
-    """A single-qubit Clifford unitary, canonicalized modulo global phase."""
-
-    matrix: np.ndarray
-    canonical_id: int
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if np.max(np.abs(m.conj().T @ m - np.eye(2))) > ATOL_STRUCT:
-            raise ValueError("Clifford element must be unitary within 1e-12")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
 def canonical_phase(u: np.ndarray) -> np.ndarray:
     """Rescale so the first entry (row-major) above 1e-10 in modulus is real
     positive."""
@@ -181,14 +161,15 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def single_qubit_clifford_group() -> tuple[CliffordElement, ...]:
-    """The 24 single-qubit Cliffords, generated by closure over {H, S}.
+def single_qubit_clifford_group() -> tuple[np.ndarray, ...]:
+    """The 24 single-qubit Cliffords as read-only 2x2 matrices, each
+    canonicalized modulo global phase, generated by closure over {H, S}.
 
-    Elements are found breadth first starting from the identity, so ids are
-    stable across runs; id 0 is the identity.
+    Elements are found breadth first starting from the identity, so a
+    matrix's tuple position is a Clifford id stable across runs; id 0 is
+    the identity.
     """
-    s_matrix = rz_matrix(np.pi / 2)
-    generators = [H_MATRIX, s_matrix]
+    generators = [H_MATRIX, rz_matrix(np.pi / 2)]
     elements = [canonical_phase(np.eye(2, dtype=complex))]
     frontier = list(elements)
     while frontier:
@@ -202,96 +183,65 @@ def single_qubit_clifford_group() -> tuple[CliffordElement, ...]:
         frontier = fresh
     if len(elements) != 24:  # pragma: no cover
         raise RuntimeError(f"Clifford closure produced {len(elements)} elements")
-    return tuple(CliffordElement(m, i) for i, m in enumerate(elements))
+    for m in elements:
+        m.flags.writeable = False
+    return tuple(elements)
 
 
 # ---------------------------------------------------------------------------
 # Named preparation circuits
 
-# Each catalogue id with the parameters (radians) it accepts.
-STATE_PARAMS = {
-    "psi0": (),
-    "psi1": ("phase",),
-    "psi2": ("phase",),
-    "psi3": ("phase0", "phase1"),
-    "psi4": (),
-    "lm": (),
-    "lm_erased": (),
-    "m": (),
-    "m_erased": (),
-    "nlm": ("theta",),
-    "m_sweep": ("gamma", "phi"),
-}
-
 # Rz(3*pi/8) turns the pi/8 phase injected by the m-state circuit into the
 # Clifford phase pi/2, which removes all of its locally erasable magic.
 M_ERASE_ANGLE = 3 * np.pi / 8
 
+# The gate templates the lm and m families share: (kind, qubits, *angles).
+_LM = (("H", (0,)), ("CNOT", (0, 1)), ("T", (0,)))
+_M = (("Rx", (0,), np.pi / 8), ("H", (1,)), ("CZ", (0, 1)), ("Rz", (1,), np.pi / 8))
+
+# Each catalogue id: (qubit count, gate template). Angles are radians; a
+# name is a parameter, optional when it ends in "?".
+STATES = {
+    "psi0": (1, ()),
+    "psi1": (1, (("H", (0,)), ("Rz", (0,), "phase?"))),
+    "psi2": (1, (("X", (0,)), ("H", (0,)), ("Rz", (0,), "phase?"))),
+    "psi3": (2, (("H", (0,)), ("H", (1,)), ("Rz", (0,), "phase0?"), ("Rz", (1,), "phase1?"))),
+    "psi4": (2, (("H", (0,)), ("CNOT", (0, 1)))),
+    "lm": (2, _LM),
+    "lm_erased": (2, _LM + (("T", (0,)),)),
+    "m": (2, _M),
+    "m_erased": (2, _M + (("Rz", (1,), M_ERASE_ANGLE),)),
+    "nlm": (2, (("Rx", (0,), "theta"), ("CNOT", (0, 1)))),
+    "m_sweep": (2, _M + (("Rz", (0,), "gamma"), ("Rz", (1,), "phi"))),
+}
+
+# Each catalogue id with the parameters it takes, in gate order.
+STATE_PARAMS = {
+    state_id: tuple(a.rstrip("?") for _, _, *angles in template for a in angles if isinstance(a, str))
+    for state_id, (_, template) in STATES.items()
+}
+
 
 def state_circuit(state_id: str, params: Optional[Mapping[str, float]] = None) -> Circuit:
-    """Gate list for one of the named benchmark states.
+    """Gate list for one of the named benchmark states, built from its
+    ``STATES`` template.
 
     ``params`` uses radians and takes only the keys ``STATE_PARAMS`` lists
-    for the id. ``psi1``/``psi2``/``psi3`` accept optional ``phase``
-    (``phase0``/``phase1`` for psi3) appending an Rz; ``nlm`` requires
-    ``theta``; ``m_sweep`` requires ``gamma`` and ``phi``.
+    for the id; each one the template does not mark optional is required.
     """
     params = dict(params or {})
-    if state_id not in STATE_PARAMS:
+    if state_id not in STATES:
         raise ValueError(f"unknown state id {state_id!r}")
+    num_qubits, template = STATES[state_id]
+    accepted = ", ".join(STATE_PARAMS[state_id]) or "none"
     if unknown := sorted(set(params) - set(STATE_PARAMS[state_id])):
-        accepted = ", ".join(STATE_PARAMS[state_id]) or "none"
         raise ValueError(f"state {state_id!r} takes no parameter {', '.join(unknown)} (it takes {accepted})")
-
-    def phase_gate(qubit, key="phase"):
-        if key in params:
-            return [GateSpec("Rz", (qubit,), (params[key],))]
-        return []
-
-    if state_id == "psi0":
-        return Circuit(1, ())
-    if state_id == "psi1":
-        return Circuit(1, tuple([GateSpec("H", (0,))] + phase_gate(0)))
-    if state_id == "psi2":
-        return Circuit(1, tuple([GateSpec("X", (0,)), GateSpec("H", (0,))] + phase_gate(0)))
-    if state_id == "psi3":
-        gates = [GateSpec("H", (0,)), GateSpec("H", (1,))]
-        gates += phase_gate(0, "phase0") + phase_gate(1, "phase1")
-        return Circuit(2, tuple(gates))
-    if state_id == "psi4":
-        return Circuit(2, (GateSpec("H", (0,)), GateSpec("CNOT", (0, 1))))
-
-    if state_id in ("lm", "lm_erased"):
-        gates = [
-            GateSpec("H", (0,)),
-            GateSpec("CNOT", (0, 1)),
-            GateSpec("T", (0,)),
-        ]
-        if state_id == "lm_erased":
-            gates.append(GateSpec("T", (0,)))
-        return Circuit(2, tuple(gates))
-
-    if state_id in ("m", "m_erased", "m_sweep"):
-        gates = [
-            GateSpec("Rx", (0,), (np.pi / 8,)),
-            GateSpec("H", (1,)),
-            GateSpec("CZ", (0, 1)),
-            GateSpec("Rz", (1,), (np.pi / 8,)),
-        ]
-        if state_id == "m_erased":
-            gates.append(GateSpec("Rz", (1,), (M_ERASE_ANGLE,)))
-        if state_id == "m_sweep":
-            if "gamma" not in params or "phi" not in params:
-                raise ValueError("m_sweep requires 'gamma' and 'phi' angles")
-            gates.append(GateSpec("Rz", (0,), (params["gamma"],)))
-            gates.append(GateSpec("Rz", (1,), (params["phi"],)))
-        return Circuit(2, tuple(gates))
-
-    if state_id == "nlm":
-        if "theta" not in params:
-            raise ValueError("nlm requires a 'theta' angle")
-        return Circuit(
-            2, (GateSpec("Rx", (0,), (params["theta"],)), GateSpec("CNOT", (0, 1)))
-        )
-
-    raise ValueError(f"unknown state id {state_id!r}")  # pragma: no cover
+    gates, missing = [], []
+    for kind, qubits, *angles in template:
+        absent = [a for a in angles if isinstance(a, str) and a.rstrip("?") not in params]
+        missing += [a for a in absent if not a.endswith("?")]
+        if not absent:
+            gates.append(GateSpec(kind, qubits, [params[a.rstrip("?")] if isinstance(a, str) else a for a in angles]))
+    if missing:
+        raise ValueError(f"state {state_id!r} needs parameter {', '.join(missing)} (it takes {accepted})")
+    return Circuit(num_qubits, tuple(gates))

@@ -35,7 +35,6 @@ import numpy as np
 from .benchfit import avg_gate_fidelity, decay_curve_from_csv, fit_exp_decay
 from .erasure import degree_grid, landscape_to_csv, sweep_landscape
 from .mitigation import (
-    InitializationCounts,
     calibration_from_counts,
     mitigate_least_squares,
     readout_fidelity,
@@ -167,11 +166,10 @@ def _cmd_mitigate(args) -> int:
     typed, array, table = (functools.partial(f, source="mitigate input") for f in (_typed, _array, _rows))
     payload = typed(json.loads(args.input.read_text()), "", "object")
     if "counts" in payload:
-        ic = InitializationCounts(
+        cal = calibration_from_counts(
             np.array(table(payload["counts"], "counts", "integer"), dtype=int),
             typed(payload.get("n_shot"), "n_shot", "integer"),
         )
-        cal = calibration_from_counts(ic)
     else:
         calibration = table(payload.get("calibration"), "calibration", "number")
         cal = CalibrationMatrix(np.array(calibration, dtype=float))
@@ -227,6 +225,8 @@ def _cmd_fit_rb(args) -> int:
 def _cmd_report(args) -> int:
     if args.action == "fig4":
         return _emit(report_fig4(seed=args.seed), args)
+    if args.p_dep is not None and not 0.0 < args.p_dep <= 1.0:
+        raise ValueError(f"--p-dep must lie in (0, 1], got {args.p_dep}")
     build = report_table1 if args.action == "table1" else report_fig3
     kwargs = {k: getattr(args, k) for k in ("n_rand", "n_shot") if getattr(args, k) is not None}
     return _emit(build(p_dep=args.p_dep, seed=args.seed, **kwargs), args)

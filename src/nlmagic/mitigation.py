@@ -16,8 +16,6 @@ moving share one batched ``np.linalg.solve`` per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .noise import CalibrationMatrix
@@ -27,36 +25,20 @@ class ConvergenceError(RuntimeError):
     """The solver hit its step cap before every row reached the optimum."""
 
 
-@dataclass(frozen=True, eq=False)
-class InitializationCounts:
-    """Counts of measured outcomes per prepared computational state.
-
-    Row i holds the outcome histogram recorded after preparing state i;
-    every row must sum to the same shot count.
-    """
-
-    counts: np.ndarray
-    n_shot: int
-
-    def __post_init__(self):
-        c = np.array(self.counts, dtype=int)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("counts must form a square table")
-        if (c < 0).any():
-            raise ValueError("counts must be nonnegative")
-        if self.n_shot <= 0:
-            raise ValueError("n_shot must be positive")
-        rows = c.sum(axis=1)
-        if (rows != self.n_shot).any():
-            raise ValueError("every row must sum to n_shot")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-
-def calibration_from_counts(ic: InitializationCounts) -> CalibrationMatrix:
-    """Column j of the calibration matrix is the histogram of preparation j."""
-    lam = ic.counts.T.astype(float) / float(ic.n_shot)
-    return CalibrationMatrix(lam)
+def calibration_from_counts(counts, n_shot: int) -> CalibrationMatrix:
+    """The calibration matrix from a square table of counts, row i the
+    outcome histogram recorded after preparing computational state i; every
+    row must sum to ``n_shot``. Column j of the matrix is row j over n_shot."""
+    c = np.array(counts, dtype=int)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("counts must form a square table")
+    if (c < 0).any():
+        raise ValueError("counts must be nonnegative")
+    if n_shot <= 0:
+        raise ValueError("n_shot must be positive")
+    if (c.sum(axis=1) != n_shot).any():
+        raise ValueError("every row must sum to n_shot")
+    return CalibrationMatrix(c.T.astype(float) / float(n_shot))
 
 
 def readout_fidelity(lam: CalibrationMatrix) -> float:

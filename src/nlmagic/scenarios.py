@@ -43,7 +43,7 @@ from .magic import (
 )
 from .mitigation import mitigate_least_squares
 from .noise import CalibrationMatrix, synth_calibration_matrix
-from .qcore import DepolarizedState, purity, reduced_purity
+from .qcore import DepolarizedState, kept_qubits, purity, reduced_purity
 from .rcm import (
     EstimateWithError,
     collect_dataset,
@@ -159,9 +159,18 @@ class Scenario:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "state_params", tuple(sorted(dict(self.state_params).items())))
         # A catalogue circuit is built here, once, so a bad id or parameter
-        # fails on construction as a bad explicit circuit does.
+        # fails on construction as a bad explicit circuit does; so does a bad
+        # estimator spec.
         built = self.circuit or state_circuit(self.state_id, dict(self.state_params))
         object.__setattr__(self, "_built", built)
+        labels = set()
+        for spec in self.estimators:
+            label = estimator(spec)[0]
+            if label in labels:
+                raise ValueError(f"estimator {label} is listed twice")
+            labels.add(label)
+            if isinstance(spec, tuple):
+                kept_qubits(set(spec[1]), built.num_qubits)
 
     def build_circuit(self) -> Circuit:
         return self._built
@@ -381,8 +390,6 @@ def measure(scenario: Scenario, exhaustive: bool = False) -> dict:
     results = {}
     for spec in scenario.estimators:
         label, estimate, oracle = estimator(spec)
-        if label in results:
-            raise ValueError(f"estimator {label} is listed twice")
         results[label] = (estimate(ds), float(oracle(state)))
     return results
 

@@ -14,7 +14,7 @@ from nlmagic import (
     sre_exact,
     state_circuit,
 )
-from nlmagic.circuits import _N_ANGLES, STATE_PARAMS, canonical_phase
+from nlmagic.circuits import GATES, STATE_PARAMS, canonical_phase
 
 from helpers import density_matrix, kron_run_circuit, loop_clifford_group
 
@@ -128,7 +128,7 @@ def random_circuits(draw):
             qubits = tuple(draw(st.permutations(range(n)))[:2])
         else:
             qubits = (draw(st.integers(0, n - 1)),)
-        k = _N_ANGLES.get(kind, 0)
+        k = GATES[kind][1]
         gates.append(GateSpec(kind, qubits, draw(st.lists(angle, min_size=k, max_size=k))))
     return Circuit(n, tuple(gates))
 
@@ -188,21 +188,21 @@ def test_catalogue_states_equal_kronecker_reference_within_two_eps(p):
 def test_clifford_group_equals_loop_closure():
     group = single_qubit_clifford_group()
     reference = loop_clifford_group()
-    assert [e.canonical_id for e in group] == list(range(len(reference)))
+    assert len(group) == len(reference)
     for elem, want in zip(group, reference):
-        assert np.array_equal(elem.matrix, want)
+        assert np.array_equal(elem, want)
+        assert not elem.flags.writeable
 
 
 def test_clifford_group_order_and_identity():
     group = single_qubit_clifford_group()
     assert len(group) == 24
-    assert group[0].canonical_id == 0
-    assert np.allclose(group[0].matrix, np.eye(2))
+    assert np.allclose(group[0], np.eye(2))
 
 
 def test_clifford_group_distinct_and_closed():
     group = single_qubit_clifford_group()
-    mats = [e.matrix for e in group]
+    mats = list(group)
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
             prod = canonical_phase(a @ b)
@@ -213,7 +213,7 @@ def test_clifford_group_distinct_and_closed():
 def test_clifford_invariance_on_stabilizer_states():
     zero = run_circuit(Circuit(1, ()))
     for elem in single_qubit_clifford_group():
-        assert sre_exact(DepolarizedState(elem.matrix @ zero.psi)) < 1e-10
+        assert sre_exact(DepolarizedState(elem @ zero.psi)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,65 @@ def test_psi_catalogue_magic_values():
     )
     assert sre_exact(both_t) == pytest.approx(2 * np.log2(4 / 3), abs=1e-12)
     assert sre_exact(run_circuit(state_circuit("psi4"))) < 1e-10
+
+
+_M = [("Rx", (0,), (np.pi / 8,)), ("H", (1,), ()), ("CZ", (0, 1), ()), ("Rz", (1,), (np.pi / 8,))]
+
+# Every catalogue id's (num_qubits, [(kind, qubits, angles)]), written out
+# by hand: the Kronecker comparisons run the same circuit twice, so only this
+# catches a wrong entry in ``STATES``.
+CATALOGUE_GATES = [
+    ("psi0", None, 1, []),
+    ("psi1", None, 1, [("H", (0,), ())]),
+    ("psi1", {"phase": 0.25}, 1, [("H", (0,), ()), ("Rz", (0,), (0.25,))]),
+    ("psi2", None, 1, [("X", (0,), ()), ("H", (0,), ())]),
+    ("psi2", {"phase": 0.25}, 1, [("X", (0,), ()), ("H", (0,), ()), ("Rz", (0,), (0.25,))]),
+    ("psi3", None, 2, [("H", (0,), ()), ("H", (1,), ())]),
+    ("psi3", {"phase0": 0.25}, 2, [("H", (0,), ()), ("H", (1,), ()), ("Rz", (0,), (0.25,))]),
+    ("psi3", {"phase1": 0.5}, 2, [("H", (0,), ()), ("H", (1,), ()), ("Rz", (1,), (0.5,))]),
+    (
+        "psi3",
+        {"phase1": 0.5, "phase0": 0.25},
+        2,
+        [("H", (0,), ()), ("H", (1,), ()), ("Rz", (0,), (0.25,)), ("Rz", (1,), (0.5,))],
+    ),
+    ("psi4", None, 2, [("H", (0,), ()), ("CNOT", (0, 1), ())]),
+    ("lm", None, 2, [("H", (0,), ()), ("CNOT", (0, 1), ()), ("T", (0,), ())]),
+    ("lm_erased", None, 2, [("H", (0,), ()), ("CNOT", (0, 1), ()), ("T", (0,), ()), ("T", (0,), ())]),
+    ("m", None, 2, _M),
+    ("m_erased", None, 2, _M + [("Rz", (1,), (3 * np.pi / 8,))]),
+    ("nlm", {"theta": 0.75}, 2, [("Rx", (0,), (0.75,)), ("CNOT", (0, 1), ())]),
+    ("m_sweep", {"phi": 0.5, "gamma": 0.25}, 2, _M + [("Rz", (0,), (0.25,)), ("Rz", (1,), (0.5,))]),
+]
+
+
+@pytest.mark.parametrize("state_id, params, num_qubits, gates", CATALOGUE_GATES)
+def test_catalogue_gate_lists_are_pinned(state_id, params, num_qubits, gates):
+    circuit = state_circuit(state_id, params)
+    assert circuit.num_qubits == num_qubits
+    assert [(g.kind, g.qubits, g.angles) for g in circuit.gates] == gates
+
+
+def test_catalogue_parameters_are_listed_in_gate_order():
+    assert {sid for sid, *_ in CATALOGUE_GATES} == set(STATE_PARAMS)
+    assert STATE_PARAMS == {
+        "psi0": (), "psi1": ("phase",), "psi2": ("phase",), "psi3": ("phase0", "phase1"), "psi4": (),
+        "lm": (), "lm_erased": (), "m": (), "m_erased": (), "nlm": ("theta",), "m_sweep": ("gamma", "phi"),
+    }  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "state_id, params, missing, accepted",
+    [
+        ("nlm", None, "theta", "theta"),
+        ("m_sweep", {"gamma": 0.1}, "phi", "gamma, phi"),
+        ("m_sweep", {"phi": 0.1}, "gamma", "gamma, phi"),
+        ("m_sweep", None, "gamma, phi", "gamma, phi"),
+    ],
+)
+def test_missing_state_parameters_are_named_errors(state_id, params, missing, accepted):
+    with pytest.raises(ValueError, match=rf"^state '{state_id}' needs parameter {missing} \(it takes {accepted}\)$"):
+        state_circuit(state_id, params)
 
 
 def test_state_circuit_errors():

@@ -334,6 +334,44 @@ def test_negative_seed_is_a_named_error(argv, scenario_path, tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize(
+    "argv, got",
+    [
+        (["report", "table1", "--p-dep", "1.5"], "1.5"),
+        (["report", "table1", "--p-dep", "nan"], "nan"),
+        (["report", "fig3", "--p-dep", "0"], "0.0"),
+        (["report", "fig3", "--p-dep", "-0.2"], "-0.2"),
+    ],
+    ids=["table1-above-one", "table1-nan", "fig3-zero", "fig3-negative"],
+)
+def test_bad_p_dep_is_named_by_its_flag_before_sampling(argv, got, monkeypatch, capsys):
+    from nlmagic import scenarios
+
+    monkeypatch.setattr(scenarios, "collect_dataset", lambda *a: pytest.fail("report sampled"))
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: --p-dep must lie in (0, 1], got {got}\n")
+
+
+@pytest.mark.parametrize(
+    "estimators, message",
+    [
+        (["purity", "bogus"], "unknown estimator 'bogus'"),
+        ([{"rdm_purity": {"keep": [5]}}], "qubit indices [5] out of range for 2 qubits"),
+        (["sre", "sre"], "estimator sre is listed twice"),
+    ],
+    ids=["unknown", "keep-out-of-range", "duplicate"],
+)
+def test_bad_estimator_lists_fail_when_the_scenario_is_loaded(estimators, message, tmp_path, monkeypatch, capsys):
+    from nlmagic import scenarios
+
+    monkeypatch.setattr(scenarios, "collect_dataset", lambda *a: pytest.fail("scenario sampled"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SCENARIO, "estimators": estimators}))
+    for command in (["magic", "exact"], ["rcm", "estimate"]):
+        code, out, err = run(capsys, command + ["--scenario", str(path)])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, capsys):
     assert build_parser() is build_parser()
     assert all(cli._leaf_parser(words) is cli._leaf_parser(words) for words in cli._COMMANDS)

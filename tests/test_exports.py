@@ -5,18 +5,16 @@ import pytest
 
 import nlmagic
 from nlmagic import (
-    InitializationCounts,
     collect_dataset,
     run_circuit,
     sample_local_cliffords,
-    single_qubit_clifford_group,
     state_circuit,
     sweep_landscape,
     synth_rb_curve,
 )
 
 # The public surface; a change that adds or removes a name updates this.
-PUBLIC_NAMES = 51
+PUBLIC_NAMES = 49
 
 
 def test_all_lists_resolvable_names_and_no_module():
@@ -42,8 +40,6 @@ ARRAY_HOLDERS = {
     "DepolarizedState": lambda: run_circuit(state_circuit("m")),
     "RcmDataset": lambda: collect_dataset(run_circuit(state_circuit("m")), sample_local_cliffords(2, 3, 0)),
     "DecayCurve": lambda: synth_rb_curve(0.5, 0.99, 0.5, (1, 10, 20, 50), 0.0, 0),
-    "InitializationCounts": lambda: InitializationCounts(np.array([[90, 10], [4, 96]]), 100),
-    "CliffordElement": lambda: single_qubit_clifford_group()[1],
     "ErasureResult": lambda: sweep_landscape(run_circuit(state_circuit("m")), np.zeros(2), np.zeros(2)),
 }
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nlmagic import (
     CalibrationMatrix,
-    InitializationCounts,
     calibration_from_counts,
     mitigate_least_squares,
     readout_fidelity,
@@ -138,17 +137,17 @@ def test_calibration_matrix_rejects_entries_outside_the_unit_interval(bad):
 )
 def test_initialization_counts_rejections(counts, n_shot, message):
     with pytest.raises(ValueError, match=message):
-        InitializationCounts(np.array(counts), n_shot)
+        calibration_from_counts(np.array(counts), n_shot)
 
 
 def test_readout_fidelity_is_the_mean_diagonal():
     assert readout_fidelity(CalibrationMatrix(np.eye(4))) == 1.0
-    lam = calibration_from_counts(InitializationCounts(np.array([[90, 10], [4, 96]]), 100))
+    lam = calibration_from_counts(np.array([[90, 10], [4, 96]]), 100)
     assert readout_fidelity(lam) == pytest.approx(0.93, abs=1e-15)
 
 
 def test_calibration_column_is_preparation_histogram():
     counts = np.array([[80, 12, 5, 3], [7, 85, 2, 6], [9, 1, 88, 2], [0, 4, 10, 86]])
-    lam = calibration_from_counts(InitializationCounts(counts, 100)).matrix
+    lam = calibration_from_counts(counts, 100).matrix
     for j in range(4):
         np.testing.assert_array_equal(lam[:, j], counts[j] / 100)

@@ -60,7 +60,7 @@ def reference_born(rho, ids):
     group = single_qubit_clifford_group()
     c = np.array([[1.0 + 0j]])
     for i in ids:
-        c = np.kron(c, group[i].matrix)
+        c = np.kron(c, group[i])
     return np.einsum("ij,jk,ik->i", c, density_matrix(rho), c.conj()).real
 
 

@@ -82,7 +82,9 @@ def test_scenario_files_with_readout_compare_and_hash_equal(readout):
 
 
 def test_from_json_sorts_reduced_purity_qubits():
-    scenario = load(estimators=["sre", {"rdm_purity": {"keep": [2, 0]}}])
+    # Qubit 2 needs a three-qubit register: the keep is checked on construction.
+    three_qubits = {"circuit": {"num_qubits": 3, "gates": []}}
+    scenario = load(state=three_qubits, estimators=["sre", {"rdm_purity": {"keep": [2, 0]}}])
     assert scenario.estimators == ("sre", ("rdm_purity", (0, 2)))
 
 
@@ -291,6 +293,25 @@ def test_stage_mitigation_undoes_readout_on_exact_probabilities():
 def test_stage_rejects_bad_estimator_lists(estimators, message):
     with pytest.raises(ValueError, match=message):
         measure(Scenario("s", state_id="m", n_rand=10, estimators=estimators))
+
+
+@pytest.mark.parametrize(
+    "estimators, message",
+    [
+        (("purity", "bogus"), r"^unknown estimator 'bogus'$"),
+        (("sre", "purity", "sre"), r"^estimator sre is listed twice$"),
+        ((("rdm_purity", (0,)), ("rdm_purity", (0, 0))), r"^estimator rdm_purity\[0\] is listed twice$"),
+        ((("rdm_purity", (5,)),), r"^qubit indices \[5\] out of range for 2 qubits$"),
+        ((("rdm_purity", (0, 1)),), r"^keep must be a nonempty proper subset of the qubits$"),
+    ],
+    ids=["unknown", "duplicate", "duplicate-keep", "keep-out-of-range", "keep-everything"],
+)
+def test_bad_estimator_lists_are_rejected_on_construction(estimators, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario("s", state_id="m", estimators=estimators)
+    specs = [e if isinstance(e, str) else {"rdm_purity": {"keep": list(e[1])}} for e in estimators]
+    with pytest.raises(ValueError, match=message):
+        load(estimators=specs)
 
 
 # ---------------------------------------------------------------------------
