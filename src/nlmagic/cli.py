@@ -153,7 +153,7 @@ def _cmd_magic_exact(args) -> int:
     if state.num_qubits == 2:
         specs.append(("rdm_purity", (0,)))
     for spec in specs:
-        label, _, oracle = estimator(spec)
+        label, oracle = estimator(spec)
         report.values.append(ReportValue(label, "oracle", oracle(state)))
     return _emit(report, args)
 
@@ -227,6 +227,9 @@ def _cmd_report(args) -> int:
         return _emit(report_fig4(seed=args.seed), args)
     if args.p_dep is not None and not 0.0 < args.p_dep <= 1.0:
         raise ValueError(f"--p-dep must lie in (0, 1], got {args.p_dep}")
+    for flag, value, least in (("--n-rand", args.n_rand, 2), ("--n-shot", args.n_shot, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     build = report_table1 if args.action == "table1" else report_fig3
     kwargs = {k: getattr(args, k) for k in ("n_rand", "n_shot") if getattr(args, k) is not None}
     return _emit(build(p_dep=args.p_dep, seed=args.seed, **kwargs), args)

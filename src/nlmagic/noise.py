@@ -57,8 +57,8 @@ class CalibrationMatrix:
 
 
 def clean_probability_vector(p) -> np.ndarray:
-    """Validate and normalize an outcome probability vector, or each row of
-    a two-dimensional array of them.
+    """Validate and normalize an outcome probability vector, or each vector
+    along the last axis of an array of them.
 
     Entries within 1e-12 below zero are clamped to 0 and each vector is
     renormalized; anything more negative, a NaN, or a sum off 1 by more
@@ -67,7 +67,7 @@ def clean_probability_vector(p) -> np.ndarray:
     (a -0.0 too), so skipping it never changes a bit.
     """
     v = np.asarray(p, dtype=float)
-    if v.ndim != 2:
+    if v.ndim < 2:
         v = v.ravel()
     low = np.min(v, initial=np.inf)
     if np.isnan(low):

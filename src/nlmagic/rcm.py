@@ -27,14 +27,23 @@ d^-2 sum_P Tr(P rho)^4. The reduced purity on qubits A is X_P of the
 marginal on A, whose transform is q on the k supported on A: it is
 d_A^-1 sum_{k inside A} 3^|k| q(k)^2, read from the columns of the same q^2.
 
-A dataset squares its Walsh rows once, on first use, and caches q^2 and
-the per-draw X_P and X_W; every estimator reads those, and none builds a
-marginal. ``purity_statistic`` and ``stabilizer_purity_statistic`` take one
-outcome vector or an array with one row per draw and give the same numbers
-as the cache. Means, sample standard deviations (the N-1 form) and
-sampling errors s/sqrt(N) are reported for every estimator. The same shot
-data serves both statistics; their O(1/N_shot) plug-in bias is accepted
-and left uncorrected.
+Both stages run on a batch of rows, one row per prepared state.
+``collect_rows`` gathers each row's Walsh rows from its own state and then
+takes the transform back to probabilities and the readout product once
+over the stacked (rows, draws, d) array; shots stay per row.
+``estimate_rows`` squares the stacked Walsh rows once, computes each
+statistic its estimators need (X_P, X_W, reduced X_P) once for all rows,
+and reduces the (statistics x rows, draws) array with one mean and one
+sample standard deviation (the N-1 form); sampling errors are s/sqrt(N).
+The SRE estimate combines the same X_W and X_P rows. Every stacked product
+runs block by block, so a row's numbers are byte-identical to those of a
+batch of one. A single-state dataset (``collect_dataset``) caches its q^2
+and per-draw X_P and X_W; the four ``estimate_*`` functions run the same
+reduction on it as a batch of one, and none builds a marginal.
+``purity_statistic`` and ``stabilizer_purity_statistic`` take one outcome
+vector or an array with one row per draw and give the same numbers as the
+cache. The same shot data serves both statistics; their O(1/N_shot)
+plug-in bias is accepted and left uncorrected.
 
 Since a draw acts only through the signed Paulis C^dag Z C, and each of
 the six is the image of four Cliffords, the exact average over all 24^N
@@ -87,12 +96,20 @@ class EstimateWithError:
             raise ValueError("sampling_error must equal sample_std / sqrt(n)")
 
     @classmethod
-    def from_samples(cls, values: np.ndarray) -> "EstimateWithError":
-        v = np.asarray(values, dtype=float)
-        if v.size < 2:
+    def from_rows(cls, samples: np.ndarray) -> list["EstimateWithError"]:
+        """One estimate per row of a (rows, draws) array of per-draw
+        statistics: one mean and one N-1 standard deviation over the draws
+        axis for all rows. Each row's numbers are those of the row alone."""
+        n = samples.shape[-1]
+        if n < 2:
             raise ValueError("need at least two samples")
-        std = float(v.std(ddof=1))
-        return cls(float(v.mean()), std, float(std / np.sqrt(v.size)), int(v.size))
+        means, stds = samples.mean(axis=-1), samples.std(axis=-1, ddof=1)
+        errors = stds / np.sqrt(n)
+        return [cls(m, s, e, n) for m, s, e in zip(means.tolist(), stds.tolist(), errors.tolist())]
+
+    @classmethod
+    def from_samples(cls, values: np.ndarray) -> "EstimateWithError":
+        return cls.from_rows(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
 def _check_ids(ids: np.ndarray) -> None:
@@ -137,9 +154,6 @@ class RcmDataset:
     @property
     def num_qubits(self) -> int:
         return self.clifford_ids.shape[1]
-
-    def with_vectors(self, prob_vectors: np.ndarray) -> "RcmDataset":
-        return RcmDataset(self.clifford_ids, prob_vectors)
 
     @cached_property
     def walsh_squares(self) -> np.ndarray:
@@ -208,12 +222,18 @@ def signed_bases(n_qubits: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _walsh_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hadamard matrix H[k, s] = (-1)^(k.s) and the weights 3^|k| at dimension d."""
+    """Hadamard matrix H[k, s] = (-1)^(k.s) and the weights 3^|k| at
+    dimension d, from bit arithmetic: k.s is the parity of k & s, folded
+    down by shifted XORs, and |k| the sum of the bits of k."""
     if d < 2 or d & (d - 1):
         raise ValueError(f"outcome vectors must have a power-of-two length, not {d}")
-    h, w = np.ones((1, 1)), np.ones(1)
-    for _ in range(d.bit_length() - 1):
-        h, w = np.kron(h, [[1.0, 1.0], [1.0, -1.0]]), np.kron(w, [1.0, 3.0])
+    n, k = d.bit_length() - 1, np.arange(d, dtype=np.min_scalar_type(d - 1))
+    parity, shift = k[:, None] & k, 1
+    while shift < n:
+        parity ^= parity >> shift
+        shift *= 2
+    h = np.where(parity & 1, -1.0, 1.0)
+    w = (3 ** ((k[:, None] >> np.arange(n)) & 1).sum(axis=1)).astype(float)
     h.flags.writeable = False
     w.flags.writeable = False
     return h, w
@@ -261,6 +281,39 @@ def _born_walsh(state: DepolarizedState, ids: np.ndarray) -> np.ndarray:
     return signed.ravel()[(drawn @ bits).astype(np.intp)]
 
 
+def collect_rows(
+    states, ids: np.ndarray, readout: Optional[CalibrationMatrix], n_shot: Optional[int], seeds
+) -> np.ndarray:
+    """Outcome vectors (rows, draws, d) of ``states[r]`` under the Clifford
+    ids ``ids[r]`` (rows, draws, N), for states of one register size.
+
+    The Born gather is per row; the transform back to probabilities and the
+    ``readout`` product (if given) run once over the stack. ``n_shot`` shots
+    (None: exact Born probabilities) are one multinomial call per row seeded
+    from ``SeedSequence(seeds[r], spawn_key=(1,))``, a stream apart from the
+    draws. Rounding negatives are clipped by ``sample_shots`` and by the
+    caller's clean, not before readout.
+    """
+    d = states[0].dim
+    walsh = np.empty(ids.shape[:2] + (d,))
+    for r, state in enumerate(states):
+        walsh[r] = _born_walsh(state, ids[r])
+    hadamard, _ = _walsh_tables(d)
+    probs = walsh @ hadamard
+    probs /= d
+    if readout is not None:
+        if readout.dim != d:
+            raise ValueError(
+                f"readout calibration is {readout.dim}x{readout.dim}, "
+                f"but the {states[0].num_qubits}-qubit register has {d} outcomes"
+            )
+        probs = probs @ readout.matrix.T
+    if n_shot is not None:
+        for r in range(len(probs)):
+            probs[r] = sample_shots(probs[r], n_shot, np.random.SeedSequence(seeds[r], spawn_key=(1,)))
+    return probs
+
+
 def collect_dataset(
     state: DepolarizedState,
     tuples: np.ndarray,
@@ -268,32 +321,12 @@ def collect_dataset(
     n_shot: Optional[int] = None,
     seed: int = 0,
 ) -> RcmDataset:
-    """Simulate the measurement stage for all Clifford draws at once.
-
-    ``tuples`` holds one row of Clifford ids per draw. Born probabilities
-    come from one Pauli gather and one Walsh transform, ``readout`` (if
-    given) is one product with the calibration matrix, and ``n_shot`` shots
-    (if given; None means exact Born probabilities) are one multinomial call
-    seeded from ``SeedSequence(seed, spawn_key=(1,))``, a stream apart from
-    the Clifford draws. Rounding negatives are clipped by ``sample_shots``
-    and by the dataset, not before readout. Collecting computes no
-    statistic: the returned dataset transforms its final vectors back to
-    Walsh rows once, when an estimator first reads them.
-    """
+    """The measurement stage (``collect_rows``) for one state, with one row
+    of Clifford ids per draw in ``tuples``. The returned dataset transforms
+    its final vectors back to Walsh rows once, when an estimator first reads
+    them."""
     ids = np.array(tuples, dtype=int)
-    hadamard, _ = _walsh_tables(state.dim)
-    probs = _born_walsh(state, ids) @ hadamard
-    probs /= state.dim
-    if readout is not None:
-        if readout.dim != state.dim:
-            raise ValueError(
-                f"readout calibration is {readout.dim}x{readout.dim}, "
-                f"but the {state.num_qubits}-qubit register has {state.dim} outcomes"
-            )
-        probs = probs @ readout.matrix.T
-    if n_shot is not None:
-        probs = sample_shots(probs, n_shot, np.random.SeedSequence(seed, spawn_key=(1,)))
-    return RcmDataset(ids, probs)
+    return RcmDataset(ids, collect_rows([state], ids[None], readout, n_shot, (seed,))[0])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -333,15 +366,38 @@ def stabilizer_purity_statistic(p):
     return _walsh_moment(_walsh_squares(p), 4)
 
 
-def estimate_purity(ds: RcmDataset) -> EstimateWithError:
-    return EstimateWithError.from_samples(ds.purity_samples)
+# The per-draw statistics of each estimator kind: X_P, X_W, or for
+# ("rdm_purity", keep) the reduced X_P on the kept qubits.
+_STATISTICS = {"purity": ("X_P",), "stab_purity": ("X_W",), "sre": ("X_W", "X_P")}
 
 
-def estimate_stabilizer_purity(ds: RcmDataset) -> EstimateWithError:
-    return EstimateWithError.from_samples(ds.stabilizer_purity_samples)
+def _statistics(spec, num_qubits: int) -> tuple:
+    if isinstance(spec, str) and spec in _STATISTICS:
+        return _STATISTICS[spec]
+    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "rdm_purity":
+        return (tuple(kept_qubits(set(spec[1]), num_qubits)),)
+    raise ValueError(f"unknown estimator {spec!r}")
 
 
-def estimate_sre(ds: RcmDataset) -> EstimateWithError:
+def _statistic(q2: np.ndarray, key) -> np.ndarray:
+    """X_P, X_W, or the reduced X_P on the kept qubits ``key``, of every draw.
+
+    The reduced X_P on A is d_A^-1 times the sum of 3^|k| q(k)^2 over the
+    Walsh indices k inside A, read from the q^2 columns; no marginal is
+    formed.
+    """
+    if key == "X_P":
+        return _walsh_moment(q2, 2)
+    if key == "X_W":
+        return _walsh_moment(q2, 4)
+    n = q2.shape[-1].bit_length() - 1
+    traced = sum(1 << (n - 1 - q) for q in set(range(n)).difference(key))
+    inside = np.flatnonzero((np.arange(2**n) & traced) == 0)
+    _, weights = _walsh_tables(2 ** len(key))
+    return q2[..., inside] @ weights / 2 ** len(key)
+
+
+def _sre(west: EstimateWithError, pest: EstimateWithError, d: int) -> EstimateWithError:
     """M2 estimate with first-order propagated sampling error.
 
     The M2 variance is taken as the sum of the two relative variances of the
@@ -350,15 +406,12 @@ def estimate_sre(ds: RcmDataset) -> EstimateWithError:
     strongly positively correlated, so the propagated error overstates the
     spread of the M2 estimate.
     """
-    west = estimate_stabilizer_purity(ds)
-    pest = estimate_purity(ds)
     if west.mean <= 0.0 or pest.mean <= 0.0:
         raise UndersampledDataError(
             "nonpositive purity or stabilizer purity mean; collect more data"
         )
-    d = 2**ds.num_qubits
     m2 = m2_from_purities(west.mean, pest.mean, d)
-    n = ds.n_samples
+    n = west.n_samples
     err = (
         np.sqrt(
             west.sample_std**2 / (n * west.mean**2)
@@ -369,16 +422,52 @@ def estimate_sre(ds: RcmDataset) -> EstimateWithError:
     return EstimateWithError(float(m2), float(err * np.sqrt(n)), float(err), n)
 
 
-def estimate_rdm_purity(ds: RcmDataset, keep: set[int]) -> EstimateWithError:
-    """Purity of the reduced state on the qubits ``keep`` from the same data.
-
-    Each draw's X_P of the marginal on A = ``keep`` is d_A^-1 times the
-    sum of 3^|k| q(k)^2 over the Walsh indices k inside A, read from the
-    cached q^2 columns; no marginal is formed.
+def _estimate_walsh(q2: np.ndarray, specs) -> list[list[EstimateWithError]]:
+    """Every estimator of ``specs`` on every row of a (rows, draws, d) stack
+    of q^2, one list per row in spec order. Each statistic is computed once
+    for all rows and the (statistics x rows, draws) array is reduced once;
+    "sre" combines the X_W and X_P rows that "stab_purity" and "purity" read.
     """
-    n = ds.num_qubits
-    kept = kept_qubits(keep, n)
-    traced = sum(1 << (n - 1 - q) for q in set(range(n)).difference(kept))
-    inside = np.flatnonzero((np.arange(2**n) & traced) == 0)
-    _, weights = _walsh_tables(2 ** len(kept))
-    return EstimateWithError.from_samples(ds.walsh_squares[:, inside] @ weights / 2 ** len(kept))
+    rows, _, d = q2.shape
+    needs = [_statistics(spec, d.bit_length() - 1) for spec in specs]
+    keys = list(dict.fromkeys(key for need in needs for key in need))
+    samples = np.stack([_statistic(q2, key) for key in keys]).reshape(len(keys) * rows, -1)
+    reduced = EstimateWithError.from_rows(samples)
+    by_key = {key: reduced[i * rows : (i + 1) * rows] for i, key in enumerate(keys)}
+    return [
+        [
+            _sre(*(by_key[key][r] for key in need), d) if spec == "sre" else by_key[need[0]][r]
+            for spec, need in zip(specs, needs)
+        ]
+        for r in range(rows)
+    ]
+
+
+def estimate_rows(probs: np.ndarray, specs) -> list[list[EstimateWithError]]:
+    """Every estimator of ``specs`` ("purity", "stab_purity", "sre" and
+    ("rdm_purity", keep)) on every row of a (rows, draws, d) stack of
+    outcome vectors, one list per row in spec order."""
+    return _estimate_walsh(_walsh_squares(probs), specs)
+
+
+def _estimate(ds: RcmDataset, spec) -> EstimateWithError:
+    """One estimator on a dataset: its cached q^2 as a batch of one."""
+    return _estimate_walsh(ds.walsh_squares[None], (spec,))[0][0]
+
+
+def estimate_purity(ds: RcmDataset) -> EstimateWithError:
+    return _estimate(ds, "purity")
+
+
+def estimate_stabilizer_purity(ds: RcmDataset) -> EstimateWithError:
+    return _estimate(ds, "stab_purity")
+
+
+def estimate_sre(ds: RcmDataset) -> EstimateWithError:
+    """M2 estimate with the first-order propagated error of ``_sre``."""
+    return _estimate(ds, "sre")
+
+
+def estimate_rdm_purity(ds: RcmDataset, keep: set[int]) -> EstimateWithError:
+    """Purity of the reduced state on the qubits ``keep`` from the same data."""
+    return _estimate(ds, ("rdm_purity", tuple(keep)))

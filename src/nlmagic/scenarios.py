@@ -4,14 +4,22 @@ A scenario bundles a preparation (catalogue id or explicit gate list), a
 noise configuration and a list of estimator specs. Every sampled number
 reaches a report along one path:
 
-- ``estimator(spec)`` maps an estimator spec to its label, its RCM
-  estimate and its exact oracle; ``measure`` and ``magic exact`` read it.
-- ``measure`` is the one prepare -> measure -> mitigate -> estimate stage
-  and returns each estimate with the oracle of the prepared state.
-- ``run_scenario`` compares each estimate with its oracle. The table1 and
-  fig3 reports are rows of (row name, state id, params); one loop
-  measures every row at the calibrated survival with seed + row index and
-  infers the non-local magic from the reduced purity of qubit 0.
+- ``estimator(spec)`` maps an estimator spec to its label and its exact
+  oracle; ``measure`` and ``magic exact`` read it, and
+  ``rcm.estimate_rows`` estimates the same specs from RCM data.
+- ``measure`` is the one prepare -> measure -> mitigate -> estimate stage,
+  run on a batch of scenarios that share their qubit count, draw count,
+  readout, shots, mitigation and estimators. Preparation, Clifford draws,
+  shots and oracles stay per scenario; the Walsh transforms, the readout
+  product, the cleaning, the mitigation and one reduction of every
+  statistic run once over the stacked rows. Each scenario gets the numbers
+  a batch of one would give it, each estimate paired with the oracle of
+  its prepared state.
+- ``run_scenario`` measures a batch of one and compares each estimate with
+  its oracle. The table1 and fig3 reports are rows of (row name, state id,
+  params); ``_sampled_rows`` measures all rows of a report in one batch at
+  the calibrated survival with seed + row index and infers the non-local
+  magic from the reduced purity of qubit 0.
 - ``_compare`` emits an (estimate, oracle) value pair and its flags, for
   ``run_scenario`` and table1 alike.
 
@@ -42,18 +50,9 @@ from .magic import (
     stabilizer_purity_exact,
 )
 from .mitigation import mitigate_least_squares
-from .noise import CalibrationMatrix, synth_calibration_matrix
+from .noise import CalibrationMatrix, clean_probability_vector, synth_calibration_matrix
 from .qcore import DepolarizedState, kept_qubits, purity, reduced_purity
-from .rcm import (
-    EstimateWithError,
-    collect_dataset,
-    estimate_purity,
-    estimate_rdm_purity,
-    estimate_sre,
-    estimate_stabilizer_purity,
-    sample_local_cliffords,
-    signed_bases,
-)
+from .rcm import EstimateWithError, collect_rows, estimate_rows, sample_local_cliffords, signed_bases
 
 SCHEMA_VERSION = 1
 
@@ -156,6 +155,12 @@ class Scenario:
             raise ValueError("mitigation needs a readout calibration matrix")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_rand < 2:
+            raise ValueError(f"scenario key n_rand must be >= 2, got {self.n_rand}")
+        if self.n_shot is not None and self.n_shot < 1:
+            raise ValueError(f"scenario key noise.n_shot must be >= 1, got {self.n_shot}")
+        if not 0.0 <= self.p_dep_cz <= 1.0:
+            raise ValueError(f"scenario key noise.p_dep_cz must lie in [0, 1], got {self.p_dep_cz}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "state_params", tuple(sorted(dict(self.state_params).items())))
         # A catalogue circuit is built here, once, so a bad id or parameter
@@ -164,13 +169,16 @@ class Scenario:
         built = self.circuit or state_circuit(self.state_id, dict(self.state_params))
         object.__setattr__(self, "_built", built)
         labels = set()
-        for spec in self.estimators:
+        for i, spec in enumerate(self.estimators):
             label = estimator(spec)[0]
             if label in labels:
                 raise ValueError(f"estimator {label} is listed twice")
             labels.add(label)
             if isinstance(spec, tuple):
-                kept_qubits(set(spec[1]), built.num_qubits)
+                try:
+                    kept_qubits(set(spec[1]), built.num_qubits)
+                except ValueError as exc:
+                    raise ValueError(f"scenario key estimators[{i}].rdm_purity.keep: {exc}") from None
 
     def build_circuit(self) -> Circuit:
         return self._built
@@ -348,50 +356,80 @@ def _flag_tol(est: EstimateWithError, n_shot: Optional[int]) -> float:
 
 
 def estimator(spec) -> tuple:
-    """``(label, estimate, oracle)`` for one estimator spec: the label the
-    reports print, the function that estimates the quantity from an RCM
-    dataset and the one that computes it exactly on a prepared state.
+    """``(label, oracle)`` for one estimator spec: the label the reports
+    print and the function that computes the quantity exactly on a prepared
+    state. ``rcm.estimate_rows`` estimates the same specs from RCM data.
 
     The specs are ``"purity"``, ``"stab_purity"``, ``"sre"`` and
-    ``("rdm_purity", keep)``. The functions are this module's attributes,
+    ``("rdm_purity", keep)``. The oracles are this module's attributes,
     read when this is called, so a wrapped or patched attribute is the one
     that runs.
     """
     if spec == "purity":
-        return "purity", estimate_purity, purity
+        return "purity", purity
     if spec == "stab_purity":
-        return "stab_purity", estimate_stabilizer_purity, stabilizer_purity_exact
+        return "stab_purity", stabilizer_purity_exact
     if spec == "sre":
-        return "sre", estimate_sre, sre_exact
+        return "sre", sre_exact
     if isinstance(spec, tuple) and spec[0] == "rdm_purity":
         keep = set(spec[1])
         label = f"rdm_purity[{','.join(str(q) for q in sorted(keep))}]"
-        return label, lambda ds: estimate_rdm_purity(ds, keep), lambda state: reduced_purity(state, keep)
+        return label, lambda state: reduced_purity(state, keep)
     raise ValueError(f"unknown estimator {spec!r}")
 
 
-def measure(scenario: Scenario, exhaustive: bool = False) -> dict:
-    """Prepare, measure under random local Cliffords, mitigate readout if
-    asked, and estimate.
+def _batch_terms(scenario: Scenario, exhaustive: bool) -> dict:
+    """What every scenario of one measured batch must share, by name."""
+    return {
+        "qubit count": scenario.build_circuit().num_qubits,
+        "n_rand": None if exhaustive else scenario.n_rand,
+        "readout": scenario.readout,
+        "n_shot": scenario.n_shot,
+        "mitigation": scenario.mitigation,
+        "estimators": scenario.estimators,
+    }
 
-    The scenario's ``n_rand`` i.i.d. draws are measured, or with
-    ``exhaustive`` one draw per signed Pauli basis (``signed_bases``), whose
-    mean is the exact Clifford average; shots, if the scenario asks for
-    them, are then drawn for each of the 6^N bases. Returns ``{label:
+
+def measure(scenarios, exhaustive: bool = False) -> list[dict]:
+    """Prepare, measure under random local Cliffords, mitigate readout if
+    asked, and estimate, for a batch of scenarios at once.
+
+    Each scenario takes its ``n_rand`` i.i.d. draws and its shots from its
+    own seed, or with ``exhaustive`` one draw per signed Pauli basis
+    (``signed_bases``), whose mean is the exact Clifford average. The
+    scenarios must share the terms of ``_batch_terms``; the first that
+    differs is named in a ValueError. Returns, per scenario, ``{label:
     (estimate, oracle)}`` in estimator order, the oracle being the exact
-    value on the prepared state.
+    value on the prepared state; each equals its batch of one.
     """
-    n = scenario.build_circuit().num_qubits
-    tuples = signed_bases(n) if exhaustive else sample_local_cliffords(n, scenario.n_rand, scenario.seed)
-    state = scenario.prepare()
-    ds = collect_dataset(state, tuples, scenario.readout, scenario.n_shot, scenario.seed)
-    if scenario.mitigation:
-        ds = ds.with_vectors(mitigate_least_squares(ds.prob_vectors, scenario.readout))
-    results = {}
-    for spec in scenario.estimators:
-        label, estimate, oracle = estimator(spec)
-        results[label] = (estimate(ds), float(oracle(state)))
-    return results
+    if not scenarios:
+        raise ValueError("measure needs at least one scenario")
+    first = scenarios[0]
+    shared = _batch_terms(first, exhaustive)
+    for scenario in scenarios[1:]:
+        for term, value in _batch_terms(scenario, exhaustive).items():
+            if value != shared[term]:
+                raise ValueError(
+                    f"scenarios measured in one batch must share their {term}: "
+                    f"{scenario.name!r} differs from {first.name!r}"
+                )
+    n = shared["qubit count"]
+    if exhaustive:
+        bases = signed_bases(n)
+        ids = np.broadcast_to(bases, (len(scenarios),) + bases.shape)
+    else:
+        ids = np.stack([sample_local_cliffords(n, s.n_rand, s.seed) for s in scenarios])
+    states = [s.prepare() for s in scenarios]
+    seeds = [s.seed for s in scenarios]
+    probs = clean_probability_vector(collect_rows(states, ids, first.readout, first.n_shot, seeds))
+    if first.mitigation:
+        rows = mitigate_least_squares(probs.reshape(-1, probs.shape[-1]), first.readout)
+        probs = clean_probability_vector(rows.reshape(probs.shape))
+    table = [estimator(spec) for spec in first.estimators]
+    return [
+        {label: (est, float(oracle(state))) for (label, oracle), est in zip(table, estimates)}
+        for state, estimates in zip(states, estimate_rows(probs, first.estimators))
+    ]
 
 
 def _compare(report: Report, name: str, est: EstimateWithError, oracle: float, *flags: tuple) -> None:
@@ -405,13 +443,14 @@ def run_scenario(scenario: Scenario, exhaustive: bool = False) -> Report:
     """Run the scenario's measurement (``measure``) and compare every
     estimate with its oracle."""
     report = Report(name=scenario.name, seed=scenario.seed)
-    for label, (est, oracle) in measure(scenario, exhaustive).items():
+    for label, (est, oracle) in measure([scenario], exhaustive)[0].items():
         _compare(report, label, est, oracle, (f"{label} vs oracle", est.mean, oracle, _flag_tol(est, scenario.n_shot)))
     return report
 
 
 def _sampled_rows(rows, estimators: tuple, p_dep: Optional[float], seed: int, n_rand: int, n_shot: Optional[int]):
-    """Measure each ``(row name, state id, params)`` of a sampled report.
+    """Measure every ``(row name, state id, params)`` of a sampled report
+    in one batch (``measure``).
 
     Row i is prepared at the survival ``p_dep`` (``calibrate_p_dep()`` if
     None) and drawn with seed ``seed + i``; ``rdm_purity[0]`` is estimated
@@ -419,8 +458,8 @@ def _sampled_rows(rows, estimators: tuple, p_dep: Optional[float], seed: int, n_
     magic inferred from the sampled reduced purity)`` per row, in order.
     """
     p_dep = calibrate_p_dep() if p_dep is None else p_dep
-    for idx, (name, state_id, params) in enumerate(rows):
-        scenario = Scenario(
+    scenarios = [
+        Scenario(
             name=name,
             state_id=state_id,
             state_params=params,
@@ -430,7 +469,9 @@ def _sampled_rows(rows, estimators: tuple, p_dep: Optional[float], seed: int, n_
             seed=seed + idx,
             estimators=estimators + (("rdm_purity", (0,)),),
         )
-        results = measure(scenario)
+        for idx, (name, state_id, params) in enumerate(rows)
+    ]
+    for scenario, results in zip(scenarios, measure(scenarios)):
         rdm_est, _ = results["rdm_purity[0]"]
         # A sampled reduced purity may fluctuate past the attainable ceiling
         # of the noise model; tolerate excursions consistent with the

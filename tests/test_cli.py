@@ -67,7 +67,7 @@ def test_exit_2_when_a_flag_fails(capsys):
 def test_exhaustive_over_six_qubits_exits_1_before_collecting(tmp_path, monkeypatch, capsys):
     from nlmagic import scenarios
 
-    monkeypatch.setattr(scenarios, "collect_dataset", lambda *a: pytest.fail("exhaustive run collected"))
+    monkeypatch.setattr(scenarios, "collect_rows", lambda *a: pytest.fail("exhaustive run collected"))
     monkeypatch.setattr(scenarios.Scenario, "prepare", lambda *a: pytest.fail("exhaustive run prepared"))
     gates = [{"kind": "H", "qubits": [q]} for q in range(7)]
     path = tmp_path / "n7.json"
@@ -306,11 +306,11 @@ def test_estimators_and_oracles_are_read_from_the_scenarios_module_when_called(s
     from nlmagic import scenarios
 
     calls = []
-    for name in ("estimate_sre", "sre_exact"):
+    for name in ("estimate_rows", "sre_exact"):
         real = getattr(scenarios, name)
         monkeypatch.setattr(scenarios, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     assert run(capsys, ["rcm", "estimate", "--scenario", str(scenario_path)])[0] == 0
-    assert sorted(calls) == ["estimate_sre", "sre_exact"]
+    assert sorted(calls) == ["estimate_rows", "sre_exact"]
     calls.clear()
     assert run(capsys, ["magic", "exact", "--scenario", str(scenario_path)])[0] == 0
     assert calls == ["sre_exact"]
@@ -347,16 +347,53 @@ def test_negative_seed_is_a_named_error(argv, scenario_path, tmp_path, capsys):
 def test_bad_p_dep_is_named_by_its_flag_before_sampling(argv, got, monkeypatch, capsys):
     from nlmagic import scenarios
 
-    monkeypatch.setattr(scenarios, "collect_dataset", lambda *a: pytest.fail("report sampled"))
+    monkeypatch.setattr(scenarios, "collect_rows", lambda *a: pytest.fail("report sampled"))
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (1, "", f"error: --p-dep must lie in (0, 1], got {got}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "table1", "--n-rand", "1"], "--n-rand must be >= 2, got 1"),
+        (["report", "fig3", "--n-rand", "-3"], "--n-rand must be >= 2, got -3"),
+        (["report", "fig3", "--n-shot", "0"], "--n-shot must be >= 1, got 0"),
+        (["report", "table1", "--n-shot", "-1"], "--n-shot must be >= 1, got -1"),
+    ],
+    ids=["table1-n_rand", "fig3-n_rand", "fig3-n_shot", "table1-n_shot"],
+)
+def test_bad_draw_and_shot_counts_are_named_by_their_flag_before_sampling(argv, message, monkeypatch, capsys):
+    from nlmagic import scenarios
+
+    monkeypatch.setattr(scenarios.Scenario, "prepare", lambda *a: pytest.fail("report prepared"))
+    monkeypatch.setattr(scenarios, "collect_rows", lambda *a: pytest.fail("report sampled"))
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"n_rand": 1}, "n_rand must be >= 2, got 1"),
+        ({"noise": {"n_shot": 0}}, "noise.n_shot must be >= 1, got 0"),
+        ({"noise": {"p_dep_cz": 1.5}}, "noise.p_dep_cz must lie in [0, 1], got 1.5"),
+    ],
+    ids=["n_rand", "n_shot", "p_dep"],
+)
+def test_out_of_range_scenario_fields_fail_when_the_scenario_is_loaded(changes, message, tmp_path, monkeypatch, capsys):
+    from nlmagic import scenarios
+
+    monkeypatch.setattr(scenarios.Scenario, "prepare", lambda *a: pytest.fail("scenario prepared"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SCENARIO, **changes}))
+    for command in (["magic", "exact"], ["rcm", "estimate"]):
+        assert run(capsys, command + ["--scenario", str(path)]) == (1, "", f"error: scenario key {message}\n")
 
 
 @pytest.mark.parametrize(
     "estimators, message",
     [
         (["purity", "bogus"], "unknown estimator 'bogus'"),
-        ([{"rdm_purity": {"keep": [5]}}], "qubit indices [5] out of range for 2 qubits"),
+        ([{"rdm_purity": {"keep": [5]}}], "scenario key estimators[0].rdm_purity.keep: qubit indices [5] out of range for 2 qubits"),
         (["sre", "sre"], "estimator sre is listed twice"),
     ],
     ids=["unknown", "keep-out-of-range", "duplicate"],
@@ -364,7 +401,7 @@ def test_bad_p_dep_is_named_by_its_flag_before_sampling(argv, got, monkeypatch, 
 def test_bad_estimator_lists_fail_when_the_scenario_is_loaded(estimators, message, tmp_path, monkeypatch, capsys):
     from nlmagic import scenarios
 
-    monkeypatch.setattr(scenarios, "collect_dataset", lambda *a: pytest.fail("scenario sampled"))
+    monkeypatch.setattr(scenarios, "collect_rows", lambda *a: pytest.fail("scenario sampled"))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**SCENARIO, "estimators": estimators}))
     for command in (["magic", "exact"], ["rcm", "estimate"]):

@@ -29,6 +29,7 @@ from nlmagic.qcore import PAULI_X, PAULI_Y, PAULI_Z
 from nlmagic.rcm import (
     _CLIFFORD_Z_IMAGES,
     _born_walsh,
+    _walsh_tables,
     exhaustive_size,
     purity_statistic,
     signed_bases,
@@ -178,6 +179,18 @@ def test_dataset_caches_statistics_equal_to_the_statistic_functions(n_shot):
     assert west == EstimateWithError.from_samples(stabilizer_purity_statistic(ds.prob_vectors))
     assert pest == EstimateWithError.from_samples(purity_statistic(ds.prob_vectors))
     assert estimate_sre(ds).mean == m2_from_purities(west.mean, pest.mean, 8)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_walsh_tables_are_the_kronecker_build_byte_for_byte(num_qubits):
+    h, w = np.ones((1, 1)), np.ones(1)
+    for _ in range(num_qubits):
+        h, w = np.kron(h, [[1.0, 1.0], [1.0, -1.0]]), np.kron(w, [1.0, 3.0])
+    hadamard, weights = _walsh_tables(2**num_qubits)
+    assert (hadamard.dtype, weights.dtype) == (h.dtype, w.dtype)
+    assert (hadamard.shape, weights.shape) == (h.shape, w.shape)
+    assert hadamard.tobytes() == h.tobytes() and weights.tobytes() == w.tobytes()
+    assert not hadamard.flags.writeable and not weights.flags.writeable
 
 
 def test_statistics_reject_non_power_of_two_length():

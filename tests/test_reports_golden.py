@@ -3,7 +3,8 @@
 ``tests/golden`` holds the seed-0 ``table1`` and ``fig3`` JSON, the ``fig4``
 text and the sha256 of the ``fig4`` landscape CSV as the CLI writes them,
 and the ``rcm estimate --exhaustive --format json`` output of a noisy
-three-qubit scenario (13,824 Clifford draws, exact probabilities).
+three-qubit scenario (one draw per each of the 216 signed Pauli bases,
+exact probabilities).
 A change that moves any printed digit fails here; such a change must
 regenerate the files and explain every changed digit.
 """

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from nlmagic import (
+    Circuit,
+    GateSpec,
     Scenario,
     calibrate_p_dep,
     measure,
@@ -238,6 +240,27 @@ def test_readout_matrix_next_to_flip_rates_is_an_error(extra, key):
         load(noise={"readout": readout})
 
 
+@pytest.mark.parametrize(
+    "changes, fields, message",
+    [
+        ({"n_rand": 1}, {"n_rand": 1}, r"n_rand must be >= 2, got 1"),
+        ({"noise": {"n_shot": 0}}, {"n_shot": 0}, r"noise\.n_shot must be >= 1, got 0"),
+        ({"noise": {"p_dep_cz": 1.5}}, {"p_dep_cz": 1.5}, r"noise\.p_dep_cz must lie in \[0, 1\], got 1\.5"),
+        ({"noise": {"p_dep_cz": -0.25}}, {"p_dep_cz": -0.25}, r"noise\.p_dep_cz must lie in \[0, 1\], got -0\.25"),
+        (
+            {"estimators": ["sre", {"rdm_purity": {"keep": [7]}}]},
+            {"estimators": ("sre", ("rdm_purity", (7,)))},
+            r"estimators\[1\]\.rdm_purity\.keep: qubit indices \[7\] out of range for 2 qubits",
+        ),
+    ],
+    ids=["n_rand", "n_shot", "p_dep-above-one", "p_dep-negative", "keep"],
+)
+def test_fields_out_of_range_are_named_by_their_file_key_on_construction(changes, fields, message):
+    for build in (lambda: load(**changes), lambda: Scenario("s", state_id="m", **fields)):
+        with pytest.raises(ValueError, match=f"^scenario key {message}$"):
+            build()
+
+
 def test_mitigation_without_readout_is_an_error():
     with pytest.raises(ValueError, match="mitigation needs a readout"):
         Scenario("s", state_id="m", mitigation=True)
@@ -255,7 +278,7 @@ def test_run_scenario_reports_the_stage_estimates_and_oracles():
         mitigation=True,
         estimators=["purity", "stab_purity", "sre", {"rdm_purity": {"keep": [1]}}],
     )
-    results = measure(scenario)
+    results = measure([scenario])[0]
     assert list(results) == ["purity", "stab_purity", "sre", "rdm_purity[1]"]
     report = run_scenario(scenario)
     values = {(v.name, v.provenance): v for v in report.values}
@@ -271,7 +294,7 @@ def test_run_scenario_reports_the_stage_estimates_and_oracles():
 
 def test_stage_oracles_are_exact_values_of_the_prepared_state():
     scenario = Scenario("s", state_id="lm", p_dep_cz=0.9)
-    results = measure(scenario, exhaustive=True)
+    results = measure([scenario], exhaustive=True)[0]
     for est, oracle in results.values():
         assert est.mean == pytest.approx(oracle, abs=1e-12)
     assert results["purity"][1] == pytest.approx(0.75 * 0.9**2 + 0.25, abs=1e-12)
@@ -281,7 +304,7 @@ def test_stage_mitigation_undoes_readout_on_exact_probabilities():
     lam = synth_calibration_matrix([tuple(e) for e in EPS])
     exact = Scenario("s", state_id="m", n_rand=50, seed=2)
     mitigated = Scenario("s", state_id="m", n_rand=50, seed=2, readout=lam, mitigation=True)
-    for (a, _), (b, _) in zip(measure(exact).values(), measure(mitigated).values()):
+    for (a, _), (b, _) in zip(measure([exact])[0].values(), measure([mitigated])[0].values()):
         assert b.mean == pytest.approx(a.mean, abs=1e-9)
 
 
@@ -292,7 +315,7 @@ def test_stage_mitigation_undoes_readout_on_exact_probabilities():
 )
 def test_stage_rejects_bad_estimator_lists(estimators, message):
     with pytest.raises(ValueError, match=message):
-        measure(Scenario("s", state_id="m", n_rand=10, estimators=estimators))
+        measure([Scenario("s", state_id="m", n_rand=10, estimators=estimators)])
 
 
 @pytest.mark.parametrize(
@@ -301,8 +324,11 @@ def test_stage_rejects_bad_estimator_lists(estimators, message):
         (("purity", "bogus"), r"^unknown estimator 'bogus'$"),
         (("sre", "purity", "sre"), r"^estimator sre is listed twice$"),
         ((("rdm_purity", (0,)), ("rdm_purity", (0, 0))), r"^estimator rdm_purity\[0\] is listed twice$"),
-        ((("rdm_purity", (5,)),), r"^qubit indices \[5\] out of range for 2 qubits$"),
-        ((("rdm_purity", (0, 1)),), r"^keep must be a nonempty proper subset of the qubits$"),
+        ((("rdm_purity", (5,)),), r"^scenario key estimators\[0\]\.rdm_purity\.keep: qubit indices \[5\] out of range for 2 qubits$"),
+        (
+            (("rdm_purity", (0, 1)),),
+            r"^scenario key estimators\[0\]\.rdm_purity\.keep: keep must be a nonempty proper subset of the qubits$",
+        ),
     ],
     ids=["unknown", "duplicate", "duplicate-keep", "keep-out-of-range", "keep-everything"],
 )
@@ -322,3 +348,85 @@ def test_bad_estimator_lists_are_rejected_on_construction(estimators, message):
 def test_calibrated_survival_puts_table1_states_on_the_purity_anchor(state_id):
     rho = run_circuit(state_circuit(state_id), calibrate_p_dep())
     assert abs(purity(rho) - 0.94) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Batches of scenarios
+
+
+ALL_ESTIMATORS = ("purity", "stab_purity", "sre", ("rdm_purity", (1,)))
+TWO_QUBIT_ROWS = [("m", ()), ("lm", ()), ("nlm", (("theta", 0.3),)), ("m_erased", ()), ("psi3", ())]
+
+
+def three_qubit_circuit(rng) -> Circuit:
+    gates = [GateSpec("Rxy", (q,), tuple(rng.uniform(0, 2 * np.pi, 2))) for q in range(3)]
+    gates += [GateSpec("T", (q,)) for q in range(3)] + [GateSpec("CZ", (0, 1)), GateSpec("CZ", (1, 2))]
+    return Circuit(3, tuple(gates))
+
+
+def batch(num_qubits: int, **fields) -> list:
+    """Scenarios with different states and seeds that share every batch term."""
+    fields = {"p_dep_cz": 0.95, "estimators": ALL_ESTIMATORS, **fields}
+    if num_qubits == 2:
+        return [
+            Scenario(f"row{i}", state_id=state_id, state_params=params, seed=3 + i, **fields)
+            for i, (state_id, params) in enumerate(TWO_QUBIT_ROWS)
+        ]
+    rng = np.random.default_rng(11)
+    return [Scenario(f"row{i}", circuit=three_qubit_circuit(rng), seed=40 + i, **fields) for i in range(4)]
+
+
+@pytest.mark.parametrize("num_qubits", [2, 3])
+@pytest.mark.parametrize(
+    "fields, exhaustive",
+    [
+        ({"n_rand": 37, "n_shot": 500}, False),
+        ({"n_rand": 41}, False),
+        ({"n_rand": 30, "n_shot": 800, "mitigation": True}, False),
+        ({}, True),
+        ({"n_shot": 300}, True),
+    ],
+    ids=["shots", "exact", "readout-mitigated", "exhaustive", "exhaustive-shots"],
+)
+def test_a_batch_gives_each_scenario_the_results_of_a_batch_of_one(num_qubits, fields, exhaustive):
+    if fields.get("mitigation"):
+        fields = {**fields, "readout": synth_calibration_matrix([(0.05, 0.08)] * num_qubits, 0.02)}
+    scenarios = batch(num_qubits, **fields)
+    together = measure(scenarios, exhaustive)
+    assert len(together) == len(scenarios)
+    for scenario, results in zip(scenarios, together):
+        alone = measure([scenario], exhaustive)[0]
+        assert list(results) == list(alone)
+        # Every EstimateWithError field and every oracle, exactly.
+        assert results == alone
+    assert together[0] != together[1]
+
+
+@pytest.mark.parametrize(
+    "change, term",
+    [
+        ({"state_id": "psi1"}, "qubit count"),
+        ({"n_rand": 20}, "n_rand"),
+        ({"readout": None}, "readout"),
+        ({"n_shot": 100}, "n_shot"),
+        ({"mitigation": True}, "mitigation"),
+        ({"estimators": ("sre", "purity")}, "estimators"),
+    ],
+    ids=["qubits", "n_rand", "readout", "n_shot", "mitigation", "estimators"],
+)
+def test_a_mixed_batch_is_a_named_error(change, term):
+    readout = synth_calibration_matrix([tuple(e) for e in EPS])
+    first = Scenario("first", state_id="m", n_rand=10, readout=readout, estimators=("purity", "sre"))
+    other = dataclasses.replace(first, name="other", seed=1, **change)
+    message = f"^scenarios measured in one batch must share their {term}: 'other' differs from 'first'$"
+    with pytest.raises(ValueError, match=message):
+        measure([first, other])
+
+
+def test_an_exhaustive_batch_ignores_n_rand_and_an_empty_batch_is_an_error():
+    first = Scenario("first", state_id="m", n_rand=10)
+    other = dataclasses.replace(first, name="other", state_id="lm", n_rand=20)
+    together = measure([first, other], exhaustive=True)
+    assert together == [measure([first], exhaustive=True)[0], measure([other], exhaustive=True)[0]]
+    with pytest.raises(ValueError, match="at least one scenario"):
+        measure([])
