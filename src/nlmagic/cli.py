@@ -13,12 +13,13 @@ where a scenario file is loaded (``--seed`` alone on the reports), and
 ``--format csv`` only where the output has a curve (``report fig3``,
 ``report fig4``, ``mitigate`` and ``erase sweep``).
 
-``_COMMANDS`` is the one table of commands: their words, handlers and
-options. An invocation builds only its own command's parser. The full
-parser tree, assembled from the same table, is built only for help and
-usage errors that name no complete command (``nlmagic``, ``nlmagic -h``,
-``nlmagic rcm``, ``nlmagic bogus``) and for an unrecognized argument, so
-every message stays argparse's own.
+``_OPTIONS`` declares each option once, by name: its flag and its argparse
+keywords. ``_COMMANDS`` is the one table of commands: their words, handlers,
+option names and help. An invocation builds only its own command's parser.
+The full tree, assembled from the same table (``_add_options`` serves both),
+is built only for help and usage errors that name no complete command
+(``nlmagic``, ``nlmagic -h``, ``nlmagic rcm``, ``nlmagic bogus``) and for an
+unrecognized argument, so every message stays argparse's own.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ from .scenarios import (
     Report,
     ReportValue,
     Scenario,
-    _array,
-    _rows,
-    _typed,
+    _read,
     estimator,
     report_fig3,
     report_fig4,
@@ -64,59 +63,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _output_options(p, curve=False):
-    """``--out`` and ``--format``; csv prints a curve, so only commands that
-    make one offer it."""
-    p.add_argument("--out", type=Path, default=None, help="directory for outputs")
-    formats = ("json", "csv", "text") if curve else ("json", "text")
-    p.add_argument("--format", choices=formats, default="text", dest="fmt")
+# Each option by name: its flag and its argparse keywords. A command lists
+# the names of the options it takes, in the order its help prints them.
+_OPTIONS = {
+    "scenario": ("--scenario", {"type": Path, "help": "scenario JSON file"}),
+    "seed": ("--seed", {"type": int, "help": "override the seed"}),
+    "report-seed": ("--seed", {"type": int, "default": 0, "help": "report seed"}),
+    "out": ("--out", {"type": Path, "help": "directory for outputs"}),
+    "format": ("--format", {"choices": ("json", "text"), "default": "text", "dest": "fmt"}),
+    # csv prints a curve, so only commands that make one offer it.
+    "curve-format": ("--format", {"choices": ("json", "csv", "text"), "default": "text", "dest": "fmt"}),
+    "exhaustive": ("--exhaustive", {"action": "store_true", "help": (
+        "measure each of the 6^N signed Pauli bases once instead of n_rand random draws "
+        "(N <= 6): the mean is the exact 24^N Clifford average, sample_std the spread of "
+        "the Clifford ensemble and sampling_error that of a 6^N-draw i.i.d. mean; "
+        "n_shot shots are drawn for each basis"
+    )}),
+    "mitigate-input": ("--input", {"type": Path, "required": True, "help": "JSON with calibration and probabilities"}),
+    "step-deg": ("--step-deg", {"type": float, "default": 7.5}),
+    "rb-input": ("--input", {"type": Path, "required": True, "help": "CSV of length,survival"}),
+    "dim": ("--dim", {"type": int, "default": 2, "help": "Hilbert dimension for fidelity"}),
+    "p-dep": ("--p-dep", {"type": float}),
+    "n-rand": ("--n-rand", {"type": int}),
+    "n-shot": ("--n-shot", {"type": int}),
+}
+
+# The mitigate input, in the schema form of ``scenarios._SCENARIO_FILE``: a
+# calibration matrix or counts with their n_shot, and one vector or a table.
+_MITIGATE_INPUT = {"counts": [["integer"]], "n_shot": "integer", "calibration": [["number"]], "probabilities": "array"}
 
 
-def _scenario_options(p, curve=False):
-    """``--scenario`` and ``--seed``, then the output options."""
-    p.add_argument("--scenario", type=Path, help="scenario JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override the seed")
-    _output_options(p, curve)
-
-
-def _estimate_options(p):
-    _scenario_options(p)
-    p.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help=(
-            "measure each of the 6^N signed Pauli bases once instead of n_rand random draws "
-            "(N <= 6): the mean is the exact 24^N Clifford average, sample_std the spread of "
-            "the Clifford ensemble and sampling_error that of a 6^N-draw i.i.d. mean; "
-            "n_shot shots are drawn for each basis"
-        ),
-    )
-
-
-def _mitigate_options(p):
-    _output_options(p, curve=True)
-    p.add_argument("--input", type=Path, required=True, help="JSON with calibration and probabilities")
-
-
-def _sweep_options(p):
-    _scenario_options(p, curve=True)
-    p.add_argument("--step-deg", type=float, default=7.5)
-
-
-def _rb_options(p):
-    _output_options(p)
-    p.add_argument("--input", type=Path, required=True, help="CSV of length,survival")
-    p.add_argument("--dim", type=int, default=2, help="Hilbert dimension for fidelity")
-
-
-def _report_options(p, curve=True, sampled=True):
-    """``report fig4`` takes ``sampled=False``; ``table1`` prints no curve."""
-    p.add_argument("--seed", type=int, default=0, help="report seed")
-    _output_options(p, curve)
-    if sampled:
-        p.add_argument("--p-dep", type=float, default=None)
-        p.add_argument("--n-rand", type=int, default=None)
-        p.add_argument("--n-shot", type=int, default=None)
+def _add_options(parser, names: str) -> None:
+    for name in names.split():
+        flag, keywords = _OPTIONS[name]
+        parser.add_argument(flag, **keywords)
 
 
 def _load_scenario(args) -> Scenario:
@@ -163,25 +143,24 @@ def _cmd_rcm_estimate(args) -> int:
 
 
 def _cmd_mitigate(args) -> int:
-    typed, array, table = (functools.partial(f, source="mitigate input") for f in (_typed, _array, _rows))
-    payload = typed(json.loads(args.input.read_text()), "", "object")
+    source = "mitigate input"
+    payload = _read(json.loads(args.input.read_text()), _MITIGATE_INPUT, "", source)
+    if "counts" in payload and "calibration" in payload:
+        raise ValueError("mitigate input keys counts and calibration are exclusive")
+    # n_shot goes with counts, calibration is needed without them, and
+    # probabilities always; an absent one reads as null and is named.
     if "counts" in payload:
-        cal = calibration_from_counts(
-            np.array(table(payload["counts"], "counts", "integer"), dtype=int),
-            typed(payload.get("n_shot"), "n_shot", "integer"),
-        )
+        cal = calibration_from_counts(payload["counts"], _read(payload.get("n_shot"), "integer", "n_shot", source))
     else:
-        calibration = table(payload.get("calibration"), "calibration", "number")
+        calibration = _read(payload.get("calibration"), [["number"]], "calibration", source)
         cal = CalibrationMatrix(np.array(calibration, dtype=float))
-    probs = typed(payload.get("probabilities"), "probabilities", "array")
-    if probs and isinstance(probs[0], list):
-        vectors = table(probs, "probabilities", "number")
-    else:
-        vectors = [array(probs, "probabilities", "number")]
+    probs = payload.get("probabilities")
+    schema = [["number"]] if probs and isinstance(probs[0], list) else ["number"]
+    vectors = np.atleast_2d(np.array(_read(probs, schema, "probabilities", source), dtype=float))
     report = Report(name="mitigate", seed=0)
     report.values.append(ReportValue("readout_fidelity", "oracle", readout_fidelity(cal)))
     rows = []
-    for i, mitigated in enumerate(mitigate_least_squares(np.array(vectors, dtype=float), cal)):
+    for i, mitigated in enumerate(mitigate_least_squares(vectors, cal)):
         rows.append([float(i)] + [float(x) for x in mitigated])
         for j, x in enumerate(mitigated):
             report.values.append(ReportValue(f"p{i}[{j}]", "estimate", float(x)))
@@ -225,6 +204,9 @@ def _cmd_fit_rb(args) -> int:
 def _cmd_report(args) -> int:
     if args.action == "fig4":
         return _emit(report_fig4(seed=args.seed), args)
+    # A file's noise.p_dep_cz may be 0, a valid fully mixed model that rcm
+    # estimate runs; the reports invert the survival in nonlocal_magic_noisy,
+    # so they need it above 0.
     if args.p_dep is not None and not 0.0 < args.p_dep <= 1.0:
         raise ValueError(f"--p-dep must lie in (0, 1], got {args.p_dep}")
     for flag, value, least in (("--n-rand", args.n_rand, 2), ("--n-shot", args.n_shot, 1)):
@@ -235,22 +217,32 @@ def _cmd_report(args) -> int:
     return _emit(build(p_dep=args.p_dep, seed=args.seed, **kwargs), args)
 
 
-# The command words, each command's handler and the function that adds its
-# options, and the help of each word (None: argparse lists the word bare).
-# The full tree lists the commands in this order.
+# The command words, each command's handler, the names of its options in
+# ``_OPTIONS``, and the help of each word (None: argparse lists the word
+# bare). The full tree lists the commands in this order.
 _COMMANDS = {
     ("magic", "exact"): (
-        _cmd_magic_exact, _scenario_options, ("exact magic oracles", "oracle values for a scenario state")
+        _cmd_magic_exact, "scenario seed out format", ("exact magic oracles", "oracle values for a scenario state")
     ),
     ("rcm", "estimate"): (
-        _cmd_rcm_estimate, _estimate_options, ("randomized Clifford measurements", "run the sampled pipeline")
+        _cmd_rcm_estimate,
+        "scenario seed out format exhaustive",
+        ("randomized Clifford measurements", "run the sampled pipeline"),
     ),
-    ("mitigate",): (_cmd_mitigate, _mitigate_options, ("readout error mitigation",)),
-    ("erase", "sweep"): (_cmd_erase_sweep, _sweep_options, ("local magic erasure", "two-angle residual landscape")),
-    ("fit", "rb"): (_cmd_fit_rb, _rb_options, ("benchmarking fits", "exponential decay fit")),
-    ("report", "table1"): (_cmd_report, lambda p: _report_options(p, curve=False), ("bundled reference reports", None)),
-    ("report", "fig3"): (_cmd_report, _report_options, ("bundled reference reports", None)),
-    ("report", "fig4"): (_cmd_report, lambda p: _report_options(p, sampled=False), ("bundled reference reports", None)),
+    ("mitigate",): (_cmd_mitigate, "out curve-format mitigate-input", ("readout error mitigation",)),
+    ("erase", "sweep"): (
+        _cmd_erase_sweep,
+        "scenario seed out curve-format step-deg",
+        ("local magic erasure", "two-angle residual landscape"),
+    ),
+    ("fit", "rb"): (_cmd_fit_rb, "out format rb-input dim", ("benchmarking fits", "exponential decay fit")),
+    ("report", "table1"): (
+        _cmd_report, "report-seed out format p-dep n-rand n-shot", ("bundled reference reports", None)
+    ),
+    ("report", "fig3"): (
+        _cmd_report, "report-seed out curve-format p-dep n-rand n-shot", ("bundled reference reports", None)
+    ),
+    ("report", "fig4"): (_cmd_report, "report-seed out curve-format", ("bundled reference reports", None)),
 }
 
 
@@ -264,7 +256,7 @@ def _leaf_parser(words: tuple) -> argparse.ArgumentParser:
     tree would hand ``argv`` after the command words, with the same
     ``command`` and ``action`` in its namespace."""
     parser = _Parser(prog=" ".join(("nlmagic",) + words))
-    _COMMANDS[words][1](parser)
+    _add_options(parser, _COMMANDS[words][1])
     parser.set_defaults(**dict(zip(("command", "action"), words)))
     return parser
 
@@ -276,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nlmagic")
     commands = parser.add_subparsers(dest="command", required=True)
     actions = {}
-    for words, (_, add_options, helps) in _COMMANDS.items():
+    for words, (_, options, helps) in _COMMANDS.items():
         if len(words) == 1:
             leaf = commands.add_parser(words[0], **_help(helps[0]))
         else:
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                 group = commands.add_parser(words[0], **_help(helps[0]))
                 actions[words[0]] = group.add_subparsers(dest="action", required=True)
             leaf = actions[words[0]].add_parser(words[1], **_help(helps[1]))
-        add_options(leaf)
+        _add_options(leaf, options)
     return parser
 
 

@@ -25,9 +25,10 @@ reaches a report along one path:
 
 fig4 sweeps the erasure angles on exact states and draws nothing. A report
 holds every number with its provenance (estimate, oracle, theory or
-anchor) and pass/fail flags with explicit tolerances. Angles are degrees in
-files and radians in memory. Reports serialize to stable JSON: the same
-scenario and seed produce byte-identical output.
+anchor) and pass/fail flags with explicit tolerances. ``_SCENARIO_FILE``
+declares the scenario file format; angles are degrees in files and radians
+in memory. Reports serialize to stable JSON: the same scenario and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -92,42 +93,81 @@ _JSON_TYPES = {
     "boolean": bool,
 }
 
+# The scenario file format. A schema is a JSON kind (a key of _JSON_TYPES;
+# with a trailing "?" null is allowed too), [item] for an array of items (of
+# equally long rows when the item is an array), a tuple of names for an array
+# of that many numbers, or a dict for an object of at most its keys, read in
+# their order; a key ending in "!" is required, and a null object below the
+# top reads as {}. from_json converts state, noise.readout and the estimator
+# specs; every other key is the Scenario field of its name.
+_SCENARIO_FILE = {
+    "version!": "integer",
+    "state": {
+        "params": "object",
+        "circuit": {
+            "gates!": [{"angles_deg": ["number"], "qubits!": ["integer"], "kind!": "string"}], "num_qubits!": "integer"
+        },
+        "id": "string?",
+    },
+    "noise": {
+        "readout": {"matrix": [["number"]], "per_qubit_eps": [("eps01", "eps10")], "correlation": "number"},
+        "p_dep_cz": "number",
+        "n_shot": "integer?",
+    },
+    "estimators": "array",  # of names and _RDM_PURITY objects
+    "name": "string",
+    "n_rand": "integer",
+    "seed": "integer",
+    "mitigation": "boolean",
+}
+_RDM_PURITY = {"rdm_purity": {"keep!": ["integer"]}}
 
-def _typed(value, path: str, kind: str, source: str = "scenario"):
-    """``value`` once it has the JSON type ``kind`` (a boolean is no number,
-    and neither is NaN or Infinity); ``path`` names it in the error, the
-    empty path being the whole file, and ``source`` names the kind of file."""
-    where = f"{source} key {path}" if path else f"a {source} file"
-    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
-        raise ValueError(f"{where} must be a JSON {kind}, not {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{where} must be a finite JSON number, not {json.dumps(value)}")
-    return value
+
+def _read(value, schema, path: str, source: str):
+    """``value`` once it matches ``schema``, an object holding only the keys
+    it has; ``path`` names it in errors, the empty path being the whole file,
+    and ``source`` names the kind of file. A boolean is no number, and
+    neither is NaN or Infinity."""
+    if isinstance(schema, str):
+        if value is None and schema[-1] == "?":
+            return None
+        kind = schema.rstrip("?")
+        if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+            problem = f"a JSON {kind}"
+        elif isinstance(value, float) and not math.isfinite(value):
+            problem = "a finite JSON number"
+        else:
+            return value
+        where = f"{source} key {path}" if path else f"a {source} file"
+        raise ValueError(f"{where} must be {problem}, not {json.dumps(value)}")
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            value = {} if value is None and path else _read(value, "object", path, source)
+        prefix, keys = f"{path}." if path else "", {key.rstrip("!"): key for key in schema}
+        if unknown := sorted(set(value) - set(keys)):
+            raise ValueError(f"unknown {source} key {', '.join(prefix + k for k in unknown)}")
+        return {k: _read(value.get(k), schema[s], prefix + k, source) for k, s in keys.items() if k in value or k != s}
+    if isinstance(schema, tuple):
+        numbers = _read(value, ["number"], path, source)
+        if len(numbers) != len(schema):
+            raise ValueError(f"{source} key {path} has length {len(numbers)}, not {len(schema)} ({', '.join(schema)})")
+        return numbers
+    if not isinstance(value, list):
+        value = _read(value, "array", path, source)
+    items = [_read(x, schema[0], f"{path}[{i}]", source) for i, x in enumerate(value)]
+    lengths = [len(row) for row in items] if isinstance(schema[0], list) else []
+    for i, n in enumerate(lengths):
+        if n != lengths[0]:
+            raise ValueError(f"{source} key {path}[{i}] has length {n}, {path}[0] has length {lengths[0]}")
+    return items
 
 
-def _array(value, path: str, kind: str, source: str = "scenario") -> list:
-    """``value`` once it is a JSON array whose entries all have the type ``kind``."""
-    items = _typed(value, path, "array", source)
-    return [_typed(x, f"{path}[{i}]", kind, source) for i, x in enumerate(items)]
-
-
-def _rows(value, path: str, kind: str, source: str = "scenario") -> list:
-    """``value`` once it is a JSON array of equally long arrays of ``kind``."""
-    items = _array(value, path, "array", source)
-    rows = [_array(r, f"{path}[{i}]", kind, source) for i, r in enumerate(items)]
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"{source} key {path}[{i}] has length {len(row)}, {path}[0] has length {len(rows[0])}")
-    return rows
-
-
-def _known(spec, path: str, keys: str) -> dict:
-    """``spec``, or ``{}`` for null, once it is a JSON object whose keys are
-    all among ``keys`` (space separated); ``path`` ends in a dot."""
-    spec = {} if spec is None else _typed(spec, path[:-1], "object")
-    if unknown := sorted(set(spec) - set(keys.split())):
-        raise ValueError(f"unknown scenario key {', '.join(path + k for k in unknown)}")
-    return spec
+def _keyed(path: str, build, *args):
+    """``build(*args)``, a ValueError it raises named by scenario key ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"scenario key {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -168,6 +208,11 @@ class Scenario:
         # estimator spec.
         built = self.circuit or state_circuit(self.state_id, dict(self.state_params))
         object.__setattr__(self, "_built", built)
+        if self.readout is not None and self.readout.dim != 2**built.num_qubits:
+            raise ValueError(
+                f"scenario key noise.readout: the calibration is {self.readout.dim}x{self.readout.dim}, "
+                f"but the {built.num_qubits}-qubit register has {2**built.num_qubits} outcomes"
+            )
         labels = set()
         for i, spec in enumerate(self.estimators):
             label = estimator(spec)[0]
@@ -175,10 +220,7 @@ class Scenario:
                 raise ValueError(f"estimator {label} is listed twice")
             labels.add(label)
             if isinstance(spec, tuple):
-                try:
-                    kept_qubits(set(spec[1]), built.num_qubits)
-                except ValueError as exc:
-                    raise ValueError(f"scenario key estimators[{i}].rdm_purity.keep: {exc}") from None
+                _keyed(f"estimators[{i}].rdm_purity.keep", kept_qubits, set(spec[1]), built.num_qubits)
 
     def build_circuit(self) -> Circuit:
         return self._built
@@ -189,84 +231,65 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        payload = _known(json.loads(text), "", "version name state noise n_rand seed estimators mitigation")
-        if _typed(payload.get("version"), "version", "integer") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported scenario version {payload['version']}")
-        state = _known(payload.get("state"), "state.", "id params circuit")
+        """The scenario of a file in the ``_SCENARIO_FILE`` format; a key the
+        file omits leaves its field at the default."""
+        fields = _read(json.loads(text), _SCENARIO_FILE, "", "scenario")
+        if (version := fields.pop("version")) != SCHEMA_VERSION:
+            raise ValueError(f"unsupported scenario version {version}")
+        state, noise = fields.pop("state", {}), fields.pop("noise", {})
         if "params" in state and "circuit" in state:
             raise ValueError("state.params apply to a catalogue id, not to state.circuit")
-        params = {}
-        accepted = STATE_PARAMS.get(state.get("id"))
-        for k, v in _typed(state.get("params", {}), "state.params", "object").items():
-            v = _typed(v, f"state.params.{k}", "number")
-            name = k.removesuffix("_deg")
-            if accepted is not None and name not in accepted:
-                raise ValueError(
-                    f"unknown scenario key state.params.{k} "
-                    f"(state {state['id']!r} takes {', '.join(accepted) or 'none'})"
-                )
-            if name in params:
-                raise ValueError(f"scenario keys state.params.{name} and state.params.{name}_deg are exclusive")
-            params[name] = np.deg2rad(v) if k.endswith("_deg") else v
-        circuit = None
+        if "id" in state:
+            fields["state_id"] = state["id"]
+        if "params" in state:
+            params = fields["state_params"] = {}
+            accepted = STATE_PARAMS.get(state.get("id"))
+            for k, v in state["params"].items():
+                v = _read(v, "number", f"state.params.{k}", "scenario")
+                name = k.removesuffix("_deg")
+                if accepted is not None and name not in accepted:
+                    raise ValueError(
+                        f"unknown scenario key state.params.{k} "
+                        f"(state {state['id']!r} takes {', '.join(accepted) or 'none'})"
+                    )
+                if name in params:
+                    raise ValueError(f"scenario keys state.params.{name} and state.params.{name}_deg are exclusive")
+                params[name] = np.deg2rad(v) if k.endswith("_deg") else v
         if "circuit" in state:
-            spec = _known(state["circuit"], "state.circuit.", "num_qubits gates")
+            spec, path = state["circuit"], "state.circuit.gates"
             gates = []
-            for i, g in enumerate(_typed(spec.get("gates"), "state.circuit.gates", "array")):
-                path = f"state.circuit.gates[{i}]."
-                _known(g, path, "kind qubits angles_deg")
-                degrees = _array(g.get("angles_deg", []), path + "angles_deg", "number")
-                qubits = tuple(_array(g.get("qubits"), path + "qubits", "integer"))
-                kind = _typed(g.get("kind"), path + "kind", "string")
-                gates.append(GateSpec(kind, qubits, tuple(np.deg2rad(a) for a in degrees)))
-            num_qubits = _typed(spec.get("num_qubits"), "state.circuit.num_qubits", "integer")
-            circuit = Circuit(num_qubits, tuple(gates))
-        noise = _known(payload.get("noise"), "noise.", "p_dep_cz readout n_shot")
-        readout = None
-        ro_spec = _known(noise.get("readout"), "noise.readout.", "matrix per_qubit_eps correlation")
+            for i, g in enumerate(spec["gates"]):
+                angles = [np.deg2rad(d) for d in g.get("angles_deg", ())]
+                gates.append(_keyed(f"{path}[{i}]", GateSpec, g["kind"], g["qubits"], angles))
+            try:
+                fields["circuit"] = Circuit(spec["num_qubits"], gates)
+            except ValueError:
+                # Name the key at fault: num_qubits, or the first gate outside the register.
+                num_qubits = _keyed("state.circuit.num_qubits", Circuit, spec["num_qubits"], ()).num_qubits
+                for i, gate in enumerate(gates):
+                    _keyed(f"{path}[{i}]", Circuit, num_qubits, (gate,))
+                raise
+        readout = noise.pop("readout", {})
         for other in ("per_qubit_eps", "correlation"):
-            if "matrix" in ro_spec and other in ro_spec:
+            if "matrix" in readout and other in readout:
                 raise ValueError(f"noise.readout.matrix and noise.readout.{other} are exclusive")
-        if "matrix" in ro_spec:
-            matrix = _rows(ro_spec["matrix"], "noise.readout.matrix", "number")
-            readout = CalibrationMatrix(np.array(matrix, dtype=float))
-        elif "per_qubit_eps" in ro_spec:
-            pairs = _array(ro_spec["per_qubit_eps"], "noise.readout.per_qubit_eps", "array")
-            eps = []
-            for i, pair in enumerate(pairs):
-                path = f"noise.readout.per_qubit_eps[{i}]"
-                rates = tuple(_array(pair, path, "number"))
-                if len(rates) != 2:
-                    raise ValueError(f"scenario key {path} has length {len(rates)}, not 2 (eps01, eps10)")
-                eps.append(rates)
-            correlation = _typed(ro_spec.get("correlation", 0.0), "noise.readout.correlation", "number")
-            readout = synth_calibration_matrix(eps, correlation)
-        n_shot = noise.get("n_shot")
-        estimators = []
-        specs = _typed(payload.get("estimators", ["purity", "sre"]), "estimators", "array")
-        for i, e in enumerate(specs):
-            if isinstance(e, str):
-                estimators.append(e)
-            elif isinstance(e, dict) and "rdm_purity" in e:
-                path = f"estimators[{i}]."
-                rdm = _known(_known(e, path, "rdm_purity")["rdm_purity"], path + "rdm_purity.", "keep")
-                keep = _array(rdm.get("keep"), path + "rdm_purity.keep", "integer")
-                estimators.append(("rdm_purity", tuple(sorted(keep))))
-            else:
-                raise ValueError(f"unknown estimator spec {e!r}")
-        return cls(
-            name=_typed(payload.get("name", "scenario"), "name", "string"),
-            state_id=None if state.get("id") is None else _typed(state["id"], "state.id", "string"),
-            state_params=params,
-            circuit=circuit,
-            p_dep_cz=_typed(noise.get("p_dep_cz", 1.0), "noise.p_dep_cz", "number"),
-            readout=readout,
-            n_shot=None if n_shot is None else _typed(n_shot, "noise.n_shot", "integer"),
-            n_rand=_typed(payload.get("n_rand", DEFAULT_N_RAND), "n_rand", "integer"),
-            seed=_typed(payload.get("seed", 0), "seed", "integer"),
-            estimators=tuple(estimators),
-            mitigation=_typed(payload.get("mitigation", False), "mitigation", "boolean"),
-        )
+        if "matrix" in readout:
+            matrix = np.array(readout["matrix"], dtype=float)
+            fields["readout"] = _keyed("noise.readout.matrix", CalibrationMatrix, matrix)
+        elif "per_qubit_eps" in readout:
+            try:
+                fields["readout"] = synth_calibration_matrix(**readout)
+            except ValueError as exc:
+                key = "correlation" if str(exc).startswith("correlation") else "per_qubit_eps"
+                raise ValueError(f"scenario key noise.readout.{key}: {exc}") from None
+        fields.update(noise)
+        for i, spec in enumerate(fields.get("estimators", ())):
+            if isinstance(spec, dict) and "rdm_purity" in spec:
+                keep = _read(spec, _RDM_PURITY, f"estimators[{i}]", "scenario")["rdm_purity"]["keep"]
+                fields["estimators"][i] = ("rdm_purity", tuple(sorted(keep)))
+            elif not isinstance(spec, str):
+                raise ValueError(f"unknown estimator spec {spec!r}")
+        return cls(**{"name": "scenario", **fields})
 
 
 @dataclass(frozen=True)

@@ -409,6 +409,87 @@ def test_bad_estimator_lists_fail_when_the_scenario_is_loaded(estimators, messag
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_a_readout_of_another_register_size_fails_when_the_scenario_is_loaded(tmp_path, monkeypatch, capsys):
+    from nlmagic import scenarios
+
+    monkeypatch.setattr(scenarios.Scenario, "prepare", lambda *a: pytest.fail("scenario prepared"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SCENARIO, "noise": {"readout": {"per_qubit_eps": [[0.01, 0.02]] * 3}}}))
+    message = "error: scenario key noise.readout: the calibration is 8x8, but the 2-qubit register has 4 outcomes\n"
+    for command in (["magic", "exact"], ["erase", "sweep"], ["rcm", "estimate"]):
+        assert run(capsys, command + ["--scenario", str(path)]) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "readout, message",
+    [
+        ({"per_qubit_eps": [[0.01, 0.02]] * 2, "correlation": 0.5}, "correlation: correlation must lie in [0, 0.1]"),
+        ({"per_qubit_eps": [[0.6, 0.02]] * 2}, "per_qubit_eps: flip rates must lie in [0, 0.5]"),
+        ({"matrix": [[0.5, 0.5], [0.4, 0.6]]}, "matrix: calibration matrix columns must each sum to 1"),
+    ],
+    ids=["correlation", "flip-rate", "matrix"],
+)
+def test_bad_readout_blocks_are_named_by_their_key(readout, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SCENARIO, "noise": {"readout": readout}}))
+    expected = (1, "", f"error: scenario key noise.readout.{message}\n")
+    assert run(capsys, ["magic", "exact", "--scenario", str(path)]) == expected
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"counts": [[90, 10], [4, 96]], "n_shot": 100, "calibration": [[1, 0], [0, 1]], "probabilities": [1, 0]},
+            "error: mitigate input keys counts and calibration are exclusive\n",
+        ),
+        (
+            {"calibration": [[1, 0], [0, 1]], "probabilities": [0.5, 0.5], "probability": [0.5, 0.5], "calibraton": 1},
+            "error: unknown mitigate input key calibraton, probability\n",
+        ),
+    ],
+    ids=["counts-and-calibration", "unknown-keys"],
+)
+def test_mitigate_input_takes_one_calibration_and_only_its_keys(payload, message, tmp_path, capsys):
+    path = tmp_path / "mitigate.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, ["mitigate", "--input", str(path)]) == (1, "", message)
+
+
+OUT = (("--out",), "out", None, Path, None, False)
+FORMAT = (("--format",), "fmt", "text", None, ("json", "text"), False)
+CURVE_FORMAT = (("--format",), "fmt", "text", None, ("json", "csv", "text"), False)
+SCENARIO_OPTIONS = [
+    (("--scenario",), "scenario", None, Path, None, False), (("--seed",), "seed", None, int, None, False), OUT
+]
+REPORT_OPTIONS = [(("--seed",), "seed", 0, int, None, False), OUT]
+SAMPLING_OPTIONS = [
+    (("--p-dep",), "p_dep", None, float, None, False),
+    (("--n-rand",), "n_rand", None, int, None, False),
+    (("--n-shot",), "n_shot", None, int, None, False),
+]
+OPTIONS = {
+    ("magic", "exact"): SCENARIO_OPTIONS + [FORMAT],
+    ("rcm", "estimate"): SCENARIO_OPTIONS + [FORMAT, (("--exhaustive",), "exhaustive", False, None, None, False)],
+    ("mitigate",): [OUT, CURVE_FORMAT, (("--input",), "input", None, Path, None, True)],
+    ("erase", "sweep"): SCENARIO_OPTIONS + [CURVE_FORMAT, (("--step-deg",), "step_deg", 7.5, float, None, False)],
+    ("fit", "rb"): [
+        OUT, FORMAT, (("--input",), "input", None, Path, None, True), (("--dim",), "dim", 2, int, None, False)
+    ],
+    ("report", "table1"): REPORT_OPTIONS + [FORMAT] + SAMPLING_OPTIONS,
+    ("report", "fig3"): REPORT_OPTIONS + [CURVE_FORMAT] + SAMPLING_OPTIONS,
+    ("report", "fig4"): REPORT_OPTIONS + [CURVE_FORMAT],
+}
+
+
+def test_each_command_takes_its_options_in_order():
+    assert list(OPTIONS) == list(cli._COMMANDS)
+    for words, expected in OPTIONS.items():
+        actions = cli._leaf_parser(words)._actions[1:]
+        got = [(tuple(a.option_strings), a.dest, a.default, a.type, a.choices, a.required) for a in actions]
+        assert got == expected, words
+
+
 def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, capsys):
     assert build_parser() is build_parser()
     assert all(cli._leaf_parser(words) is cli._leaf_parser(words) for words in cli._COMMANDS)

@@ -19,6 +19,8 @@ from nlmagic import (
 
 BASE = {"version": 1, "name": "s", "state": {"id": "m"}}
 EPS = [[0.05, 0.08], [0.04, 0.07]]
+# A readout matrix for the two qubits of BASE's state: flips on qubit 1 only.
+MATRIX = [[0.9, 0.2, 0.0, 0.0], [0.1, 0.8, 0.0, 0.0], [0.0, 0.0, 0.9, 0.2], [0.0, 0.0, 0.1, 0.8]]
 
 
 def load(**changes) -> Scenario:
@@ -65,14 +67,13 @@ def test_from_json_builds_readout_from_flip_rates_or_matrix():
     scenario = load(noise={"readout": {"per_qubit_eps": EPS, "correlation": 0.02}})
     expected = synth_calibration_matrix([tuple(e) for e in EPS], 0.02)
     np.testing.assert_array_equal(scenario.readout.matrix, expected.matrix)
-    matrix = [[0.9, 0.2], [0.1, 0.8]]
-    explicit = load(noise={"readout": {"matrix": matrix}}).readout
-    np.testing.assert_array_equal(explicit.matrix, matrix)
+    explicit = load(noise={"readout": {"matrix": MATRIX}}).readout
+    np.testing.assert_array_equal(explicit.matrix, MATRIX)
     assert load().readout is None
 
 
 @pytest.mark.parametrize(
-    "readout", [{"per_qubit_eps": EPS, "correlation": 0.02}, {"matrix": [[0.9, 0.2], [0.1, 0.8]]}],
+    "readout", [{"per_qubit_eps": EPS, "correlation": 0.02}, {"matrix": MATRIX}],
     ids=["per_qubit_eps", "matrix"],
 )
 def test_scenario_files_with_readout_compare_and_hash_equal(readout):
@@ -261,6 +262,85 @@ def test_fields_out_of_range_are_named_by_their_file_key_on_construction(changes
             build()
 
 
+CIRCUIT = {"num_qubits": 2, "gates": GATES}
+
+
+@pytest.mark.parametrize(
+    "changes, same",
+    [
+        ({"noise": {"n_shot": None}}, {}),
+        ({"noise": None}, {}),
+        ({"noise": {"readout": None}}, {}),
+        ({"state": {"id": None, "circuit": CIRCUIT}}, {"state": {"circuit": CIRCUIT}}),
+    ],
+    ids=["n_shot", "noise", "readout", "state-id"],
+)
+def test_null_where_a_file_may_write_it_reads_as_absent(changes, same):
+    assert load(**changes) == load(**same)
+
+
+def test_a_file_writing_every_optional_key_at_its_default_equals_one_omitting_them():
+    written = {
+        "version": 1,
+        "name": "scenario",
+        "state": {"id": "m", "params": {}},
+        "noise": {"p_dep_cz": 1.0, "n_shot": None, "readout": None},
+        "n_rand": 400,
+        "seed": 0,
+        "estimators": ["purity", "sre"],
+        "mitigation": False,
+    }
+    written = Scenario.from_json(json.dumps(written))
+    omitted = Scenario.from_json(json.dumps({"version": 1, "state": {"id": "m"}}))
+    assert written == omitted == Scenario("scenario", state_id="m")
+    assert hash(written) == hash(omitted)
+
+
+@pytest.mark.parametrize(
+    "readout, size",
+    [({"per_qubit_eps": [[0.01, 0.02]] * 3}, "8x8"), ({"matrix": [[0.9, 0.2], [0.1, 0.8]]}, "2x2")],
+    ids=["flip-rates", "matrix"],
+)
+def test_a_readout_of_another_register_size_fails_on_construction(readout, size):
+    message = rf"^scenario key noise\.readout: the calibration is {size}, but the 2-qubit register has 4 outcomes$"
+    with pytest.raises(ValueError, match=message):
+        load(noise={"readout": readout})
+    lam = synth_calibration_matrix([(0.01, 0.02)] * 3)
+    with pytest.raises(ValueError, match=r"^scenario key noise\.readout: the calibration is 8x8"):
+        Scenario("s", state_id="m", readout=lam)
+
+
+def readout(**spec) -> dict:
+    return {"noise": {"readout": spec}}
+
+
+def circuit(num_qubits, *gates) -> dict:
+    return {"state": {"circuit": {"num_qubits": num_qubits, "gates": list(gates)}}}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (readout(per_qubit_eps=EPS, correlation=0.5), r"readout\.correlation: correlation must lie in \[0, 0\.1\]$"),
+        (readout(per_qubit_eps=[[0.05, 0.7], [0.0, 0.0]]), r"readout\.per_qubit_eps: flip rates must lie in"),
+        (readout(per_qubit_eps=[]), r"readout\.per_qubit_eps: need at least one qubit$"),
+        (readout(matrix=[[0.5, 0.5], [0.4, 0.6]]), r"readout\.matrix: calibration matrix columns must each sum to 1$"),
+        (readout(matrix=[[1, 0, 0], [0, 1, 0]]), r"readout\.matrix: calibration matrix must be square$"),
+        (circuit(0), r"circuit\.num_qubits: num_qubits must be >= 1$"),
+        (circuit(2, GATES[1], {"kind": "Q", "qubits": [0]}), r"circuit\.gates\[1\]: unsupported gate kind 'Q'$"),
+        (circuit(1, *GATES), r"circuit\.gates\[1\]: gate .* addresses qubit outside the register$"),
+        (circuit(2, None), r"circuit\.gates\[0\]\.qubits must be a JSON array, not null$"),
+    ],
+    ids=[
+        "correlation", "flip-rate", "no-qubit", "matrix-columns", "matrix-shape", "num_qubits", "gate-kind",
+        "gate-qubit", "null-gate",
+    ],
+)
+def test_readout_and_circuit_errors_name_their_file_key(changes, message):
+    with pytest.raises(ValueError, match=f"^scenario key (noise|state)\\.{message}"):
+        load(**changes)
+
+
 def test_mitigation_without_readout_is_an_error():
     with pytest.raises(ValueError, match="mitigation needs a readout"):
         Scenario("s", state_id="m", mitigation=True)
@@ -405,7 +485,7 @@ def test_a_batch_gives_each_scenario_the_results_of_a_batch_of_one(num_qubits, f
 @pytest.mark.parametrize(
     "change, term",
     [
-        ({"state_id": "psi1"}, "qubit count"),
+        ({"state_id": "psi1", "readout": synth_calibration_matrix([EPS[0]])}, "qubit count"),
         ({"n_rand": 20}, "n_rand"),
         ({"readout": None}, "readout"),
         ({"n_shot": 100}, "n_shot"),
