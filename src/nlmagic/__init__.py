@@ -30,7 +30,6 @@ from .noise import (
     synth_calibration_matrix,
 )
 from .magic import (
-    check_distillation_lemma,
     nonlocal_magic,
     nonlocal_magic_noisy,
     nonlocal_magic_theta,
@@ -86,8 +85,8 @@ __all__ = [
     "Circuit", "GateSpec", "gate_matrix", "run_circuit",
     "single_qubit_clifford_group", "state_circuit",
     "CalibrationMatrix", "sample_shots", "synth_calibration_matrix",
-    "check_distillation_lemma", "nonlocal_magic", "nonlocal_magic_noisy", "nonlocal_magic_theta",
-    "sre_exact", "sre_nlm_depolarized", "stabilizer_purity_exact",
+    "nonlocal_magic", "nonlocal_magic_noisy", "nonlocal_magic_theta", "sre_exact",
+    "sre_nlm_depolarized", "stabilizer_purity_exact",
     "EstimateWithError", "RcmDataset", "collect_dataset", "estimate_purity",
     "estimate_rdm_purity", "estimate_sre", "estimate_stabilizer_purity",
     "sample_local_cliffords",

@@ -41,12 +41,12 @@ from .mitigation import (
     readout_fidelity,
 )
 from .noise import CalibrationMatrix
+from .rcm import estimator
 from .scenarios import (
     Report,
     ReportValue,
     Scenario,
     _read,
-    estimator,
     report_fig3,
     report_fig4,
     report_table1,
@@ -133,7 +133,7 @@ def _cmd_magic_exact(args) -> int:
     if state.num_qubits == 2:
         specs.append(("rdm_purity", (0,)))
     for spec in specs:
-        label, oracle = estimator(spec)
+        label, _, oracle = estimator(spec)
         report.values.append(ReportValue(label, "oracle", oracle(state)))
     return _emit(report, args)
 
@@ -147,6 +147,8 @@ def _cmd_mitigate(args) -> int:
     payload = _read(json.loads(args.input.read_text()), _MITIGATE_INPUT, "", source)
     if "counts" in payload and "calibration" in payload:
         raise ValueError("mitigate input keys counts and calibration are exclusive")
+    if "n_shot" in payload and "counts" not in payload:
+        raise ValueError("mitigate input key n_shot needs counts")
     # n_shot goes with counts, calibration is needed without them, and
     # probabilities always; an absent one reads as null and is named.
     if "counts" in payload:
@@ -300,6 +302,9 @@ def _parse(argv: list):
 def main(argv=None) -> int:
     handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        # Every command that takes --seed needs it >= 0, before it prepares anything.
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return handler(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,11 +22,9 @@ lambda, P_A = lambda^2 + (1 - lambda)^2.)
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .qcore import ATOL_STRUCT, DepolarizedState, purity, reduced_purity
+from .qcore import ATOL_STRUCT, DepolarizedState
 
 
 def schmidt_decomposition(state: DepolarizedState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,40 +118,3 @@ def sre_nlm_depolarized(p_err: float, theta: float) -> float:
     p = p_err
     inner = (p - 1.0) ** 4 * np.cos(4.0 * theta) + 5.0 * (p - 2.0) * p * ((p - 2.0) * p + 2.0) + 7.0
     return float(-np.log2(4.0 * inner) + np.log2(3.0 * (p - 2.0) * p + 4.0) + 3.0)
-
-
-# ---------------------------------------------------------------------------
-# Distillation bound checker
-
-
-def check_distillation_lemma(psi: DepolarizedState, c_factorized: np.ndarray) -> Optional[bool]:
-    """Check that a factorized Clifford distills at most the local magic.
-
-    ``psi`` is a pure two-qubit state on subsystems A (qubit 0) and
-    B (qubit 1); an ancilla in |0> is appended as qubit 2 and
-    ``c_factorized`` (an 8x8 Clifford of the form C_A (x) C_BC) is applied.
-    If the output splits as psi' on (A, B) times phi on the ancilla, returns
-    True when M2(phi) <= the local magic of psi (up to 1e-9), False when
-    the bound is violated. The local magic is M2(psi) minus the non-local
-    magic ``nonlocal_magic(P_A)`` of qubit 0's reduced purity P_A. Returns
-    None when the output does not factorize, which makes the bound
-    inapplicable rather than violated. The output is
-    read as a 4x2 matrix (A B, ancilla), whose SVD sigma_0 u_0 vh_0 +
-    sigma_1 u_1 vh_1 gives the ancilla's purity 1 - 2 sigma_0^2 sigma_1^2
-    and, when that is 1, phi = vh_0.
-    """
-    if psi.num_qubits != 2:
-        raise ValueError("input state must be on two qubits")
-    if purity(psi) < 1.0 - 1e-9:
-        raise ValueError("input state must be pure")
-    c = np.asarray(c_factorized, dtype=complex)
-    if c.shape != (8, 8):
-        raise ValueError("Clifford must act on three qubits")
-    if np.max(np.abs(c.conj().T @ c - np.eye(8))) > 1e-9:
-        raise ValueError("Clifford must be unitary")
-    out = c @ np.kron(psi.psi, [1.0, 0.0])
-    _, sigma, vh = np.linalg.svd(out.reshape(4, 2))
-    if 2.0 * (sigma[0] * sigma[1]) ** 2 > 1e-9:
-        return None
-    m_local = sre_exact(psi) - nonlocal_magic(reduced_purity(psi, {0}))
-    return sre_exact(DepolarizedState(vh[0])) <= m_local + 1e-9

@@ -37,13 +37,16 @@ and reduces the (statistics x rows, draws) array with one mean and one
 sample standard deviation (the N-1 form); sampling errors are s/sqrt(N).
 The SRE estimate combines the same X_W and X_P rows. Every stacked product
 runs block by block, so a row's numbers are byte-identical to those of a
-batch of one. A single-state dataset (``collect_dataset``) caches its q^2
-and per-draw X_P and X_W; the four ``estimate_*`` functions run the same
-reduction on it as a batch of one, and none builds a marginal.
-``purity_statistic`` and ``stabilizer_purity_statistic`` take one outcome
-vector or an array with one row per draw and give the same numbers as the
-cache. The same shot data serves both statistics; their O(1/N_shot)
-plug-in bias is accepted and left uncorrected.
+batch of one. ``estimator(spec)`` is the one place an estimator spec
+("purity", "stab_purity", "sre" or ("rdm_purity", keep)) is matched: it
+gives the label the reports print, the keys of the statistics to reduce
+and the exact oracle, read from this module's globals when called. The
+four ``estimate_*`` functions estimate a single-state dataset
+(``collect_dataset``) as a batch of one; ``purity_statistic`` and
+``stabilizer_purity_statistic`` give X_P and X_W of one outcome vector or
+of an array with one row per draw. The same shot data serves both
+statistics; their O(1/N_shot) plug-in bias is accepted and left
+uncorrected.
 
 Since a draw acts only through the signed Paulis C^dag Z C, and each of
 the six is the image of four Cliffords, the exact average over all 24^N
@@ -58,14 +61,14 @@ would have, not an error of the exact value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .magic import m2_from_purities
+from .magic import m2_from_purities, sre_exact, stabilizer_purity_exact
 from .noise import CalibrationMatrix, clean_probability_vector, sample_shots
-from .qcore import DepolarizedState, kept_qubits
+from .qcore import DepolarizedState, kept_qubits, purity, reduced_purity
 
 _LN2 = float(np.log(2.0))
 
@@ -107,10 +110,6 @@ class EstimateWithError:
         errors = stds / np.sqrt(n)
         return [cls(m, s, e, n) for m, s, e in zip(means.tolist(), stds.tolist(), errors.tolist())]
 
-    @classmethod
-    def from_samples(cls, values: np.ndarray) -> "EstimateWithError":
-        return cls.from_rows(np.asarray(values, dtype=float).reshape(1, -1))[0]
-
 
 def _check_ids(ids: np.ndarray) -> None:
     if (ids < 0).any() or (ids >= 24).any():
@@ -122,10 +121,7 @@ class RcmDataset:
     """Outcome probability vectors for a sequence of Clifford draws.
 
     Both arrays are stored read-only; the caller's arrays are not touched,
-    since ``clean_probability_vector`` returns new vectors. The squared
-    Walsh rows q^2 and the per-draw statistics X_P and X_W derived from
-    them are computed on first use and cached, so a dataset that is only
-    passed on (such as the one before readout mitigation) computes none.
+    since ``clean_probability_vector`` returns new vectors.
     """
 
     clifford_ids: np.ndarray
@@ -150,25 +146,6 @@ class RcmDataset:
     @property
     def n_samples(self) -> int:
         return self.clifford_ids.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.clifford_ids.shape[1]
-
-    @cached_property
-    def walsh_squares(self) -> np.ndarray:
-        """q(k)^2 of every draw, shape (n_samples, d), read-only."""
-        return _read_only(_walsh_squares(self.prob_vectors))
-
-    @cached_property
-    def purity_samples(self) -> np.ndarray:
-        """X_P of every draw, equal to ``purity_statistic(prob_vectors)``."""
-        return _read_only(_walsh_moment(self.walsh_squares, 2))
-
-    @cached_property
-    def stabilizer_purity_samples(self) -> np.ndarray:
-        """X_W of every draw, equal to ``stabilizer_purity_statistic(prob_vectors)``."""
-        return _read_only(_walsh_moment(self.walsh_squares, 4))
 
 
 def sample_local_cliffords(n_qubits: int, n_rand: int, seed: int) -> np.ndarray:
@@ -314,26 +291,6 @@ def collect_rows(
     return probs
 
 
-def collect_dataset(
-    state: DepolarizedState,
-    tuples: np.ndarray,
-    readout: Optional[CalibrationMatrix] = None,
-    n_shot: Optional[int] = None,
-    seed: int = 0,
-) -> RcmDataset:
-    """The measurement stage (``collect_rows``) for one state, with one row
-    of Clifford ids per draw in ``tuples``. The returned dataset transforms
-    its final vectors back to Walsh rows once, when an estimator first reads
-    them."""
-    ids = np.array(tuples, dtype=int)
-    return RcmDataset(ids, collect_rows([state], ids[None], readout, n_shot, (seed,))[0])
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _walsh_squares(p) -> np.ndarray:
     """q(k)^2 of one outcome vector or of each row of an array of them."""
     v = np.asarray(p, dtype=float)
@@ -351,31 +308,26 @@ def _walsh_moment(q2: np.ndarray, power: int):
     return x if x.ndim else float(x)
 
 
-def purity_statistic(p):
-    """Pair statistic d * sum (-2)^-|s1 XOR s2| P(s1) P(s2) = d^-1 sum_k 3^|k| q(k)^2."""
-    return _walsh_moment(_walsh_squares(p), 2)
+def estimator(spec) -> tuple:
+    """``(label, statistics, oracle)`` for one estimator spec: the label the
+    reports print, the keys of the per-draw statistics ``estimate_rows``
+    reduces (X_P, X_W, or the kept qubits of a reduced X_P), and the
+    function that computes the quantity exactly on a prepared state.
 
-
-def stabilizer_purity_statistic(p):
-    """Quadruple statistic with (-2)^-|s1 XOR s2 XOR s3 XOR s4| weights,
-    d^-2 sum_k 3^|k| q(k)^4.
-
-    The sign and normalization are fixed so that the exhaustive
-    exact-probability average reproduces d^-2 sum_P Tr(P rho)^4.
+    The specs are ``"purity"``, ``"stab_purity"``, ``"sre"`` and
+    ``("rdm_purity", keep)``. The oracles are this module's attributes,
+    read when this is called, so a wrapped or patched attribute is the one
+    that runs.
     """
-    return _walsh_moment(_walsh_squares(p), 4)
-
-
-# The per-draw statistics of each estimator kind: X_P, X_W, or for
-# ("rdm_purity", keep) the reduced X_P on the kept qubits.
-_STATISTICS = {"purity": ("X_P",), "stab_purity": ("X_W",), "sre": ("X_W", "X_P")}
-
-
-def _statistics(spec, num_qubits: int) -> tuple:
-    if isinstance(spec, str) and spec in _STATISTICS:
-        return _STATISTICS[spec]
+    if spec == "purity":
+        return "purity", ("X_P",), purity
+    if spec == "stab_purity":
+        return "stab_purity", ("X_W",), stabilizer_purity_exact
+    if spec == "sre":
+        return "sre", ("X_W", "X_P"), sre_exact
     if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "rdm_purity":
-        return (tuple(kept_qubits(set(spec[1]), num_qubits)),)
+        keep = tuple(sorted(set(spec[1])))
+        return f"rdm_purity[{','.join(map(str, keep))}]", (keep,), lambda state: reduced_purity(state, keep)
     raise ValueError(f"unknown estimator {spec!r}")
 
 
@@ -391,10 +343,11 @@ def _statistic(q2: np.ndarray, key) -> np.ndarray:
     if key == "X_W":
         return _walsh_moment(q2, 4)
     n = q2.shape[-1].bit_length() - 1
-    traced = sum(1 << (n - 1 - q) for q in set(range(n)).difference(key))
+    kept = kept_qubits(key, n)
+    traced = sum(1 << (n - 1 - q) for q in set(range(n)).difference(kept))
     inside = np.flatnonzero((np.arange(2**n) & traced) == 0)
-    _, weights = _walsh_tables(2 ** len(key))
-    return q2[..., inside] @ weights / 2 ** len(key)
+    _, weights = _walsh_tables(2 ** len(kept))
+    return q2[..., inside] @ weights / 2 ** len(kept)
 
 
 def _sre(west: EstimateWithError, pest: EstimateWithError, d: int) -> EstimateWithError:
@@ -422,14 +375,16 @@ def _sre(west: EstimateWithError, pest: EstimateWithError, d: int) -> EstimateWi
     return EstimateWithError(float(m2), float(err * np.sqrt(n)), float(err), n)
 
 
-def _estimate_walsh(q2: np.ndarray, specs) -> list[list[EstimateWithError]]:
-    """Every estimator of ``specs`` on every row of a (rows, draws, d) stack
-    of q^2, one list per row in spec order. Each statistic is computed once
-    for all rows and the (statistics x rows, draws) array is reduced once;
-    "sre" combines the X_W and X_P rows that "stab_purity" and "purity" read.
+def estimate_rows(probs: np.ndarray, specs) -> list[list[EstimateWithError]]:
+    """Every estimator of ``specs`` (see ``estimator``) on every row of a
+    (rows, draws, d) stack of outcome vectors, one list per row in spec
+    order. Each statistic is computed once for all rows from one stack of
+    q^2, and the (statistics x rows, draws) array is reduced once; "sre"
+    combines the X_W and X_P rows that "stab_purity" and "purity" read.
     """
+    needs = [estimator(spec)[1] for spec in specs]
+    q2 = _walsh_squares(probs)
     rows, _, d = q2.shape
-    needs = [_statistics(spec, d.bit_length() - 1) for spec in specs]
     keys = list(dict.fromkeys(key for need in needs for key in need))
     samples = np.stack([_statistic(q2, key) for key in keys]).reshape(len(keys) * rows, -1)
     reduced = EstimateWithError.from_rows(samples)
@@ -443,16 +398,42 @@ def _estimate_walsh(q2: np.ndarray, specs) -> list[list[EstimateWithError]]:
     ]
 
 
-def estimate_rows(probs: np.ndarray, specs) -> list[list[EstimateWithError]]:
-    """Every estimator of ``specs`` ("purity", "stab_purity", "sre" and
-    ("rdm_purity", keep)) on every row of a (rows, draws, d) stack of
-    outcome vectors, one list per row in spec order."""
-    return _estimate_walsh(_walsh_squares(probs), specs)
+# The single-state API: one state's dataset, estimated as a batch of one,
+# and the per-draw statistics of one outcome vector or of a row per draw.
+# No report or command calls it; it stays because the benchmark traces
+# these functions by name and reads ``collect_dataset(...).n_samples``.
+
+
+def collect_dataset(
+    state: DepolarizedState,
+    tuples: np.ndarray,
+    readout: Optional[CalibrationMatrix] = None,
+    n_shot: Optional[int] = None,
+    seed: int = 0,
+) -> RcmDataset:
+    """The measurement stage (``collect_rows``) for one state, with one row
+    of Clifford ids per draw in ``tuples``."""
+    ids = np.array(tuples, dtype=int)
+    return RcmDataset(ids, collect_rows([state], ids[None], readout, n_shot, (seed,))[0])
+
+
+def purity_statistic(p):
+    """Pair statistic d * sum (-2)^-|s1 XOR s2| P(s1) P(s2) = d^-1 sum_k 3^|k| q(k)^2."""
+    return _walsh_moment(_walsh_squares(p), 2)
+
+
+def stabilizer_purity_statistic(p):
+    """Quadruple statistic with (-2)^-|s1 XOR s2 XOR s3 XOR s4| weights,
+    d^-2 sum_k 3^|k| q(k)^4.
+
+    The sign and normalization are fixed so that the exhaustive
+    exact-probability average reproduces d^-2 sum_P Tr(P rho)^4.
+    """
+    return _walsh_moment(_walsh_squares(p), 4)
 
 
 def _estimate(ds: RcmDataset, spec) -> EstimateWithError:
-    """One estimator on a dataset: its cached q^2 as a batch of one."""
-    return _estimate_walsh(ds.walsh_squares[None], (spec,))[0][0]
+    return estimate_rows(ds.prob_vectors[None], (spec,))[0][0]
 
 
 def estimate_purity(ds: RcmDataset) -> EstimateWithError:

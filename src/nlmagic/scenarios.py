@@ -4,9 +4,10 @@ A scenario bundles a preparation (catalogue id or explicit gate list), a
 noise configuration and a list of estimator specs. Every sampled number
 reaches a report along one path:
 
-- ``estimator(spec)`` maps an estimator spec to its label and its exact
-  oracle; ``measure`` and ``magic exact`` read it, and
-  ``rcm.estimate_rows`` estimates the same specs from RCM data.
+- ``rcm.estimator(spec)`` maps an estimator spec to its label, its
+  per-draw statistics and its exact oracle; ``Scenario`` checks the specs
+  with it, ``measure`` labels and compares with it, and ``magic exact``
+  reads its oracles.
 - ``measure`` is the one prepare -> measure -> mitigate -> estimate stage,
   run on a batch of scenarios that share their qubit count, draw count,
   readout, shots, mitigation and estimators. Preparation, Clifford draws,
@@ -42,18 +43,11 @@ import numpy as np
 
 from .circuits import STATE_PARAMS, Circuit, GateSpec, state_circuit, run_circuit
 from .erasure import degree_grid, landscape_to_csv, sweep_landscape
-from .magic import (
-    nonlocal_magic,
-    nonlocal_magic_noisy,
-    nonlocal_magic_theta,
-    sre_exact,
-    sre_nlm_depolarized,
-    stabilizer_purity_exact,
-)
+from .magic import nonlocal_magic, nonlocal_magic_noisy, nonlocal_magic_theta, sre_nlm_depolarized
 from .mitigation import mitigate_least_squares
 from .noise import CalibrationMatrix, clean_probability_vector, synth_calibration_matrix
-from .qcore import DepolarizedState, kept_qubits, purity, reduced_purity
-from .rcm import EstimateWithError, collect_rows, estimate_rows, sample_local_cliffords, signed_bases
+from .qcore import DepolarizedState, kept_qubits, reduced_purity
+from .rcm import EstimateWithError, collect_rows, estimate_rows, estimator, sample_local_cliffords, signed_bases
 
 SCHEMA_VERSION = 1
 
@@ -194,7 +188,7 @@ class Scenario:
         if self.mitigation and self.readout is None:
             raise ValueError("mitigation needs a readout calibration matrix")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"scenario key seed must be >= 0, got {self.seed}")
         if self.n_rand < 2:
             raise ValueError(f"scenario key n_rand must be >= 2, got {self.n_rand}")
         if self.n_shot is not None and self.n_shot < 1:
@@ -282,6 +276,8 @@ class Scenario:
             except ValueError as exc:
                 key = "correlation" if str(exc).startswith("correlation") else "per_qubit_eps"
                 raise ValueError(f"scenario key noise.readout.{key}: {exc}") from None
+        elif "correlation" in readout:
+            raise ValueError("scenario key noise.readout.correlation needs noise.readout.per_qubit_eps")
         fields.update(noise)
         for i, spec in enumerate(fields.get("estimators", ())):
             if isinstance(spec, dict) and "rdm_purity" in spec:
@@ -378,29 +374,6 @@ def _flag_tol(est: EstimateWithError, n_shot: Optional[int]) -> float:
     return 3.0 * est.sampling_error + floor
 
 
-def estimator(spec) -> tuple:
-    """``(label, oracle)`` for one estimator spec: the label the reports
-    print and the function that computes the quantity exactly on a prepared
-    state. ``rcm.estimate_rows`` estimates the same specs from RCM data.
-
-    The specs are ``"purity"``, ``"stab_purity"``, ``"sre"`` and
-    ``("rdm_purity", keep)``. The oracles are this module's attributes,
-    read when this is called, so a wrapped or patched attribute is the one
-    that runs.
-    """
-    if spec == "purity":
-        return "purity", purity
-    if spec == "stab_purity":
-        return "stab_purity", stabilizer_purity_exact
-    if spec == "sre":
-        return "sre", sre_exact
-    if isinstance(spec, tuple) and spec[0] == "rdm_purity":
-        keep = set(spec[1])
-        label = f"rdm_purity[{','.join(str(q) for q in sorted(keep))}]"
-        return label, lambda state: reduced_purity(state, keep)
-    raise ValueError(f"unknown estimator {spec!r}")
-
-
 def _batch_terms(scenario: Scenario, exhaustive: bool) -> dict:
     """What every scenario of one measured batch must share, by name."""
     return {
@@ -450,7 +423,7 @@ def measure(scenarios, exhaustive: bool = False) -> list[dict]:
         probs = clean_probability_vector(rows.reshape(probs.shape))
     table = [estimator(spec) for spec in first.estimators]
     return [
-        {label: (est, float(oracle(state))) for (label, oracle), est in zip(table, estimates)}
+        {label: (est, float(oracle(state))) for (label, _, oracle), est in zip(table, estimates)}
         for state, estimates in zip(states, estimate_rows(probs, first.estimators))
     ]
 

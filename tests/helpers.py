@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nlmagic import DepolarizedState, ErasureAngles, gate_matrix
+from nlmagic import DepolarizedState, ErasureAngles, gate_matrix, nonlocal_magic, purity, reduced_purity, sre_exact
 from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
 from nlmagic.erasure import _correlation_matrix, _euler, _m2_from_correlations, _pair_m2, pauli_rotation
 from nlmagic.qcore import _PAULI_MAP, apply_to_axis, kept_qubits, pauli_matrix_stack
@@ -112,6 +112,39 @@ def nonlocal_magic_schmidt(lam: float) -> float:
 def schmidt_state(lam: float, survival: float = 1.0) -> DepolarizedState:
     """sqrt(lam)|00> + sqrt(1 - lam)|11> at the given survival."""
     return DepolarizedState([np.sqrt(lam), 0.0, 0.0, np.sqrt(1.0 - lam)], survival)
+
+
+def check_distillation_lemma(psi: DepolarizedState, c_factorized: np.ndarray):
+    """Reference check that a factorized Clifford distills at most the local magic.
+
+    ``psi`` is a pure two-qubit state on subsystems A (qubit 0) and
+    B (qubit 1); an ancilla in |0> is appended as qubit 2 and
+    ``c_factorized`` (an 8x8 Clifford of the form C_A (x) C_BC) is applied.
+    If the output splits as psi' on (A, B) times phi on the ancilla, returns
+    True when M2(phi) <= the local magic of psi (up to 1e-9), False when
+    the bound is violated. The local magic is M2(psi) minus the non-local
+    magic ``nonlocal_magic(P_A)`` of qubit 0's reduced purity P_A. Returns
+    None when the output does not factorize, which makes the bound
+    inapplicable rather than violated. The output is
+    read as a 4x2 matrix (A B, ancilla), whose SVD sigma_0 u_0 vh_0 +
+    sigma_1 u_1 vh_1 gives the ancilla's purity 1 - 2 sigma_0^2 sigma_1^2
+    and, when that is 1, phi = vh_0.
+    """
+    if psi.num_qubits != 2:
+        raise ValueError("input state must be on two qubits")
+    if purity(psi) < 1.0 - 1e-9:
+        raise ValueError("input state must be pure")
+    c = np.asarray(c_factorized, dtype=complex)
+    if c.shape != (8, 8):
+        raise ValueError("Clifford must act on three qubits")
+    if np.max(np.abs(c.conj().T @ c - np.eye(8))) > 1e-9:
+        raise ValueError("Clifford must be unitary")
+    out = c @ np.kron(psi.psi, [1.0, 0.0])
+    _, sigma, vh = np.linalg.svd(out.reshape(4, 2))
+    if 2.0 * (sigma[0] * sigma[1]) ** 2 > 1e-9:
+        return None
+    m_local = sre_exact(psi) - nonlocal_magic(reduced_purity(psi, {0}))
+    return sre_exact(DepolarizedState(vh[0])) <= m_local + 1e-9
 
 
 def expectations_from_matrix(mat: np.ndarray, num_qubits: int) -> np.ndarray:

@@ -300,15 +300,15 @@ def test_magic_exact_computes_one_pauli_spectrum(scenario_path, tmp_path, monkey
     assert [v["name"] for v in json.loads(out)["values"]] == ["purity", "stab_purity", "sre"]
 
 
-def test_estimators_and_oracles_are_read_from_the_scenarios_module_when_called(scenario_path, monkeypatch, capsys):
+def test_estimators_and_oracles_are_read_from_their_modules_when_called(scenario_path, monkeypatch, capsys):
     # A tracer or a patch replaces the module attribute; a table of
     # functions captured at import would keep calling the originals.
-    from nlmagic import scenarios
+    from nlmagic import rcm, scenarios
 
     calls = []
-    for name in ("estimate_rows", "sre_exact"):
-        real = getattr(scenarios, name)
-        monkeypatch.setattr(scenarios, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for module, name in ((scenarios, "estimate_rows"), (rcm, "sre_exact")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     assert run(capsys, ["rcm", "estimate", "--scenario", str(scenario_path)])[0] == 0
     assert sorted(calls) == ["estimate_rows", "sre_exact"]
     calls.clear()
@@ -317,21 +317,25 @@ def test_estimators_and_oracles_are_read_from_the_scenarios_module_when_called(s
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, name",
     [
-        ["rcm", "estimate", "--scenario", "{negative}"],
-        ["rcm", "estimate", "--scenario", "{scenario}", "--seed", "-1"],
-        ["report", "table1", "--seed", "-1"],
-        ["report", "fig3", "--seed", "-1"],
+        (["rcm", "estimate", "--scenario", "{negative}"], "scenario key seed"),
+        (["rcm", "estimate", "--scenario", "{scenario}", "--seed", "-1"], "--seed"),
+        (["report", "table1", "--seed", "-1"], "--seed"),
+        (["report", "fig3", "--seed", "-1"], "--seed"),
+        (["report", "fig4", "--seed", "-1"], "--seed"),
     ],
-    ids=["scenario-file", "estimate-seed", "table1-seed", "fig3-seed"],
+    ids=["scenario-file", "estimate-seed", "table1-seed", "fig3-seed", "fig4-seed"],
 )
-def test_negative_seed_is_a_named_error(argv, scenario_path, tmp_path, capsys):
+def test_negative_seed_is_a_named_error(argv, name, scenario_path, tmp_path, monkeypatch, capsys):
+    from nlmagic import scenarios
+
+    monkeypatch.setattr(scenarios, "run_circuit", lambda *a: pytest.fail("prepared"))
     negative = tmp_path / "negative_seed.json"
     negative.write_text(json.dumps({**SCENARIO, "seed": -1}))
     argv = [a.format(negative=negative, scenario=scenario_path) for a in argv]
     code, out, err = run(capsys, argv)
-    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+    assert (code, out, err) == (1, "", f"error: {name} must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize(
@@ -426,14 +430,16 @@ def test_a_readout_of_another_register_size_fails_when_the_scenario_is_loaded(tm
         ({"per_qubit_eps": [[0.01, 0.02]] * 2, "correlation": 0.5}, "correlation: correlation must lie in [0, 0.1]"),
         ({"per_qubit_eps": [[0.6, 0.02]] * 2}, "per_qubit_eps: flip rates must lie in [0, 0.5]"),
         ({"matrix": [[0.5, 0.5], [0.4, 0.6]]}, "matrix: calibration matrix columns must each sum to 1"),
+        ({"correlation": 0.09}, "correlation needs noise.readout.per_qubit_eps"),
     ],
-    ids=["correlation", "flip-rate", "matrix"],
+    ids=["correlation", "flip-rate", "matrix", "correlation-alone"],
 )
 def test_bad_readout_blocks_are_named_by_their_key(readout, message, tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**SCENARIO, "noise": {"readout": readout}}))
     expected = (1, "", f"error: scenario key noise.readout.{message}\n")
     assert run(capsys, ["magic", "exact", "--scenario", str(path)]) == expected
+    assert run(capsys, ["rcm", "estimate", "--scenario", str(path)]) == expected
 
 
 @pytest.mark.parametrize(
@@ -447,8 +453,12 @@ def test_bad_readout_blocks_are_named_by_their_key(readout, message, tmp_path, c
             {"calibration": [[1, 0], [0, 1]], "probabilities": [0.5, 0.5], "probability": [0.5, 0.5], "calibraton": 1},
             "error: unknown mitigate input key calibraton, probability\n",
         ),
+        (
+            {"n_shot": 100, "calibration": [[1, 0], [0, 1]], "probabilities": [1, 0]},
+            "error: mitigate input key n_shot needs counts\n",
+        ),
     ],
-    ids=["counts-and-calibration", "unknown-keys"],
+    ids=["counts-and-calibration", "unknown-keys", "n_shot-with-calibration"],
 )
 def test_mitigate_input_takes_one_calibration_and_only_its_keys(payload, message, tmp_path, capsys):
     path = tmp_path / "mitigate.json"

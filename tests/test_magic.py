@@ -22,11 +22,18 @@ from nlmagic import (
     stabilizer_purity_exact,
     state_circuit,
 )
-from nlmagic import magic, qcore
+from nlmagic import qcore
 from nlmagic.circuits import H_MATRIX
 from nlmagic.qcore import pauli_matrix_stack
 
-from helpers import density_matrix, nonlocal_magic_schmidt, partial_trace, random_pure, schmidt_state
+from helpers import (
+    check_distillation_lemma,
+    density_matrix,
+    nonlocal_magic_schmidt,
+    partial_trace,
+    random_pure,
+    schmidt_state,
+)
 
 EPS = np.finfo(float).eps
 
@@ -158,7 +165,7 @@ def test_factorized_cliffords_never_violate_the_distillation_bound():
     for psi in states:
         for _ in range(40):
             c = np.kron(_word(rng, _ONE_QUBIT_WORDS, 2), _word(rng, _TWO_QUBIT_WORDS, 4))
-            outcomes.append(magic.check_distillation_lemma(psi, c))
+            outcomes.append(check_distillation_lemma(psi, c))
     assert False not in outcomes
     assert outcomes.count(True) > 50
 
@@ -172,4 +179,4 @@ def test_a_non_factorized_clifford_violates_the_distillation_bound():
     c = np.zeros((8, 8))
     for a, b, anc in np.ndindex(2, 2, 2):
         c[4 * anc + 2 * (a ^ b) + a, 4 * a + 2 * b + anc] = 1.0
-    assert magic.check_distillation_lemma(psi, c) is False
+    assert check_distillation_lemma(psi, c) is False

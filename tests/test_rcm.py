@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,8 @@ from nlmagic.rcm import (
     _CLIFFORD_Z_IMAGES,
     _born_walsh,
     _walsh_tables,
+    estimate_rows,
+    estimator,
     exhaustive_size,
     purity_statistic,
     signed_bases,
@@ -149,7 +152,7 @@ def test_reduced_purity_from_walsh_columns_equals_purity_of_marginal(num_qubits,
     for size in range(1, num_qubits):
         for keep in map(set, combinations(range(num_qubits), size)):
             samples = purity_statistic(marginalize(ds.prob_vectors, keep))
-            reference = EstimateWithError.from_samples(samples)
+            reference = EstimateWithError.from_rows(samples[None])[0]
             est = estimate_rdm_purity(ds, keep)
             assert est.n_samples == reference.n_samples
             np.testing.assert_allclose(est.mean, reference.mean, rtol=1e-14, atol=0)
@@ -165,19 +168,61 @@ def test_reduced_purity_rejects_keep_that_is_no_proper_subset(keep):
         estimate_rdm_purity(ds, keep)
 
 
+@pytest.mark.parametrize(
+    "spec, label, statistics",
+    [
+        ("purity", "purity", ("X_P",)),
+        ("stab_purity", "stab_purity", ("X_W",)),
+        ("sre", "sre", ("X_W", "X_P")),
+        (("rdm_purity", (2, 0, 2)), "rdm_purity[0,2]", ((0, 2),)),
+    ],
+    ids=["purity", "stab_purity", "sre", "rdm_purity"],
+)
+def test_estimator_gives_label_statistics_and_exact_oracle(spec, label, statistics):
+    rho = random_depolarized(np.random.default_rng(21), 3)
+    exact = {
+        "purity": purity(rho),
+        "stab_purity": stabilizer_purity_exact(rho),
+        "sre": sre_exact(rho),
+        "rdm_purity[0,2]": reduced_purity(rho, {0, 2}),
+    }
+    got_label, got_statistics, oracle = estimator(spec)
+    assert (got_label, got_statistics) == (label, statistics)
+    assert oracle(rho) == exact[label]
+
+
+@pytest.mark.parametrize("spec", ["bogus", ("rdm_purity",), ("bogus", (0,)), ["rdm_purity", (0,)]])
+def test_estimator_rejects_unknown_specs(spec):
+    message = f"^unknown estimator {re.escape(repr(spec))}$"
+    with pytest.raises(ValueError, match=message):
+        estimator(spec)
+    with pytest.raises(ValueError, match=message):
+        estimate_rows(np.full((1, 4, 4), 0.25), ("purity", spec))
+
+
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        ((), "keep must be a nonempty proper subset of the qubits"),
+        ((0, 1, 2), "keep must be a nonempty proper subset of the qubits"),
+        ((3,), r"qubit indices \[3\] out of range for 3 qubits"),
+        ((-1, 0), r"qubit indices \[-1, 0\] out of range for 3 qubits"),
+    ],
+    ids=["empty", "all", "above", "negative"],
+)
+def test_estimate_rows_rejects_a_bad_keep(keep, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimate_rows(np.full((2, 5, 8), 1 / 8), ("purity", ("rdm_purity", keep)))
+
+
 @pytest.mark.parametrize("n_shot", [None, 500])
-def test_dataset_caches_statistics_equal_to_the_statistic_functions(n_shot):
+def test_dataset_estimates_equal_the_reduced_statistic_functions(n_shot):
     rho = random_depolarized(np.random.default_rng(12), 3)
     ds = collect_dataset(rho, sample_local_cliffords(3, 200, 12), n_shot=n_shot, seed=12)
-    assert not {"walsh_squares", "purity_samples", "stabilizer_purity_samples"} & set(vars(ds))
-    np.testing.assert_array_equal(ds.purity_samples, purity_statistic(ds.prob_vectors))
-    np.testing.assert_array_equal(ds.stabilizer_purity_samples, stabilizer_purity_statistic(ds.prob_vectors))
-    for cached in (ds.walsh_squares, ds.purity_samples, ds.stabilizer_purity_samples):
-        assert not cached.flags.writeable
-    assert ds.purity_samples is ds.purity_samples
+    assert set(vars(ds)) == {"clifford_ids", "prob_vectors"}
     west, pest = estimate_stabilizer_purity(ds), estimate_purity(ds)
-    assert west == EstimateWithError.from_samples(stabilizer_purity_statistic(ds.prob_vectors))
-    assert pest == EstimateWithError.from_samples(purity_statistic(ds.prob_vectors))
+    assert west == EstimateWithError.from_rows(stabilizer_purity_statistic(ds.prob_vectors)[None])[0]
+    assert pest == EstimateWithError.from_rows(purity_statistic(ds.prob_vectors)[None])[0]
     assert estimate_sre(ds).mean == m2_from_purities(west.mean, pest.mean, 8)
 
 
@@ -230,9 +275,12 @@ def test_signed_bases_average_equals_every_clifford_tuple(num_qubits, readout):
     # of the sums differs.
     pairs = [(estimate_purity, ()), (estimate_stabilizer_purity, ()), (estimate_sre, ())]
     pairs += [(estimate_rdm_purity, ({q},)) for q in range(num_qubits) if num_qubits > 1]
-    for estimator, args in pairs:
-        np.testing.assert_allclose(estimator(bases, *args).mean, estimator(every, *args).mean, rtol=1e-14, atol=0)
-    cov = [np.cov(ds.stabilizer_purity_samples, ds.purity_samples, bias=True) for ds in (bases, every)]
+    for estimate, args in pairs:
+        np.testing.assert_allclose(estimate(bases, *args).mean, estimate(every, *args).mean, rtol=1e-14, atol=0)
+    cov = [
+        np.cov(stabilizer_purity_statistic(ds.prob_vectors), purity_statistic(ds.prob_vectors), bias=True)
+        for ds in (bases, every)
+    ]
     np.testing.assert_allclose(cov[0], cov[1], rtol=1e-12, atol=1e-15)
 
 

@@ -322,6 +322,7 @@ def circuit(num_qubits, *gates) -> dict:
     "changes, message",
     [
         (readout(per_qubit_eps=EPS, correlation=0.5), r"readout\.correlation: correlation must lie in \[0, 0\.1\]$"),
+        (readout(correlation=0.09), r"readout\.correlation needs noise\.readout\.per_qubit_eps$"),
         (readout(per_qubit_eps=[[0.05, 0.7], [0.0, 0.0]]), r"readout\.per_qubit_eps: flip rates must lie in"),
         (readout(per_qubit_eps=[]), r"readout\.per_qubit_eps: need at least one qubit$"),
         (readout(matrix=[[0.5, 0.5], [0.4, 0.6]]), r"readout\.matrix: calibration matrix columns must each sum to 1$"),
@@ -332,7 +333,7 @@ def circuit(num_qubits, *gates) -> dict:
         (circuit(2, None), r"circuit\.gates\[0\]\.qubits must be a JSON array, not null$"),
     ],
     ids=[
-        "correlation", "flip-rate", "no-qubit", "matrix-columns", "matrix-shape", "num_qubits", "gate-kind",
+        "correlation", "correlation-alone", "flip-rate", "no-qubit", "matrix-columns", "matrix-shape", "num_qubits", "gate-kind",
         "gate-qubit", "null-gate",
     ],
 )
