@@ -269,8 +269,14 @@ def collect_rows(
     (None: exact Born probabilities) are one multinomial call per row seeded
     from ``SeedSequence(seeds[r], spawn_key=(1,))``, a stream apart from the
     draws. Rounding negatives are clipped by ``sample_shots`` and by the
-    caller's clean, not before readout.
+    caller's clean, not before readout. There must be at least one state,
+    and one row of ids and one seed per state.
     """
+    if not len(states) == len(ids) == len(seeds) > 0:
+        raise ValueError(
+            "collect_rows needs at least one state, and one row of ids and one seed per state; "
+            f"len(states) = {len(states)}, len(ids) = {len(ids)}, len(seeds) = {len(seeds)}"
+        )
     d = states[0].dim
     walsh = np.empty(ids.shape[:2] + (d,))
     for r, state in enumerate(states):

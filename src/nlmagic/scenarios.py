@@ -8,19 +8,21 @@ reaches a report along one path:
   per-draw statistics and its exact oracle; ``Scenario`` checks the specs
   with it, ``measure`` labels and compares with it, and ``magic exact``
   reads its oracles.
-- ``measure`` is the one prepare -> measure -> mitigate -> estimate stage,
-  run on a batch of scenarios that share their qubit count, draw count,
-  readout, shots, mitigation and estimators. Preparation, Clifford draws,
-  shots and oracles stay per scenario; the Walsh transforms, the readout
-  product, the cleaning, the mitigation and one reduction of every
-  statistic run once over the stacked rows. Each scenario gets the numbers
-  a batch of one would give it, each estimate paired with the oracle of
-  its prepared state.
-- ``run_scenario`` measures a batch of one and compares each estimate with
-  its oracle. The table1 and fig3 reports are rows of (row name, state id,
-  params); ``_sampled_rows`` measures all rows of a report in one batch at
-  the calibrated survival with seed + row index and infers the non-local
-  magic from the reduced purity of qubit 0.
+- ``measure`` is the one measure -> mitigate -> estimate stage. Its
+  inputs are the prepared states of one register size, their Clifford ids,
+  one shot seed per state, and the readout, shot count, mitigation switch
+  and estimator specs they all share. The Born gather, shots and oracles
+  are per state; the Walsh transforms, the readout product, the cleaning,
+  the mitigation and one reduction of every statistic run once over the
+  stacked rows. Each state gets the numbers it would get measured alone,
+  each estimate paired with the oracle of that state.
+- ``run_scenario`` picks a scenario's Clifford ids (i.i.d. from its seed,
+  or the signed Pauli bases), prepares its state, measures it and compares
+  each estimate with its oracle. The table1 and fig3 reports are rows of
+  (row name, state id, params); ``_sampled_rows`` prepares every row of a
+  report at one survival, draws row i from seed + i, measures all rows in
+  one call and infers the non-local magic from the reduced purity of
+  qubit 0.
 - ``_compare`` emits an (estimate, oracle) value pair and its flags, for
   ``run_scenario`` and table1 alike.
 
@@ -182,11 +184,11 @@ class Scenario:
 
     def __post_init__(self):
         if (self.state_id is None) == (self.circuit is None):
-            raise ValueError("exactly one of state_id or circuit must be given")
+            raise ValueError("scenario key state needs exactly one of id and circuit")
         if not self.estimators:
-            raise ValueError("estimator list must be non-empty")
+            raise ValueError("scenario key estimators must be non-empty")
         if self.mitigation and self.readout is None:
-            raise ValueError("mitigation needs a readout calibration matrix")
+            raise ValueError("scenario key mitigation needs noise.readout")
         if self.seed < 0:
             raise ValueError(f"scenario key seed must be >= 0, got {self.seed}")
         if self.n_rand < 2:
@@ -209,9 +211,9 @@ class Scenario:
             )
         labels = set()
         for i, spec in enumerate(self.estimators):
-            label = estimator(spec)[0]
+            label = _keyed(f"estimators[{i}]", estimator, spec)[0]
             if label in labels:
-                raise ValueError(f"estimator {label} is listed twice")
+                raise ValueError(f"scenario key estimators[{i}]: estimator {label} is listed twice")
             labels.add(label)
             if isinstance(spec, tuple):
                 _keyed(f"estimators[{i}].rdm_purity.keep", kept_qubits, set(spec[1]), built.num_qubits)
@@ -284,7 +286,7 @@ class Scenario:
                 keep = _read(spec, _RDM_PURITY, f"estimators[{i}]", "scenario")["rdm_purity"]["keep"]
                 fields["estimators"][i] = ("rdm_purity", tuple(sorted(keep)))
             elif not isinstance(spec, str):
-                raise ValueError(f"unknown estimator spec {spec!r}")
+                raise ValueError(f"scenario key estimators[{i}]: unknown estimator spec {spec!r}")
         return cls(**{"name": "scenario", **fields})
 
 
@@ -374,57 +376,24 @@ def _flag_tol(est: EstimateWithError, n_shot: Optional[int]) -> float:
     return 3.0 * est.sampling_error + floor
 
 
-def _batch_terms(scenario: Scenario, exhaustive: bool) -> dict:
-    """What every scenario of one measured batch must share, by name."""
-    return {
-        "qubit count": scenario.build_circuit().num_qubits,
-        "n_rand": None if exhaustive else scenario.n_rand,
-        "readout": scenario.readout,
-        "n_shot": scenario.n_shot,
-        "mitigation": scenario.mitigation,
-        "estimators": scenario.estimators,
-    }
-
-
-def measure(scenarios, exhaustive: bool = False) -> list[dict]:
-    """Prepare, measure under random local Cliffords, mitigate readout if
-    asked, and estimate, for a batch of scenarios at once.
-
-    Each scenario takes its ``n_rand`` i.i.d. draws and its shots from its
-    own seed, or with ``exhaustive`` one draw per signed Pauli basis
-    (``signed_bases``), whose mean is the exact Clifford average. The
-    scenarios must share the terms of ``_batch_terms``; the first that
-    differs is named in a ValueError. Returns, per scenario, ``{label:
-    (estimate, oracle)}`` in estimator order, the oracle being the exact
-    value on the prepared state; each equals its batch of one.
+def measure(states, ids, seeds, readout, n_shot, mitigation, estimators) -> list[dict]:
+    """Measure prepared states of one register size under their Clifford
+    ids (states, draws, N), with one shot seed per state (see
+    ``collect_rows``), mitigate the shared ``readout`` if asked, and
+    estimate. Returns, per state, ``{label: (estimate, oracle)}`` in
+    estimator order, the oracle being the exact value on that state; each
+    equals the result of measuring that state alone.
     """
-    if not scenarios:
-        raise ValueError("measure needs at least one scenario")
-    first = scenarios[0]
-    shared = _batch_terms(first, exhaustive)
-    for scenario in scenarios[1:]:
-        for term, value in _batch_terms(scenario, exhaustive).items():
-            if value != shared[term]:
-                raise ValueError(
-                    f"scenarios measured in one batch must share their {term}: "
-                    f"{scenario.name!r} differs from {first.name!r}"
-                )
-    n = shared["qubit count"]
-    if exhaustive:
-        bases = signed_bases(n)
-        ids = np.broadcast_to(bases, (len(scenarios),) + bases.shape)
-    else:
-        ids = np.stack([sample_local_cliffords(n, s.n_rand, s.seed) for s in scenarios])
-    states = [s.prepare() for s in scenarios]
-    seeds = [s.seed for s in scenarios]
-    probs = clean_probability_vector(collect_rows(states, ids, first.readout, first.n_shot, seeds))
-    if first.mitigation:
-        rows = mitigate_least_squares(probs.reshape(-1, probs.shape[-1]), first.readout)
+    if mitigation and readout is None:
+        raise ValueError("mitigation needs a readout calibration matrix")
+    probs = clean_probability_vector(collect_rows(states, ids, readout, n_shot, seeds))
+    if mitigation:
+        rows = mitigate_least_squares(probs.reshape(-1, probs.shape[-1]), readout)
         probs = clean_probability_vector(rows.reshape(probs.shape))
-    table = [estimator(spec) for spec in first.estimators]
+    table = [estimator(spec) for spec in estimators]
     return [
         {label: (est, float(oracle(state))) for (label, _, oracle), est in zip(table, estimates)}
-        for state, estimates in zip(states, estimate_rows(probs, first.estimators))
+        for state, estimates in zip(states, estimate_rows(probs, estimators))
     ]
 
 
@@ -436,45 +405,49 @@ def _compare(report: Report, name: str, est: EstimateWithError, oracle: float, *
 
 
 def run_scenario(scenario: Scenario, exhaustive: bool = False) -> Report:
-    """Run the scenario's measurement (``measure``) and compare every
-    estimate with its oracle."""
+    """Measure the scenario's state (``measure``) and compare every estimate
+    with its oracle. The draws, picked before the state is prepared, are
+    ``n_rand`` i.i.d. Clifford tuples from the seed, or with ``exhaustive``
+    the signed Pauli bases, whose mean is the exact Clifford average.
+    """
+    n = scenario.build_circuit().num_qubits
+    ids = signed_bases(n) if exhaustive else sample_local_cliffords(n, scenario.n_rand, scenario.seed)
+    results = measure(
+        [scenario.prepare()], ids[None], [scenario.seed], scenario.readout, scenario.n_shot, scenario.mitigation,
+        scenario.estimators,
+    )
     report = Report(name=scenario.name, seed=scenario.seed)
-    for label, (est, oracle) in measure([scenario], exhaustive)[0].items():
+    for label, (est, oracle) in results[0].items():
         _compare(report, label, est, oracle, (f"{label} vs oracle", est.mean, oracle, _flag_tol(est, scenario.n_shot)))
     return report
 
 
-def _sampled_rows(rows, estimators: tuple, p_dep: Optional[float], seed: int, n_rand: int, n_shot: Optional[int]):
+def _sampled_rows(rows, estimators: tuple, p_dep: float, seed: int, n_rand: int, n_shot: Optional[int]):
     """Measure every ``(row name, state id, params)`` of a sampled report
-    in one batch (``measure``).
-
-    Row i is prepared at the survival ``p_dep`` (``calibrate_p_dep()`` if
-    None) and drawn with seed ``seed + i``; ``rdm_purity[0]`` is estimated
-    after ``estimators``. Yields ``(scenario, measure results, non-local
-    magic inferred from the sampled reduced purity)`` per row, in order.
+    in one ``measure`` call: row i is prepared at the survival ``p_dep`` and
+    takes its draws and shots from seed ``seed + i``; ``rdm_purity[0]`` is
+    estimated after ``estimators``. Yields ``(row, measure results,
+    non-local magic inferred from the sampled reduced purity)`` per row, in
+    order, or raises a ValueError naming the row whose sample the noise
+    model cannot reach.
     """
-    p_dep = calibrate_p_dep() if p_dep is None else p_dep
-    scenarios = [
-        Scenario(
-            name=name,
-            state_id=state_id,
-            state_params=params,
-            p_dep_cz=p_dep,
-            n_shot=n_shot,
-            n_rand=n_rand,
-            seed=seed + idx,
-            estimators=estimators + (("rdm_purity", (0,)),),
-        )
-        for idx, (name, state_id, params) in enumerate(rows)
-    ]
-    for scenario, results in zip(scenarios, measure(scenarios)):
+    states = [run_circuit(state_circuit(state_id, dict(params)), p_dep) for _, state_id, params in rows]
+    seeds = range(seed, seed + len(rows))
+    ids = np.stack([sample_local_cliffords(state.num_qubits, n_rand, s) for state, s in zip(states, seeds)])
+    estimators += (("rdm_purity", (0,)),)
+    for row, results in zip(rows, measure(states, ids, seeds, None, n_shot, False, estimators)):
         rdm_est, _ = results["rdm_purity[0]"]
         # A sampled reduced purity may fluctuate past the attainable ceiling
         # of the noise model; tolerate excursions consistent with the
         # sampling error (they clamp to a product state) and only reject
         # real mismatches.
         atol = 3.0 * rdm_est.sampling_error + 1e-6
-        yield scenario, results, nonlocal_magic_noisy(min(rdm_est.mean, 1.0), p_dep, atol=atol)
+        try:
+            nl_est = nonlocal_magic_noisy(min(rdm_est.mean, 1.0), p_dep, atol=atol)
+        except ValueError as exc:
+            sampled = f"{rdm_est.mean} ± {rdm_est.sampling_error}"
+            raise ValueError(f"row {row[0]}: sampled rdm_purity[0] {sampled}: {exc}") from None
+        yield row, results, nl_est
 
 
 def report_table1(
@@ -491,10 +464,11 @@ def report_table1(
     anchors and against their own sampling errors.
     """
     report = Report(name="table1", seed=seed)
-    for scenario, results, nl_est in _sampled_rows(TABLE1_ROWS, ("purity", "sre"), p_dep, seed, n_rand, n_shot):
-        row = scenario.name
+    p_dep = calibrate_p_dep() if p_dep is None else p_dep
+    sampled = _sampled_rows(TABLE1_ROWS, ("purity", "sre"), p_dep, seed, n_rand, n_shot)
+    for (row, state_id, _), results, nl_est in sampled:
         (pur_est, pur_oracle), (sre_est, sre_oracle) = results["purity"], results["sre"]
-        magic_anchor = TABLE1_MAGIC_ANCHORS[scenario.state_id]
+        magic_anchor = TABLE1_MAGIC_ANCHORS[state_id]
         # The purity anchor pins the calibration: every preparation holds a
         # single two-qubit gate, so the prepared (theory) purity must sit on
         # the anchor. The estimate is checked at its own statistical scale;
@@ -516,7 +490,7 @@ def report_table1(
             ReportValue(f"{row}.sre", "anchor", magic_anchor),
             ReportValue.from_estimate(f"{row}.rdm_purity[0]", rdm_est),
             ReportValue(f"{row}.nonlocal_magic_rdm", "estimate", nl_est),
-            ReportValue(f"{row}.nonlocal_magic_rdm", "oracle", nonlocal_magic_noisy(rdm_oracle, scenario.p_dep_cz)),
+            ReportValue(f"{row}.nonlocal_magic_rdm", "oracle", nonlocal_magic_noisy(rdm_oracle, p_dep)),
         ]
     return report
 
@@ -535,11 +509,12 @@ def report_fig3(
     """
     report = Report(name="fig3", seed=seed)
     rows = []
+    p_dep = calibrate_p_dep() if p_dep is None else p_dep
     sampled = _sampled_rows(FIG3_ROWS, ("sre",), p_dep, seed, n_rand, n_shot)
-    for theta_deg, (scenario, results, nl_est) in zip(FIG3_THETA_GRID_DEG, sampled):
-        theta = dict(scenario.state_params)["theta"]
+    for theta_deg, ((_, _, params), results, nl_est) in zip(FIG3_THETA_GRID_DEG, sampled):
+        theta = dict(params)["theta"]
         sre_est, _ = results["sre"]
-        theory = sre_nlm_depolarized(1.0 - scenario.p_dep_cz, theta)
+        theory = sre_nlm_depolarized(1.0 - p_dep, theta)
         nl_theory = nonlocal_magic_theta(theta)
         rows.append(
             [

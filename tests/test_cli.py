@@ -380,8 +380,12 @@ def test_bad_draw_and_shot_counts_are_named_by_their_flag_before_sampling(argv, 
         ({"n_rand": 1}, "n_rand must be >= 2, got 1"),
         ({"noise": {"n_shot": 0}}, "noise.n_shot must be >= 1, got 0"),
         ({"noise": {"p_dep_cz": 1.5}}, "noise.p_dep_cz must lie in [0, 1], got 1.5"),
+        ({"state": {}}, "state needs exactly one of id and circuit"),
+        ({"estimators": []}, "estimators must be non-empty"),
+        ({"estimators": [3]}, "estimators[0]: unknown estimator spec 3"),
+        ({"mitigation": True}, "mitigation needs noise.readout"),
     ],
-    ids=["n_rand", "n_shot", "p_dep"],
+    ids=["n_rand", "n_shot", "p_dep", "no-state", "no-estimators", "number-spec", "mitigation"],
 )
 def test_out_of_range_scenario_fields_fail_when_the_scenario_is_loaded(changes, message, tmp_path, monkeypatch, capsys):
     from nlmagic import scenarios
@@ -396,9 +400,9 @@ def test_out_of_range_scenario_fields_fail_when_the_scenario_is_loaded(changes, 
 @pytest.mark.parametrize(
     "estimators, message",
     [
-        (["purity", "bogus"], "unknown estimator 'bogus'"),
+        (["purity", "bogus"], "scenario key estimators[1]: unknown estimator 'bogus'"),
         ([{"rdm_purity": {"keep": [5]}}], "scenario key estimators[0].rdm_purity.keep: qubit indices [5] out of range for 2 qubits"),
-        (["sre", "sre"], "estimator sre is listed twice"),
+        (["sre", "sre"], "scenario key estimators[1]: estimator sre is listed twice"),
     ],
     ids=["unknown", "keep-out-of-range", "duplicate"],
 )

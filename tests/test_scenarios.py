@@ -11,11 +11,15 @@ from nlmagic import (
     calibrate_p_dep,
     measure,
     purity,
+    report_fig3,
+    report_table1,
     run_circuit,
     run_scenario,
+    sample_local_cliffords,
     state_circuit,
     synth_calibration_matrix,
 )
+from nlmagic.rcm import signed_bases
 
 BASE = {"version": 1, "name": "s", "state": {"id": "m"}}
 EPS = [[0.05, 0.08], [0.04, 0.07]]
@@ -110,10 +114,14 @@ def test_from_json_defaults():
         ({"state": {"id": "psi1", "params": {"phase0": 0.1}}}, r"^unknown scenario key state\.params\.phase0 \(state 'psi1' takes phase\)$"),
         ({"state": {"id": "nlm", "params": {"theta": 0.5, "theta_deg": 30}}}, r"^scenario keys state\.params\.theta and state\.params\.theta_deg are exclusive$"),
         ({"state": {"id": "bogus"}}, "unknown state id 'bogus'"),
+        ({"estimators": []}, r"^scenario key estimators must be non-empty$"),
+        ({"estimators": [3]}, r"^scenario key estimators\[0\]: unknown estimator spec 3$"),
+        ({"estimators": ["sre", {"foo": 1}]}, r"^scenario key estimators\[1\]: unknown estimator spec \{'foo': 1\}$"),
     ],
     ids=[
         "version", "estimator", "id-and-circuit", "neither", "no-state", "unknown-param",
-        "unknown-radian-param", "param-in-radians-and-degrees", "unknown-id",
+        "unknown-radian-param", "param-in-radians-and-degrees", "unknown-id", "no-estimators", "number-spec",
+        "object-spec",
     ],
 )
 def test_from_json_rejects_bad_scenarios(changes, message):
@@ -343,12 +351,22 @@ def test_readout_and_circuit_errors_name_their_file_key(changes, message):
 
 
 def test_mitigation_without_readout_is_an_error():
-    with pytest.raises(ValueError, match="mitigation needs a readout"):
+    with pytest.raises(ValueError, match=r"^scenario key mitigation needs noise\.readout$"):
         Scenario("s", state_id="m", mitigation=True)
 
 
 # ---------------------------------------------------------------------------
 # The shared measurement stage
+
+
+def stage(scenarios, exhaustive=False) -> list:
+    """``measure`` on the scenarios' prepared states, ids and seeds, with the
+    first scenario's readout, shots, mitigation and estimators."""
+    first = scenarios[0]
+    n = first.build_circuit().num_qubits
+    ids = [signed_bases(n) if exhaustive else sample_local_cliffords(n, s.n_rand, s.seed) for s in scenarios]
+    states, seeds = [s.prepare() for s in scenarios], [s.seed for s in scenarios]
+    return measure(states, np.stack(ids), seeds, first.readout, first.n_shot, first.mitigation, first.estimators)
 
 
 def test_run_scenario_reports_the_stage_estimates_and_oracles():
@@ -359,7 +377,7 @@ def test_run_scenario_reports_the_stage_estimates_and_oracles():
         mitigation=True,
         estimators=["purity", "stab_purity", "sre", {"rdm_purity": {"keep": [1]}}],
     )
-    results = measure([scenario])[0]
+    results = stage([scenario])[0]
     assert list(results) == ["purity", "stab_purity", "sre", "rdm_purity[1]"]
     report = run_scenario(scenario)
     values = {(v.name, v.provenance): v for v in report.values}
@@ -375,7 +393,7 @@ def test_run_scenario_reports_the_stage_estimates_and_oracles():
 
 def test_stage_oracles_are_exact_values_of_the_prepared_state():
     scenario = Scenario("s", state_id="lm", p_dep_cz=0.9)
-    results = measure([scenario], exhaustive=True)[0]
+    results = stage([scenario], exhaustive=True)[0]
     for est, oracle in results.values():
         assert est.mean == pytest.approx(oracle, abs=1e-12)
     assert results["purity"][1] == pytest.approx(0.75 * 0.9**2 + 0.25, abs=1e-12)
@@ -385,7 +403,7 @@ def test_stage_mitigation_undoes_readout_on_exact_probabilities():
     lam = synth_calibration_matrix([tuple(e) for e in EPS])
     exact = Scenario("s", state_id="m", n_rand=50, seed=2)
     mitigated = Scenario("s", state_id="m", n_rand=50, seed=2, readout=lam, mitigation=True)
-    for (a, _), (b, _) in zip(measure([exact])[0].values(), measure([mitigated])[0].values()):
+    for (a, _), (b, _) in zip(stage([exact])[0].values(), stage([mitigated])[0].values()):
         assert b.mean == pytest.approx(a.mean, abs=1e-9)
 
 
@@ -396,15 +414,18 @@ def test_stage_mitigation_undoes_readout_on_exact_probabilities():
 )
 def test_stage_rejects_bad_estimator_lists(estimators, message):
     with pytest.raises(ValueError, match=message):
-        measure([Scenario("s", state_id="m", n_rand=10, estimators=estimators)])
+        run_scenario(Scenario("s", state_id="m", n_rand=10, estimators=estimators))
 
 
 @pytest.mark.parametrize(
     "estimators, message",
     [
-        (("purity", "bogus"), r"^unknown estimator 'bogus'$"),
-        (("sre", "purity", "sre"), r"^estimator sre is listed twice$"),
-        ((("rdm_purity", (0,)), ("rdm_purity", (0, 0))), r"^estimator rdm_purity\[0\] is listed twice$"),
+        (("purity", "bogus"), r"^scenario key estimators\[1\]: unknown estimator 'bogus'$"),
+        (("sre", "purity", "sre"), r"^scenario key estimators\[2\]: estimator sre is listed twice$"),
+        (
+            (("rdm_purity", (0,)), ("rdm_purity", (0, 0))),
+            r"^scenario key estimators\[1\]: estimator rdm_purity\[0\] is listed twice$",
+        ),
         ((("rdm_purity", (5,)),), r"^scenario key estimators\[0\]\.rdm_purity\.keep: qubit indices \[5\] out of range for 2 qubits$"),
         (
             (("rdm_purity", (0, 1)),),
@@ -473,41 +494,65 @@ def test_a_batch_gives_each_scenario_the_results_of_a_batch_of_one(num_qubits, f
     if fields.get("mitigation"):
         fields = {**fields, "readout": synth_calibration_matrix([(0.05, 0.08)] * num_qubits, 0.02)}
     scenarios = batch(num_qubits, **fields)
-    together = measure(scenarios, exhaustive)
+    together = stage(scenarios, exhaustive)
     assert len(together) == len(scenarios)
     for scenario, results in zip(scenarios, together):
-        alone = measure([scenario], exhaustive)[0]
+        alone = stage([scenario], exhaustive)[0]
         assert list(results) == list(alone)
         # Every EstimateWithError field and every oracle, exactly.
         assert results == alone
     assert together[0] != together[1]
 
 
+M, LM = run_circuit(state_circuit("m")), run_circuit(state_circuit("lm"))
+IDS = sample_local_cliffords(2, 10, 0)[None].repeat(2, axis=0)
+ROW_COUNTS = "collect_rows needs at least one state, and one row of ids and one seed per state; "
+
+
 @pytest.mark.parametrize(
-    "change, term",
+    "change, message",
     [
-        ({"state_id": "psi1", "readout": synth_calibration_matrix([EPS[0]])}, "qubit count"),
-        ({"n_rand": 20}, "n_rand"),
-        ({"readout": None}, "readout"),
-        ({"n_shot": 100}, "n_shot"),
-        ({"mitigation": True}, "mitigation"),
-        ({"estimators": ("sre", "purity")}, "estimators"),
+        ({"states": [M, run_circuit(state_circuit("psi1"))]}, r"^every draw needs one Clifford id per qubit \(1\)$"),
+        ({"ids": IDS[[0, 1, 1]]}, "^" + ROW_COUNTS + r"len\(states\) = 2, len\(ids\) = 3, len\(seeds\) = 2$"),
+        ({"seeds": [0]}, "^" + ROW_COUNTS + r"len\(states\) = 2, len\(ids\) = 2, len\(seeds\) = 1$"),
+        ({"readout": synth_calibration_matrix([EPS[0]])}, r"^readout calibration is 2x2, but the 2-qubit register has 4 outcomes$"),
+        ({"n_shot": 0}, "^n_shot must be >= 1$"),
+        ({"mitigation": True}, "^mitigation needs a readout calibration matrix$"),
+        ({"estimators": ("purity", "bogus")}, "^unknown estimator 'bogus'$"),
     ],
-    ids=["qubits", "n_rand", "readout", "n_shot", "mitigation", "estimators"],
+    ids=["qubits", "ids", "seeds", "readout", "n_shot", "mitigation", "estimators"],
 )
-def test_a_mixed_batch_is_a_named_error(change, term):
-    readout = synth_calibration_matrix([tuple(e) for e in EPS])
-    first = Scenario("first", state_id="m", n_rand=10, readout=readout, estimators=("purity", "sre"))
-    other = dataclasses.replace(first, name="other", seed=1, **change)
-    message = f"^scenarios measured in one batch must share their {term}: 'other' differs from 'first'$"
+def test_a_mixed_batch_is_a_named_error(change, message):
+    inputs = {
+        "states": [M, LM], "ids": IDS, "seeds": [0, 1], "readout": None, "n_shot": None, "mitigation": False,
+        "estimators": ("purity", "sre"), **change,
+    }
     with pytest.raises(ValueError, match=message):
-        measure([first, other])
+        measure(**inputs)
 
 
 def test_an_exhaustive_batch_ignores_n_rand_and_an_empty_batch_is_an_error():
     first = Scenario("first", state_id="m", n_rand=10)
-    other = dataclasses.replace(first, name="other", state_id="lm", n_rand=20)
-    together = measure([first, other], exhaustive=True)
-    assert together == [measure([first], exhaustive=True)[0], measure([other], exhaustive=True)[0]]
-    with pytest.raises(ValueError, match="at least one scenario"):
-        measure([])
+    other = dataclasses.replace(first, n_rand=20)
+    assert run_scenario(first, exhaustive=True) == run_scenario(other, exhaustive=True)
+    assert run_scenario(first) != run_scenario(other)
+    message = "^" + ROW_COUNTS + r"len\(states\) = 0, len\(ids\) = 0, len\(seeds\) = 0$"
+    with pytest.raises(ValueError, match=message):
+        measure([], IDS[:0], [], None, None, False, ("purity",))
+
+
+def test_sampled_reports_build_no_scenario(monkeypatch):
+    monkeypatch.setattr(Scenario, "__post_init__", lambda self: pytest.fail("a Scenario was built"))
+    assert report_table1().all_passed
+    assert report_fig3().all_passed
+
+
+@pytest.mark.parametrize(
+    "build, row",
+    [(report_fig3, r"nlm\(theta=5\)"), (report_table1, "lm")],
+    ids=["fig3", "table1"],
+)
+def test_an_unreachable_sampled_reduced_purity_names_its_row_and_sample(build, row):
+    message = rf"^row {row}: sampled rdm_purity\[0\] 2\.0 ± 0\.0: reduced purity 1\.0 outside attainable \[0\.5, "
+    with pytest.raises(ValueError, match=message):
+        build(n_shot=1, n_rand=2)
