@@ -133,7 +133,7 @@ def _cmd_magic_exact(args) -> int:
     if state.num_qubits == 2:
         specs.append(("rdm_purity", (0,)))
     for spec in specs:
-        label, _, oracle = estimator(spec)
+        label, _, _, oracle = estimator(spec)
         report.values.append(ReportValue(label, "oracle", oracle(state)))
     return _emit(report, args)
 
@@ -306,8 +306,9 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return handler(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # numpy's MemoryError names its allocation; one without a message is named by its type.
+        print(f"error: {exc or repr(exc)}", file=sys.stderr)
         return 1
 
 

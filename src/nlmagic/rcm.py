@@ -32,21 +32,23 @@ Both stages run on a batch of rows, one row per prepared state.
 takes the transform back to probabilities and the readout product once
 over the stacked (rows, draws, d) array; shots stay per row.
 ``estimate_rows`` squares the stacked Walsh rows once, computes each
-statistic its estimators need (X_P, X_W, reduced X_P) once for all rows,
-and reduces the (statistics x rows, draws) array with one mean and one
-sample standard deviation (the N-1 form); sampling errors are s/sqrt(N).
-The SRE estimate combines the same X_W and X_P rows. Every stacked product
-runs block by block, so a row's numbers are byte-identical to those of a
-batch of one. ``estimator(spec)`` is the one place an estimator spec
-("purity", "stab_purity", "sre" or ("rdm_purity", keep)) is matched: it
-gives the label the reports print, the keys of the statistics to reduce
-and the exact oracle, read from this module's globals when called. The
-four ``estimate_*`` functions estimate a single-state dataset
-(``collect_dataset``) as a batch of one; ``purity_statistic`` and
-``stabilizer_purity_statistic`` give X_P and X_W of one outcome vector or
-of an array with one row per draw. The same shot data serves both
-statistics; their O(1/N_shot) plug-in bias is accepted and left
-uncorrected.
+distinct moment its estimators read once for all rows, and reduces the
+(moments x rows, draws) array with one mean and one sample standard
+deviation (the N-1 form); sampling errors are s/sqrt(N). Every stacked
+product runs block by block, so a row's numbers are byte-identical to those
+of a batch of one. ``estimator(spec)`` is the one place an estimator spec
+("purity", "stab_purity", "sre" or ("rdm_purity", keep)) is matched. Its
+entry (label, moments, combine, oracle) gives the label the reports print;
+the Walsh moments d_A^(-p/2) sum_{k inside A} 3^|k| q(k)^p it reads, as
+(A, p) pairs with A None for the whole register (X_P is (None, 2), X_W
+(None, 4), the reduced X_P (A, 2)); the combine that turns them into the
+estimate (the moment itself, or ``_sre`` for M2 from X_W and X_P); and the
+exact oracle, read from this module's globals when called. The four ``estimate_*``
+functions estimate a single-state dataset (``collect_dataset``) as a batch
+of one; ``purity_statistic`` and ``stabilizer_purity_statistic`` give X_P
+and X_W of one outcome vector or of an array with one row per draw. The
+same shot data serves both statistics; their O(1/N_shot) plug-in bias is
+accepted and left uncorrected.
 
 Since a draw acts only through the signed Paulis C^dag Z C, and each of
 the six is the image of four Cliffords, the exact average over all 24^N
@@ -305,59 +307,25 @@ def _walsh_squares(p) -> np.ndarray:
     return np.square(q, out=q)
 
 
-def _walsh_moment(q2: np.ndarray, power: int):
-    """d^(-power/2) sum_k 3^|k| q(k)^power, power 2 or 4, from the q^2 of
-    one outcome vector (a float) or of each row of an array of them."""
+def _moment(q2: np.ndarray, keep, power: int):
+    """d_A^(-power/2) sum_{k inside A} 3^|k| q(k)^power, power 2 or 4, from
+    the q^2 of one outcome vector (a float) or of each row of an array of
+    them; A is the whole register when ``keep`` is None and the kept qubits
+    otherwise. A reduced moment reads the q^2 columns of the Walsh indices
+    inside A; no marginal is formed."""
+    if keep is not None:
+        n = q2.shape[-1].bit_length() - 1
+        traced = sum(1 << (n - 1 - q) for q in set(range(n)).difference(kept_qubits(keep, n)))
+        q2 = q2[..., np.flatnonzero((np.arange(2**n) & traced) == 0)]
     _, weights = _walsh_tables(q2.shape[-1])
     # q ** 4 would call pow() per entry; squaring twice is far cheaper.
     x = (q2 if power == 2 else np.square(q2)) @ weights / q2.shape[-1] ** (power // 2)
     return x if x.ndim else float(x)
 
 
-def estimator(spec) -> tuple:
-    """``(label, statistics, oracle)`` for one estimator spec: the label the
-    reports print, the keys of the per-draw statistics ``estimate_rows``
-    reduces (X_P, X_W, or the kept qubits of a reduced X_P), and the
-    function that computes the quantity exactly on a prepared state.
-
-    The specs are ``"purity"``, ``"stab_purity"``, ``"sre"`` and
-    ``("rdm_purity", keep)``. The oracles are this module's attributes,
-    read when this is called, so a wrapped or patched attribute is the one
-    that runs.
-    """
-    if spec == "purity":
-        return "purity", ("X_P",), purity
-    if spec == "stab_purity":
-        return "stab_purity", ("X_W",), stabilizer_purity_exact
-    if spec == "sre":
-        return "sre", ("X_W", "X_P"), sre_exact
-    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "rdm_purity":
-        keep = tuple(sorted(set(spec[1])))
-        return f"rdm_purity[{','.join(map(str, keep))}]", (keep,), lambda state: reduced_purity(state, keep)
-    raise ValueError(f"unknown estimator {spec!r}")
-
-
-def _statistic(q2: np.ndarray, key) -> np.ndarray:
-    """X_P, X_W, or the reduced X_P on the kept qubits ``key``, of every draw.
-
-    The reduced X_P on A is d_A^-1 times the sum of 3^|k| q(k)^2 over the
-    Walsh indices k inside A, read from the q^2 columns; no marginal is
-    formed.
-    """
-    if key == "X_P":
-        return _walsh_moment(q2, 2)
-    if key == "X_W":
-        return _walsh_moment(q2, 4)
-    n = q2.shape[-1].bit_length() - 1
-    kept = kept_qubits(key, n)
-    traced = sum(1 << (n - 1 - q) for q in set(range(n)).difference(kept))
-    inside = np.flatnonzero((np.arange(2**n) & traced) == 0)
-    _, weights = _walsh_tables(2 ** len(kept))
-    return q2[..., inside] @ weights / 2 ** len(kept)
-
-
 def _sre(west: EstimateWithError, pest: EstimateWithError, d: int) -> EstimateWithError:
-    """M2 estimate with first-order propagated sampling error.
+    """The combine of ``"sre"``: M2 from the reduced X_W and X_P moments,
+    with first-order propagated sampling error.
 
     The M2 variance is taken as the sum of the two relative variances of the
     purity and stabilizer-purity statistics, scaled by 1/ln(2)^2. That
@@ -366,42 +334,54 @@ def _sre(west: EstimateWithError, pest: EstimateWithError, d: int) -> EstimateWi
     spread of the M2 estimate.
     """
     if west.mean <= 0.0 or pest.mean <= 0.0:
-        raise UndersampledDataError(
-            "nonpositive purity or stabilizer purity mean; collect more data"
-        )
+        raise UndersampledDataError("nonpositive purity or stabilizer purity mean; collect more data")
     m2 = m2_from_purities(west.mean, pest.mean, d)
     n = west.n_samples
-    err = (
-        np.sqrt(
-            west.sample_std**2 / (n * west.mean**2)
-            + pest.sample_std**2 / (n * pest.mean**2)
-        )
-        / _LN2
-    )
+    err = np.sqrt(west.sample_std**2 / (n * west.mean**2) + pest.sample_std**2 / (n * pest.mean**2)) / _LN2
     return EstimateWithError(float(m2), float(err * np.sqrt(n)), float(err), n)
+
+
+def _itself(est: EstimateWithError, d: int) -> EstimateWithError:
+    """The combine of a one-moment estimator: the reduced moment itself."""
+    return est
+
+
+def estimator(spec) -> tuple:
+    """``(label, moments, combine, oracle)`` for one estimator spec: the
+    label the reports print, the ``(keep, power)`` pairs of ``_moment`` it
+    reads, ``combine(*reduced moments, d)`` that gives its estimate, and the
+    exact value on a prepared state. The oracles are this module's
+    attributes, read when this is called, so a wrapped or patched attribute
+    is the one that runs.
+    """
+    if spec == "purity":
+        return "purity", ((None, 2),), _itself, purity
+    if spec == "stab_purity":
+        return "stab_purity", ((None, 4),), _itself, stabilizer_purity_exact
+    if spec == "sre":
+        return "sre", ((None, 4), (None, 2)), _sre, sre_exact
+    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "rdm_purity":
+        keep = tuple(sorted(set(spec[1])))
+        label = f"rdm_purity[{','.join(map(str, keep))}]"
+        return label, ((keep, 2),), _itself, lambda state: reduced_purity(state, keep)
+    raise ValueError(f"unknown estimator {spec!r}")
 
 
 def estimate_rows(probs: np.ndarray, specs) -> list[list[EstimateWithError]]:
     """Every estimator of ``specs`` (see ``estimator``) on every row of a
     (rows, draws, d) stack of outcome vectors, one list per row in spec
-    order. Each statistic is computed once for all rows from one stack of
-    q^2, and the (statistics x rows, draws) array is reduced once; "sre"
-    combines the X_W and X_P rows that "stab_purity" and "purity" read.
+    order. Each distinct moment is computed once for all rows from one
+    stack of q^2, the (moments x rows, draws) array is reduced once, and
+    each estimator combines the reduced moments it reads.
     """
-    needs = [estimator(spec)[1] for spec in specs]
+    table = [estimator(spec) for spec in specs]
     q2 = _walsh_squares(probs)
     rows, _, d = q2.shape
-    keys = list(dict.fromkeys(key for need in needs for key in need))
-    samples = np.stack([_statistic(q2, key) for key in keys]).reshape(len(keys) * rows, -1)
+    moments = list(dict.fromkeys(m for _, needs, _, _ in table for m in needs))
+    samples = np.stack([_moment(q2, *m) for m in moments]).reshape(len(moments) * rows, -1)
     reduced = EstimateWithError.from_rows(samples)
-    by_key = {key: reduced[i * rows : (i + 1) * rows] for i, key in enumerate(keys)}
-    return [
-        [
-            _sre(*(by_key[key][r] for key in need), d) if spec == "sre" else by_key[need[0]][r]
-            for spec, need in zip(specs, needs)
-        ]
-        for r in range(rows)
-    ]
+    by_moment = {m: reduced[i * rows : (i + 1) * rows] for i, m in enumerate(moments)}
+    return [[combine(*(by_moment[m][r] for m in needs), d) for _, needs, combine, _ in table] for r in range(rows)]
 
 
 # The single-state API: one state's dataset, estimated as a batch of one,
@@ -425,7 +405,7 @@ def collect_dataset(
 
 def purity_statistic(p):
     """Pair statistic d * sum (-2)^-|s1 XOR s2| P(s1) P(s2) = d^-1 sum_k 3^|k| q(k)^2."""
-    return _walsh_moment(_walsh_squares(p), 2)
+    return _moment(_walsh_squares(p), None, 2)
 
 
 def stabilizer_purity_statistic(p):
@@ -435,7 +415,7 @@ def stabilizer_purity_statistic(p):
     The sign and normalization are fixed so that the exhaustive
     exact-probability average reproduces d^-2 sum_P Tr(P rho)^4.
     """
-    return _walsh_moment(_walsh_squares(p), 4)
+    return _moment(_walsh_squares(p), None, 4)
 
 
 def _estimate(ds: RcmDataset, spec) -> EstimateWithError:

@@ -4,10 +4,11 @@ A scenario bundles a preparation (catalogue id or explicit gate list), a
 noise configuration and a list of estimator specs. Every sampled number
 reaches a report along one path:
 
-- ``rcm.estimator(spec)`` maps an estimator spec to its label, its
-  per-draw statistics and its exact oracle; ``Scenario`` checks the specs
-  with it, ``measure`` labels and compares with it, and ``magic exact``
-  reads its oracles.
+- ``rcm.estimator(spec)`` maps an estimator spec to its entry ``(label,
+  moments, combine, oracle)``: its label, the Walsh moments it reads, how
+  they combine into its estimate, and its exact oracle. ``Scenario`` checks
+  the specs and their keeps with it, ``measure`` labels and compares with
+  it, and ``magic exact`` reads its oracles.
 - ``measure`` is the one measure -> mitigate -> estimate stage. Its
   inputs are the prepared states of one register size, their Clifford ids,
   one shot seed per state, and the readout, shot count, mitigation switch
@@ -211,12 +212,12 @@ class Scenario:
             )
         labels = set()
         for i, spec in enumerate(self.estimators):
-            label = _keyed(f"estimators[{i}]", estimator, spec)[0]
+            label, moments, _, _ = _keyed(f"estimators[{i}]", estimator, spec)
             if label in labels:
                 raise ValueError(f"scenario key estimators[{i}]: estimator {label} is listed twice")
             labels.add(label)
-            if isinstance(spec, tuple):
-                _keyed(f"estimators[{i}].rdm_purity.keep", kept_qubits, set(spec[1]), built.num_qubits)
+            for keep in (keep for keep, _ in moments if keep is not None):
+                _keyed(f"estimators[{i}].rdm_purity.keep", kept_qubits, keep, built.num_qubits)
 
     def build_circuit(self) -> Circuit:
         return self._built
@@ -382,17 +383,22 @@ def measure(states, ids, seeds, readout, n_shot, mitigation, estimators) -> list
     ``collect_rows``), mitigate the shared ``readout`` if asked, and
     estimate. Returns, per state, ``{label: (estimate, oracle)}`` in
     estimator order, the oracle being the exact value on that state; each
-    equals the result of measuring that state alone.
+    equals the result of measuring that state alone. An estimator listed
+    twice is an error.
     """
     if mitigation and readout is None:
         raise ValueError("mitigation needs a readout calibration matrix")
+    oracles = {}
+    for label, _, _, oracle in map(estimator, estimators):
+        if label in oracles:
+            raise ValueError(f"estimator {label} is listed twice")
+        oracles[label] = oracle
     probs = clean_probability_vector(collect_rows(states, ids, readout, n_shot, seeds))
     if mitigation:
         rows = mitigate_least_squares(probs.reshape(-1, probs.shape[-1]), readout)
         probs = clean_probability_vector(rows.reshape(probs.shape))
-    table = [estimator(spec) for spec in estimators]
     return [
-        {label: (est, float(oracle(state))) for (label, _, oracle), est in zip(table, estimates)}
+        {label: (est, float(oracle(state))) for (label, oracle), est in zip(oracles.items(), estimates)}
         for state, estimates in zip(states, estimate_rows(probs, estimators))
     ]
 
@@ -429,8 +435,14 @@ def _sampled_rows(rows, estimators: tuple, p_dep: float, seed: int, n_rand: int,
     estimated after ``estimators``. Yields ``(row, measure results,
     non-local magic inferred from the sampled reduced purity)`` per row, in
     order, or raises a ValueError naming the row whose sample the noise
-    model cannot reach.
+    model cannot reach. A negative ``seed`` or a ``p_dep`` outside (0, 1]
+    is named before any row is prepared.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    # nonlocal_magic_noisy inverts the survival, so it must be above 0.
+    if not 0.0 < p_dep <= 1.0:
+        raise ValueError(f"p_dep must lie in (0, 1], got {p_dep}")
     states = [run_circuit(state_circuit(state_id, dict(params)), p_dep) for _, state_id, params in rows]
     seeds = range(seed, seed + len(rows))
     ids = np.stack([sample_local_cliffords(state.num_qubits, n_rand, s) for state, s in zip(states, seeds)])

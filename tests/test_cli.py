@@ -607,3 +607,18 @@ def test_cli_and_erasure_optimizer_import_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_a_register_too_large_for_memory_is_one_error_line(tmp_path):
+    # The 22-qubit Pauli spectrum needs a 256 TiB array, more than the
+    # x86-64 user address space, so the allocation fails at once.
+    path = tmp_path / "n22.json"
+    circuit = {"num_qubits": 22, "gates": [{"kind": "H", "qubits": [0]}]}
+    path.write_text(json.dumps({"version": 1, "state": {"circuit": circuit}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "nlmagic.cli", "magic", "exact", "--scenario", str(path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: Unable to allocate 256. TiB ")
+    assert done.stderr.count("\n") == 1

@@ -31,6 +31,7 @@ from nlmagic.rcm import (
     _CLIFFORD_Z_IMAGES,
     _born_walsh,
     _walsh_tables,
+    collect_rows,
     estimate_rows,
     estimator,
     exhaustive_size,
@@ -169,16 +170,16 @@ def test_reduced_purity_rejects_keep_that_is_no_proper_subset(keep):
 
 
 @pytest.mark.parametrize(
-    "spec, label, statistics",
+    "spec, label, moments",
     [
-        ("purity", "purity", ("X_P",)),
-        ("stab_purity", "stab_purity", ("X_W",)),
-        ("sre", "sre", ("X_W", "X_P")),
-        (("rdm_purity", (2, 0, 2)), "rdm_purity[0,2]", ((0, 2),)),
+        ("purity", "purity", ((None, 2),)),
+        ("stab_purity", "stab_purity", ((None, 4),)),
+        ("sre", "sre", ((None, 4), (None, 2))),
+        (("rdm_purity", (2, 0, 2)), "rdm_purity[0,2]", (((0, 2), 2),)),
     ],
     ids=["purity", "stab_purity", "sre", "rdm_purity"],
 )
-def test_estimator_gives_label_statistics_and_exact_oracle(spec, label, statistics):
+def test_estimator_gives_label_statistics_and_exact_oracle(spec, label, moments):
     rho = random_depolarized(np.random.default_rng(21), 3)
     exact = {
         "purity": purity(rho),
@@ -186,8 +187,14 @@ def test_estimator_gives_label_statistics_and_exact_oracle(spec, label, statisti
         "sre": sre_exact(rho),
         "rdm_purity[0,2]": reduced_purity(rho, {0, 2}),
     }
-    got_label, got_statistics, oracle = estimator(spec)
-    assert (got_label, got_statistics) == (label, statistics)
+    got_label, got_moments, combine, oracle = estimator(spec)
+    assert (got_label, got_moments) == (label, moments)
+    # The estimate is the one moment itself, or M2 from the X_W and X_P moments.
+    west, pest = EstimateWithError(0.2, 0.1, 0.01, 100), EstimateWithError(0.9, 0.3, 0.03, 100)
+    if label == "sre":
+        assert combine(west, pest, 8).mean == m2_from_purities(0.2, 0.9, 8)
+    else:
+        assert combine(pest, 8) is pest
     assert oracle(rho) == exact[label]
 
 
@@ -213,6 +220,24 @@ def test_estimator_rejects_unknown_specs(spec):
 def test_estimate_rows_rejects_a_bad_keep(keep, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         estimate_rows(np.full((2, 5, 8), 1 / 8), ("purity", ("rdm_purity", keep)))
+
+
+@pytest.mark.parametrize("n_shot", [None, 500])
+def test_mixed_specs_each_equal_their_spec_estimated_alone(n_shot):
+    """Estimators that share moments (sre with purity and stab_purity) or
+    differ only in their keep each get, field for field, the estimate of
+    their spec alone."""
+    rng = np.random.default_rng(31)
+    states = [random_depolarized(rng, 3) for _ in range(2)]
+    ids = np.stack([sample_local_cliffords(3, 60, seed) for seed in (4, 5)])
+    probs = clean_probability_vector(collect_rows(states, ids, None, n_shot, (4, 5)))
+    specs = ("purity", "stab_purity", "sre", ("rdm_purity", (0,)), ("rdm_purity", (0, 2)), ("rdm_purity", (1, 2)))
+    together = estimate_rows(probs, specs)
+    for i, spec in enumerate(specs):
+        alone = estimate_rows(probs, (spec,))
+        for r in range(len(states)):
+            assert together[r][i] == alone[r][0]
+    assert len({est.mean for est in together[0]}) == len(specs)
 
 
 @pytest.mark.parametrize("n_shot", [None, 500])

@@ -519,8 +519,9 @@ ROW_COUNTS = "collect_rows needs at least one state, and one row of ids and one 
         ({"n_shot": 0}, "^n_shot must be >= 1$"),
         ({"mitigation": True}, "^mitigation needs a readout calibration matrix$"),
         ({"estimators": ("purity", "bogus")}, "^unknown estimator 'bogus'$"),
+        ({"estimators": ("sre", "sre")}, "^estimator sre is listed twice$"),
     ],
-    ids=["qubits", "ids", "seeds", "readout", "n_shot", "mitigation", "estimators"],
+    ids=["qubits", "ids", "seeds", "readout", "n_shot", "mitigation", "estimators", "repeated-estimator"],
 )
 def test_a_mixed_batch_is_a_named_error(change, message):
     inputs = {
@@ -545,6 +546,25 @@ def test_sampled_reports_build_no_scenario(monkeypatch):
     monkeypatch.setattr(Scenario, "__post_init__", lambda self: pytest.fail("a Scenario was built"))
     assert report_table1().all_passed
     assert report_fig3().all_passed
+
+
+@pytest.mark.parametrize("build", [report_table1, report_fig3], ids=["table1", "fig3"])
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        ({"seed": -1}, r"^seed must be >= 0, got -1$"),
+        ({"p_dep": 1.5}, r"^p_dep must lie in \(0, 1\], got 1\.5$"),
+        ({"p_dep": 0.0}, r"^p_dep must lie in \(0, 1\], got 0\.0$"),
+        ({"p_dep": float("nan")}, r"^p_dep must lie in \(0, 1\], got nan$"),
+    ],
+    ids=["negative-seed", "p_dep-above-one", "p_dep-zero", "p_dep-nan"],
+)
+def test_bad_report_arguments_are_named_before_any_row_is_prepared(build, arguments, message, monkeypatch):
+    from nlmagic import scenarios
+
+    monkeypatch.setattr(scenarios, "run_circuit", lambda *a: pytest.fail("a row was prepared"))
+    with pytest.raises(ValueError, match=message):
+        build(**arguments)
 
 
 @pytest.mark.parametrize(
