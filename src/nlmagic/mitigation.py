@@ -4,14 +4,15 @@ Inverting the calibration matrix can push probability vectors out of the
 simplex, so the mitigated vector is the exact minimizer of
 || Lambda p - b ||^2 over the simplex, found by a primal active-set method.
 Every row of a (K, d) batch starts at the uniform vector with all
-coordinates free. A step solves the KKT system [Lambda^T Lambda, 1; 1^T, 0]
-of the free face, pinned coordinates held at 0. A feasible face optimum is
-taken, and the pinned coordinate with the most negative multiplier
-g_i + mu (g the gradient, mu the sum multiplier) is freed; the row stops
-when none is below -1e-14 of the problem's scale. An infeasible one is
-approached until a coordinate reaches zero, which is then pinned. A row
-whose Lambda^-1 b lies in the simplex stops after one step. The rows still
-moving share one batched ``np.linalg.solve`` per step.
+coordinates free, so all rows share the first, all-free step. A step solves
+the KKT system [Lambda^T Lambda, 1; 1^T, 0] of the free face, pinned
+coordinates held at 0. A feasible face optimum is taken. A row with nothing
+pinned stops there, so one whose Lambda^-1 b lies in the simplex stops
+after one step; only the others price the multipliers g_i + mu (g the
+gradient, mu the sum multiplier), free the most negative, and stop when none
+is below -1e-14 of the problem's scale. An infeasible optimum is approached
+until a coordinate reaches zero, which is then pinned. The rows still moving
+share one batched ``np.linalg.solve`` per step, a LAPACK solve per row.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def mitigate_least_squares(p_exp, lam: CalibrationMatrix, *, full_output: bool =
 
     ``full_output`` adds ``{"iterations": active-set steps summed over rows,
     "kkt_residual": largest KKT violation}``. Raises ValueError on a
-    dimension mismatch, ConvergenceError after 10 d + 10 steps.
+    dimension mismatch or a singular calibration matrix, ConvergenceError
+    after 10 d + 10 steps.
     """
     b = np.asarray(p_exp, dtype=float)
     m = lam.matrix
@@ -62,8 +64,8 @@ def mitigate_least_squares(p_exp, lam: CalibrationMatrix, *, full_output: bool =
     gram = m.T @ m
     c = b.reshape(-1, d) @ m  # row k is Lambda^T b_k
     k = c.shape[0]
-    tol = 1e-14 * (np.abs(gram).max() + np.abs(c).max(axis=1, initial=0.0))
-    bordered = np.block([[gram, np.ones((d, 1))], [np.ones((1, d)), np.zeros((1, 1))]])
+    bordered = np.ones((d + 1, d + 1))
+    bordered[:d, :d], bordered[d, d] = gram, 0.0
     rhs = np.hstack([c, np.ones((k, 1))])
     p = np.full((k, d), 1.0 / d)
     free = np.ones((k, d + 1), dtype=bool)  # column d: the sum constraint, always on
@@ -74,27 +76,40 @@ def mitigate_least_squares(p_exp, lam: CalibrationMatrix, *, full_output: bool =
         if moving.size == 0:
             break
         f = free[moving]
+        pinned = ~f.all(axis=1)
         # The bordered system on the free face; a pinned coordinate solves x_i = 0.
-        kkt = np.where(f[:, :, None] & f[:, None, :], bordered, np.eye(d + 1) * ~f[:, None, :])
-        sol = np.linalg.solve(kkt, np.where(f, rhs[moving], 0.0)[..., None])[..., 0]
+        if pinned.any():
+            kkt = np.where(f[:, :, None] & f[:, None, :], bordered, np.eye(d + 1) * ~f[:, None, :])
+            r = np.where(f, rhs[moving], 0.0)
+        else:
+            kkt, r = np.broadcast_to(bordered, (moving.size, d + 1, d + 1)), rhs[moving]
+        try:
+            sol = np.linalg.solve(kkt, r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise ValueError(f"the {d}x{d} calibration matrix is singular") from None
         target = sol[:, :d]
         iterations += moving.size
 
-        # Feasible rows move to the face optimum and price the pinned
-        # coordinates; the most negative multiplier is freed, none ends the row.
+        # Feasible rows move to the face optimum and free the pinned coordinate
+        # with the most negative multiplier; a row with none below -tol, or none pinned, ends.
         ok = (target >= 0.0).all(axis=1)
-        at = moving[ok]
+        at, out = moving[ok], moving[~ok]
         p[at] = target[ok]
         mu[at] = sol[ok, d]
-        mult = p[at] @ gram - c[at] + mu[at, None]
-        mult[free[at, :d]] = np.inf
-        enter = mult.argmin(axis=1)
-        improves = mult[np.arange(at.size), enter] < -tol[at]
-        free[at[improves], enter[improves]] = True
+        moving = moving[ok & pinned]
+        if moving.size:
+            tol = 1e-14 * (np.abs(gram).max() + np.abs(c[moving]).max(axis=1, initial=0.0))
+            mult = p[moving] @ gram - c[moving] + mu[moving, None]
+            mult[free[moving, :d]] = np.inf
+            enter = mult.argmin(axis=1)
+            improves = mult[np.arange(moving.size), enter] < -tol
+            free[moving[improves], enter[improves]] = True
+            moving = moving[improves]
+        if out.size == 0:
+            continue
 
         # Infeasible rows step towards the face optimum until a coordinate
         # reaches zero, and pin it.
-        out = moving[~ok]
         cur, tgt = p[out], target[~ok]
         neg = tgt < 0.0
         ratio = np.full(cur.shape, np.inf)
@@ -105,8 +120,7 @@ def mitigate_least_squares(p_exp, lam: CalibrationMatrix, *, full_output: bool =
         nxt[hit] = 0.0
         p[out] = nxt
         free[out, :d] &= ~hit
-
-        moving = np.concatenate([at[improves], out])
+        moving = np.concatenate([moving, out])
     if moving.size:
         raise ConvergenceError(
             f"{moving.size} of {k} rows still moving after {10 * d + 10} active-set steps"

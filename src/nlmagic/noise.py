@@ -10,7 +10,6 @@ once, as p^k for k CZs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,12 +110,13 @@ def synth_calibration_matrix(
         raise ValueError("need at least one qubit")
     if not 0.0 <= correlation <= 0.1:
         raise ValueError("correlation must lie in [0, 0.1]")
-    factors = []
+    lam = np.ones((1, 1))
     for e01, e10 in per_qubit_eps:
         if not (0.0 <= e01 <= 0.5 and 0.0 <= e10 <= 0.5):
             raise ValueError("flip rates must lie in [0, 0.5]")
-        factors.append(np.array([[1 - e01, e10], [e01, 1 - e10]], dtype=float))
-    lam = functools.reduce(np.kron, factors)
+        flip = np.array([[1 - e01, e10], [e01, 1 - e10]], dtype=float)
+        # Entry (2i + k, 2j + l) is lam[i, j] * flip[k, l], as in np.kron.
+        lam = np.multiply.outer(lam, flip).swapaxes(1, 2).reshape(2 * len(lam), -1)
     if correlation > 0.0:
         d = lam.shape[0]
         flipped = np.arange(d)[::-1]

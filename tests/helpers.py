@@ -6,9 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nlmagic import DepolarizedState, ErasureAngles, gate_matrix, nonlocal_magic, purity, reduced_purity, sre_exact
+from nlmagic import (
+    CalibrationMatrix,
+    DepolarizedState,
+    ErasureAngles,
+    gate_matrix,
+    nonlocal_magic,
+    purity,
+    reduced_purity,
+    sre_exact,
+)
 from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
 from nlmagic.erasure import _correlation_matrix, _euler, _m2_from_correlations, _pair_m2, pauli_rotation
+from nlmagic.mitigation import ConvergenceError
 from nlmagic.qcore import _PAULI_MAP, apply_to_axis, kept_qubits, pauli_matrix_stack
 from nlmagic.rcm import _CLIFFORD_Z_IMAGES
 
@@ -350,3 +360,75 @@ def sum_marginalize(p: np.ndarray, keep: set[int], num_qubits: int) -> np.ndarra
     t = v.reshape(rows + (2,) * num_qubits)
     axes = tuple(len(rows) + q for q in range(num_qubits) if q not in keep)
     return t.sum(axis=axes).reshape(rows + (-1,))
+
+
+def kron_calibration(per_qubit_eps, correlation: float = 0.0) -> np.ndarray:
+    """Reference for ``synth_calibration_matrix``: the per-qubit flip
+    matrices chained by ``np.kron``, then weight on the all-flipped outcome
+    and renormalized columns when ``correlation`` is positive."""
+    factors = [np.array([[1 - e01, e10], [e01, 1 - e10]], dtype=float) for e01, e10 in per_qubit_eps]
+    lam = functools.reduce(np.kron, factors)
+    if correlation > 0.0:
+        d = lam.shape[0]
+        lam[np.arange(d)[::-1], np.arange(d)] += correlation
+        lam /= lam.sum(axis=0, keepdims=True)
+    return lam
+
+
+def full_kkt_mitigate(p_exp, lam: CalibrationMatrix):
+    """Reference for ``mitigate_least_squares(..., full_output=True)``:
+    every step assembles each moving row's face KKT with ``np.where``, even
+    when nothing is pinned, prices every feasible row and runs the ratio
+    step on an empty set of infeasible rows. Same iterates, same floating-point
+    operations, so the same bytes."""
+    b = np.asarray(p_exp, dtype=float)
+    m = lam.matrix
+    d = m.shape[0]
+    gram = m.T @ m
+    c = b.reshape(-1, d) @ m
+    k = c.shape[0]
+    tol = 1e-14 * (np.abs(gram).max() + np.abs(c).max(axis=1, initial=0.0))
+    bordered = np.block([[gram, np.ones((d, 1))], [np.ones((1, d)), np.zeros((1, 1))]])
+    rhs = np.hstack([c, np.ones((k, 1))])
+    p = np.full((k, d), 1.0 / d)
+    free = np.ones((k, d + 1), dtype=bool)
+    mu = np.zeros(k)
+    iterations = 0
+    moving = np.arange(k)
+    for _ in range(10 * d + 10):
+        if moving.size == 0:
+            break
+        f = free[moving]
+        kkt = np.where(f[:, :, None] & f[:, None, :], bordered, np.eye(d + 1) * ~f[:, None, :])
+        sol = np.linalg.solve(kkt, np.where(f, rhs[moving], 0.0)[..., None])[..., 0]
+        target = sol[:, :d]
+        iterations += moving.size
+
+        ok = (target >= 0.0).all(axis=1)
+        at = moving[ok]
+        p[at] = target[ok]
+        mu[at] = sol[ok, d]
+        mult = p[at] @ gram - c[at] + mu[at, None]
+        mult[free[at, :d]] = np.inf
+        enter = mult.argmin(axis=1)
+        improves = mult[np.arange(at.size), enter] < -tol[at]
+        free[at[improves], enter[improves]] = True
+
+        out = moving[~ok]
+        cur, tgt = p[out], target[~ok]
+        neg = tgt < 0.0
+        ratio = np.full(cur.shape, np.inf)
+        ratio[neg] = cur[neg] / (cur[neg] - tgt[neg])
+        alpha = ratio.min(axis=1, keepdims=True)
+        nxt = cur + alpha * (tgt - cur)
+        hit = (ratio <= alpha) | (nxt <= 0.0)
+        nxt[hit] = 0.0
+        p[out] = nxt
+        free[out, :d] &= ~hit
+
+        moving = np.concatenate([at[improves], out])
+    if moving.size:
+        raise ConvergenceError(f"{moving.size} of {k} rows still moving")
+    mult = p @ gram - c + mu[:, None]
+    residual = np.abs(np.c_[np.minimum(p, mult), p.sum(axis=1) - 1.0]).max(initial=0.0)
+    return p.reshape(b.shape), {"iterations": iterations, "kkt_residual": float(residual)}

@@ -447,6 +447,34 @@ def test_bad_readout_blocks_are_named_by_their_key(readout, message, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (
+            ["rcm", "estimate", "--scenario"],
+            {
+                "version": 1,
+                "state": {"id": "m"},
+                "noise": {"readout": {"per_qubit_eps": [[0.5, 0.5], [0.1, 0.1]]}, "n_shot": 1000},
+                "n_rand": 10,
+                "mitigation": True,
+            },
+            "error: the 4x4 calibration matrix is singular\n",
+        ),
+        (
+            ["mitigate", "--input"],
+            {"calibration": [[0.5, 0.5], [0.5, 0.5]], "probabilities": [0.6, 0.4]},
+            "error: the 2x2 calibration matrix is singular\n",
+        ),
+    ],
+    ids=["rcm-estimate", "mitigate"],
+)
+def test_a_singular_calibration_is_named_with_its_size(command, payload, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, command + [str(path)]) == (1, "", message)
+
+
+@pytest.mark.parametrize(
     "payload, message",
     [
         (

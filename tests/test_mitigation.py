@@ -13,10 +13,14 @@ from nlmagic import (
     synth_calibration_matrix,
 )
 
-HARSH = synth_calibration_matrix([[0.2, 0.3], [0.25, 0.35]], 0.05)
+from helpers import full_kkt_mitigate, kron_calibration
+
+HARSH_EPS = [[0.2, 0.3], [0.25, 0.35]]
+ILL_EPS = [[0.43, 0.46], [0.44, 0.45]]
+HARSH = synth_calibration_matrix(HARSH_EPS, 0.05)
 # Condition number 17.8; the projected-gradient solver this replaced stopped
 # 1.9e-3 away from the optimum here.
-ILL = synth_calibration_matrix([(0.43, 0.46), (0.44, 0.45)], 0.05)
+ILL = synth_calibration_matrix(ILL_EPS, 0.05)
 
 
 def face_enumeration(b, m):
@@ -100,6 +104,38 @@ def test_batched_call_equals_per_row_calls():
     b = shot_noisy_readout(rng, HARSH, 40)
     rows = np.array([mitigate_least_squares(v, HARSH) for v in b])
     np.testing.assert_allclose(mitigate_least_squares(b, HARSH), rows, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4], ids=["d2", "d4", "d8", "d16"])
+@pytest.mark.parametrize("eps", [HARSH_EPS, ILL_EPS], ids=["harsh", "ill"])
+def test_solver_gives_the_bytes_of_the_full_kkt_reference(eps, num_qubits):
+    # The flip rates of HARSH or ILL, repeated over the qubits: at d = 4 the
+    # matrix is HARSH or ILL itself.
+    lam = synth_calibration_matrix((eps * 2)[:num_qubits], 0.05)
+    rng = np.random.default_rng(num_qubits)
+    # Shot-noisy rows, and rows of sparse states read with few shots, which
+    # pin several coordinates one step at a time.
+    sparse = rng.dirichlet(np.full(lam.dim, 0.1), size=20)
+    b = np.vstack([shot_noisy_readout(rng, lam, 20), rng.multinomial(200, sparse @ lam.matrix.T) / 200])
+    p, info = mitigate_least_squares(b, lam, full_output=True)
+    ref, ref_info = full_kkt_mitigate(b, lam)
+    np.testing.assert_array_equal(p, ref)
+    assert info == ref_info
+    assert info["iterations"] > len(b)
+    for v in b[[0, -1]]:
+        p, info = mitigate_least_squares(v, lam, full_output=True)
+        ref, ref_info = full_kkt_mitigate(v, lam)
+        assert p.shape == (lam.dim,)
+        np.testing.assert_array_equal(p, ref)
+        assert info == ref_info
+
+
+@pytest.mark.parametrize("correlation", [0.0, 0.07], ids=["uncorrelated", "correlated"])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_calibration_matrix_gives_the_bytes_of_the_kron_chain(num_qubits, correlation):
+    eps = np.random.default_rng(num_qubits).uniform(0.0, 0.5, size=(num_qubits, 2)).tolist()
+    lam, ref = synth_calibration_matrix(eps, correlation).matrix, kron_calibration(eps, correlation)
+    assert lam.shape == ref.shape and lam.tobytes() == ref.tobytes()
 
 
 def test_one_vector_in_one_vector_out_and_sixteen_outcomes():
