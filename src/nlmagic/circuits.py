@@ -3,8 +3,10 @@ catalogue of named preparation circuits, each gate kind and each catalogue
 state declared once, as data:
 
 - ``GATES`` maps each gate kind to (qubit count, angle count, unitary as a
-  function of the angles). ``GateSpec`` reads its checks from it, and
-  ``gate_matrix`` is one lookup and call.
+  read-only constant or a function of angle arrays, one 2x2 per element of
+  the broadcast arrays). ``GateSpec`` reads its checks from it,
+  ``gate_matrix`` evaluates one gate into a fresh array, and
+  ``run_circuit`` each rotation kind once per circuit.
 - ``STATES`` maps each catalogue id to (qubit count, gate template). A
   template angle written as a name is filled from the state's parameters;
   a name ending in ``?`` is optional, and its gate is dropped when that
@@ -13,7 +15,7 @@ state declared once, as data:
 
 Rotation gates follow the R(theta) = exp(-i theta sigma / 2) convention;
 T is Rz(pi/4) and S is Rz(pi/2) up to global phase. CNOT is never treated
-as a primitive: it is always expanded to (I (x) H) CZ (I (x) H) so that the
+as a primitive: it is always applied as (I (x) H) CZ (I (x) H) so that the
 depolarizing channel attaches to the CZ inside it.
 """
 
@@ -26,45 +28,48 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .qcore import PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState, apply_to_axis
+from .qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState, apply_to_axis
+
+
+def rz_matrix(theta) -> np.ndarray:
+    u = np.zeros(np.shape(theta) + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 1, 1] = np.exp(-1j * np.asarray(theta) / 2), np.exp(1j * np.asarray(theta) / 2)
+    return u
+
+
+def rxy_matrix(theta, phi) -> np.ndarray:
+    """Rotation by theta about the equatorial axis cos(phi) X + sin(phi) Y."""
+    half, phi = np.asarray(theta)[..., None, None] / 2, np.asarray(phi)[..., None, None]
+    axis = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
+    return np.cos(half) * PAULI_I.real - 1j * np.sin(half) * axis
+
 
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    return rxy_matrix(theta, np.pi / 2)
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
-
-
-def rxy_matrix(theta: float, phi: float) -> np.ndarray:
-    """Rotation by theta about the equatorial axis cos(phi) X + sin(phi) Y."""
-    axis = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return c * np.eye(2) - 1j * s * axis
-
-
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
-_IH = np.kron(np.eye(2), H_MATRIX)
 
-# Each gate kind: (qubit count, angle count, its unitary on its own qubits
-# as a function of the angles, a fresh array per call).
+# Each gate kind: (qubit count, angle count, its unitary on its own qubits,
+# a read-only constant or a function of the angle arrays).
 GATES = {
     "Rx": (1, 1, lambda theta: rxy_matrix(theta, 0.0)),
-    "Ry": (1, 1, ry_matrix),
+    "Ry": (1, 1, lambda theta: rxy_matrix(theta, np.pi / 2)),
     "Rz": (1, 1, rz_matrix),
     "Rxy": (1, 2, rxy_matrix),
-    "H": (1, 0, H_MATRIX.copy),
-    "S": (1, 0, lambda: rz_matrix(np.pi / 2)),
-    "T": (1, 0, lambda: rz_matrix(np.pi / 4)),
-    "X": (1, 0, PAULI_X.copy),
-    "Y": (1, 0, PAULI_Y.copy),
-    "Z": (1, 0, PAULI_Z.copy),
-    "CZ": (2, 0, _CZ.copy),
-    "CNOT": (2, 0, lambda: _IH @ _CZ @ _IH),
+    "H": (1, 0, H_MATRIX),
+    "S": (1, 0, rz_matrix(np.pi / 2)),
+    "T": (1, 0, rz_matrix(np.pi / 4)),
+    "X": (1, 0, PAULI_X),
+    "Y": (1, 0, PAULI_Y),
+    "Z": (1, 0, PAULI_Z),
+    "CZ": (2, 0, _CZ),
+    "CNOT": (2, 0, np.kron(np.eye(2), H_MATRIX) @ _CZ @ np.kron(np.eye(2), H_MATRIX)),
 }
+for _u in (u for _, n_angles, u in GATES.values() if not n_angles):
+    _u.flags.writeable = False
+
+
+def _all_of(xs, exact: set, types: tuple) -> bool:
+    """Whether each of ``xs`` is of ``types`` and no bool; ``exact`` types pass at once."""
+    return set(map(type, xs)) <= exact or all(isinstance(x, types) and not isinstance(x, bool) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -74,17 +79,22 @@ class GateSpec:
     angles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        qubits, angles = tuple(self.qubits), tuple(self.angles)
         if self.kind not in GATES:
             raise ValueError(f"unsupported gate kind {self.kind!r}")
         arity, n_angles, _ = GATES[self.kind]
-        if len(self.qubits) != arity or len(set(self.qubits)) != arity:
+        if not _all_of(qubits, {int}, (int, np.integer)):
+            raise ValueError(f"{self.kind} qubit indices must be integers, not {qubits}")
+        if len(qubits) != arity or len(set(qubits)) != arity:
             raise ValueError(f"{self.kind} needs {arity} distinct qubit indices")
-        if min(self.qubits) < 0:
-            raise ValueError(f"{self.kind} qubit indices must be >= 0, not {self.qubits}")
-        if len(self.angles) != n_angles:
+        if min(qubits) < 0:
+            raise ValueError(f"{self.kind} qubit indices must be >= 0, not {qubits}")
+        if len(angles) != n_angles:
             raise ValueError(f"{self.kind} takes {n_angles} angle(s)")
+        if not _all_of(angles, {int, float}, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{self.kind} angles must be real numbers, not {angles}")
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "angles", tuple(map(float, angles)))
         if not all(map(math.isfinite, self.angles)):
             raise ValueError(f"{self.kind} angles must be finite, not {self.angles}")
 
@@ -96,6 +106,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if not _all_of((self.num_qubits,), {int}, (int, np.integer)):
+            raise ValueError(f"num_qubits must be an integer, not {self.num_qubits!r}")
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         for g in self.gates:
@@ -104,47 +116,43 @@ class Circuit:
 
 
 def gate_matrix(g: GateSpec) -> np.ndarray:
-    """Unitary of the gate on its own qubits (2x2, or 4x4 for CZ/CNOT)."""
-    return GATES[g.kind][2](*g.angles)
-
-
-def _expand_cnot(g: GateSpec) -> list[GateSpec]:
-    control, target = g.qubits
-    return [
-        GateSpec("H", (target,)),
-        GateSpec("CZ", (control, target)),
-        GateSpec("H", (target,)),
-    ]
+    """Unitary of the gate on its own qubits (2x2, or 4x4 for CZ/CNOT), a fresh array."""
+    return GATES[g.kind][2](*g.angles) if g.angles else GATES[g.kind][2].copy()
 
 
 def run_circuit(circuit: Circuit, p_dep_cz: float = 1.0) -> DepolarizedState:
     """Apply the circuit to |0...0> and return its state under the global
     depolarizing channel rho -> p rho + (1 - p) I/d after every CZ
-    (including the CZ inside an expanded CNOT), with survival ``p_dep_cz``.
+    (including the CZ inside a CNOT), with survival ``p_dep_cz``.
 
     That channel commutes with every unitary, so k CZs leave
     s |psi><psi| + (1 - s) I/d with s = p_dep_cz^k, where |psi> is the
     noise-free output: the returned state is (|psi>, s). |psi> is held as a
     (2,)*N tensor: a single-qubit gate is one ``qcore.apply_to_axis`` on its
-    qubit's axis, and a CZ negates the amplitudes where both of its qubits
-    are 1.
+    qubit's axis (each rotation kind evaluated in one call per circuit), a
+    CZ negates the amplitudes where both of its qubits are 1, and a CNOT is
+    that CZ between two H on its target.
     """
     if not 0.0 <= p_dep_cz <= 1.0:
         raise ValueError("p_dep_cz must lie in [0, 1]")
     n = circuit.num_qubits
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
-    n_cz = 0
-    for spec in circuit.gates:
-        for g in _expand_cnot(spec) if spec.kind == "CNOT" else [spec]:
-            if g.kind == "CZ":
-                both_one = [slice(None)] * n
-                both_one[g.qubits[0]] = both_one[g.qubits[1]] = 1
-                psi[tuple(both_one)] *= -1
-                n_cz += 1
-            else:
-                psi = apply_to_axis(gate_matrix(g), psi, g.qubits[0])
-    return DepolarizedState(psi, p_dep_cz**n_cz)
+    kinds = {g.kind for g in circuit.gates if g.angles}
+    rotations = {k: iter(GATES[k][2](*zip(*(g.angles for g in circuit.gates if g.kind == k)))) for k in kinds}
+    for g in circuit.gates:
+        if len(g.qubits) == 1:
+            psi = apply_to_axis(next(rotations[g.kind]) if g.angles else GATES[g.kind][2], psi, g.qubits[0])
+            continue
+        control, target = g.qubits
+        if g.kind == "CNOT":
+            psi = apply_to_axis(H_MATRIX, psi, target)
+        both_one = [slice(None)] * n
+        both_one[control] = both_one[target] = 1
+        psi[tuple(both_one)] *= -1
+        if g.kind == "CNOT":
+            psi = apply_to_axis(H_MATRIX, psi, target)
+    return DepolarizedState(psi, p_dep_cz ** sum(len(g.qubits) == 2 for g in circuit.gates))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Single-qubit Paulis in the lexicographic order I < X < Y < Z of every
 # 4^N spectrum.
 _PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+for _sigma in _PAULIS:
+    _sigma.flags.writeable = False
 
 # _PAULI_MAP[a, 2 i + j] = sigma_a[j, i]: contracted with one qubit's fused
 # (row, column) index it gives that qubit's factor of Tr(P rho).
@@ -84,8 +86,8 @@ class DepolarizedState:
             raise ValueError(f"state vector length {v.size} is not a power of two >= 2")
         if not np.isfinite(v).all():
             raise ValueError("state vector entries must be finite")
-        if abs(np.linalg.norm(v) - 1.0) > ATOL_STRUCT:
-            raise ValueError(f"state vector norm {np.linalg.norm(v)} differs from 1 beyond 1e-12")
+        if abs((norm := math.sqrt(v.real @ v.real + v.imag @ v.imag)) - 1.0) > ATOL_STRUCT:
+            raise ValueError(f"state vector norm {norm} differs from 1 beyond 1e-12")
         s = float(self.survival)
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"survival {s} must be a finite number in [0, 1]")

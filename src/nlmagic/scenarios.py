@@ -86,8 +86,8 @@ def calibrate_p_dep() -> float:
 
 
 _JSON_TYPES = {
-    "object": dict, "array": list, "string": str, "integer": int, "number": (int, float),
-    "boolean": bool,
+    "object": (dict,), "array": (list,), "string": (str,), "integer": (int,), "number": (int, float),
+    "boolean": (bool,),
 }
 
 # The scenario file format. A schema is a JSON kind (a key of _JSON_TYPES;
@@ -120,11 +120,38 @@ _SCENARIO_FILE = {
 _RDM_PURITY = {"rdm_purity": {"keep!": ["integer"]}}
 
 
+def _plain(values: list, schema) -> bool:
+    """Whether all ``values`` match ``schema`` in the exact non-null types of
+    json.loads and read as themselves, checked per schema, not per item."""
+    if isinstance(schema, str):
+        types = set(map(type, values))
+        # x - x is 0 for a finite number, and NaN for NaN and the infinities.
+        return types.issubset(_JSON_TYPES[schema.rstrip("?")]) and (float not in types or all(x - x == 0 for x in values))
+    if not set(map(type, values)) <= ({dict} if isinstance(schema, dict) else {list}):
+        return False
+    if isinstance(schema, tuple):
+        return set(map(len, values)) <= {len(schema)} and _plain(values, ["number"])
+    if isinstance(schema, list):
+        items, rows = [x for value in values for x in value], isinstance(schema[0], list)
+        return _plain(items, schema[0]) and not (rows and any(len(set(map(len, value))) > 1 for value in values))
+    matched = 0
+    for key, item in schema.items():
+        k = key.rstrip("!")
+        column = [x[k] for x in values if k in x]
+        if k != key and len(column) < len(values) or column and not _plain(column, item):
+            return False
+        matched += len(column)
+    return matched == sum(map(len, values))  # so no value has a key the schema lacks
+
+
 def _read(value, schema, path: str, source: str):
     """``value`` once it matches ``schema``, an object holding only the keys
     it has; ``path`` names it in errors, the empty path being the whole file,
     and ``source`` names the kind of file. A boolean is no number, and
-    neither is NaN or Infinity."""
+    neither is NaN or Infinity. An item is named only when it fails: a value
+    ``_plain`` passes reads as itself, and only another is read item by item."""
+    if _plain([value], schema):
+        return value
     if isinstance(schema, str):
         if value is None and schema[-1] == "?":
             return None
@@ -251,17 +278,15 @@ class Scenario:
                     )
                 if name in params:
                     raise ValueError(f"scenario keys state.params.{name} and state.params.{name}_deg are exclusive")
-                params[name] = np.deg2rad(v) if k.endswith("_deg") else v
+                params[name] = math.radians(v) if k.endswith("_deg") else v
         if "circuit" in state:
             spec, path = state["circuit"], "state.circuit.gates"
-            gates = []
-            for i, g in enumerate(spec["gates"]):
-                angles = [np.deg2rad(d) for d in g.get("angles_deg", ())]
-                gates.append(_keyed(f"{path}[{i}]", GateSpec, g["kind"], g["qubits"], angles))
+            gates = [(g["kind"], g["qubits"], [math.radians(d) for d in g.get("angles_deg", ())]) for g in spec["gates"]]
             try:
-                fields["circuit"] = Circuit(spec["num_qubits"], gates)
+                fields["circuit"] = Circuit(spec["num_qubits"], [GateSpec(*g) for g in gates])
             except ValueError:
-                # Name the key at fault: num_qubits, or the first gate outside the register.
+                # Name the key at fault: a bad gate, num_qubits, or a gate outside the register.
+                gates = [_keyed(f"{path}[{i}]", GateSpec, *g) for i, g in enumerate(gates)]
                 num_qubits = _keyed("state.circuit.num_qubits", Circuit, spec["num_qubits"], ()).num_qubits
                 for i, gate in enumerate(gates):
                     _keyed(f"{path}[{i}]", Circuit, num_qubits, (gate,))

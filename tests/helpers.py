@@ -2,6 +2,8 @@
 suite."""
 
 import functools
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,17 +12,19 @@ from nlmagic import (
     CalibrationMatrix,
     DepolarizedState,
     ErasureAngles,
+    GateSpec,
     gate_matrix,
     nonlocal_magic,
     purity,
     reduced_purity,
     sre_exact,
 )
-from nlmagic.circuits import H_MATRIX, _expand_cnot, canonical_phase, rz_matrix
+from nlmagic.circuits import H_MATRIX, canonical_phase, rz_matrix
 from nlmagic.erasure import _correlation_matrix, _euler, _m2_from_correlations, _pair_m2, pauli_rotation
 from nlmagic.mitigation import ConvergenceError
-from nlmagic.qcore import _PAULI_MAP, apply_to_axis, kept_qubits, pauli_matrix_stack
+from nlmagic.qcore import PAULI_X, PAULI_Y, PAULI_Z, _PAULI_MAP, apply_to_axis, kept_qubits, pauli_matrix_stack
 from nlmagic.rcm import _CLIFFORD_Z_IMAGES
+from nlmagic.scenarios import _JSON_TYPES
 
 
 def random_pure(rng: np.random.Generator, num_qubits: int) -> DepolarizedState:
@@ -59,6 +63,104 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     for k, q in enumerate(traced):
         t = np.trace(t, axis1=q - k, axis2=q - k + n - k)
     return t.reshape(2 ** len(kept), 2 ** len(kept))
+
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+_IH = np.kron(np.eye(2), _H)
+
+
+def _rxy(theta: float, phi: float) -> np.ndarray:
+    axis = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return c * np.eye(2) - 1j * s * axis
+
+
+def _rz(theta: float) -> np.ndarray:
+    return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
+
+
+# Reference for ``gate_matrix``, bit for bit: each gate kind's unitary as a
+# function of its angles, evaluated one gate at a time from scalar angles.
+GATEWISE_MATRICES = {
+    "Rx": lambda theta: _rxy(theta, 0.0),
+    "Ry": lambda theta: _rxy(theta, np.pi / 2),
+    "Rz": _rz,
+    "Rxy": _rxy,
+    "H": lambda: _H,
+    "S": lambda: _rz(np.pi / 2),
+    "T": lambda: _rz(np.pi / 4),
+    "X": lambda: PAULI_X,
+    "Y": lambda: PAULI_Y,
+    "Z": lambda: PAULI_Z,
+    "CZ": lambda: _CZ,
+    "CNOT": lambda: _IH @ _CZ @ _IH,
+}
+
+
+def _expand_cnot(g: GateSpec) -> list[GateSpec]:
+    """A CNOT as its three gates H CZ H, H on the target."""
+    control, target = g.qubits
+    return [GateSpec("H", (target,)), GateSpec("CZ", (control, target)), GateSpec("H", (target,))]
+
+
+def gatewise_run_circuit(circuit, p_dep_cz: float = 1.0) -> DepolarizedState:
+    """Reference for ``run_circuit``, bit for bit: each CNOT expanded to its
+    three gates, and each single-qubit gate's own ``GATEWISE_MATRICES``
+    unitary applied to its axis of the (2,)*N state tensor."""
+    if not 0.0 <= p_dep_cz <= 1.0:
+        raise ValueError("p_dep_cz must lie in [0, 1]")
+    n = circuit.num_qubits
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    n_cz = 0
+    for spec in circuit.gates:
+        for g in _expand_cnot(spec) if spec.kind == "CNOT" else [spec]:
+            if g.kind == "CZ":
+                both_one = [slice(None)] * n
+                both_one[g.qubits[0]] = both_one[g.qubits[1]] = 1
+                psi[tuple(both_one)] *= -1
+                n_cz += 1
+            else:
+                psi = apply_to_axis(GATEWISE_MATRICES[g.kind](*g.angles), psi, g.qubits[0])
+    return DepolarizedState(psi, p_dep_cz**n_cz)
+
+
+def itemwise_read(value, schema, path: str, source: str):
+    """Reference for ``scenarios._read``: every item read on its own and
+    named by its path."""
+    if isinstance(schema, str):
+        if value is None and schema[-1] == "?":
+            return None
+        kind = schema.rstrip("?")
+        if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+            problem = f"a JSON {kind}"
+        elif isinstance(value, float) and not math.isfinite(value):
+            problem = "a finite JSON number"
+        else:
+            return value
+        where = f"{source} key {path}" if path else f"a {source} file"
+        raise ValueError(f"{where} must be {problem}, not {json.dumps(value)}")
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            value = {} if value is None and path else itemwise_read(value, "object", path, source)
+        prefix, keys = f"{path}." if path else "", {key.rstrip("!"): key for key in schema}
+        if unknown := sorted(set(value) - set(keys)):
+            raise ValueError(f"unknown {source} key {', '.join(prefix + k for k in unknown)}")
+        return {k: itemwise_read(value.get(k), schema[s], prefix + k, source) for k, s in keys.items() if k in value or k != s}
+    if isinstance(schema, tuple):
+        numbers = itemwise_read(value, ["number"], path, source)
+        if len(numbers) != len(schema):
+            raise ValueError(f"{source} key {path} has length {len(numbers)}, not {len(schema)} ({', '.join(schema)})")
+        return numbers
+    if not isinstance(value, list):
+        value = itemwise_read(value, "array", path, source)
+    items = [itemwise_read(x, schema[0], f"{path}[{i}]", source) for i, x in enumerate(value)]
+    lengths = [len(row) for row in items] if isinstance(schema[0], list) else []
+    for i, n in enumerate(lengths):
+        if n != lengths[0]:
+            raise ValueError(f"{source} key {path}[{i}] has length {n}, {path}[0] has length {lengths[0]}")
+    return items
 
 
 def kron_run_circuit(circuit, p_dep_cz: float = 1.0) -> np.ndarray:

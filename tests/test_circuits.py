@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from nlmagic import (
 )
 from nlmagic.circuits import GATES, STATE_PARAMS, canonical_phase
 
-from helpers import density_matrix, kron_run_circuit, loop_clifford_group
+from helpers import GATEWISE_MATRICES, density_matrix, gatewise_run_circuit, kron_run_circuit, loop_clifford_group
 
 
 ALL_1Q = ["Rx", "Ry", "Rz", "Rxy", "H", "S", "T", "X", "Y", "Z"]
@@ -80,6 +82,38 @@ def test_non_finite_angles_are_rejected(angles):
     # numpy would warn and hand NaN amplitudes on to the state.
     with pytest.raises(ValueError, match="Rx angles must be finite"):
         GateSpec("Rx", (0,), angles)
+
+
+@pytest.mark.parametrize(
+    "kind, qubits, angles, message",
+    [
+        # A bool would act on qubit 0 or 1, a float fail inside numpy, and a
+        # numeric string pass as its number.
+        ("H", (True,), (), "H qubit indices must be integers, not (True,)"),
+        ("H", (0.0,), (), "H qubit indices must be integers, not (0.0,)"),
+        ("CZ", (0, "1"), (), "CZ qubit indices must be integers, not (0, '1')"),
+        ("Rx", (0,), ("1",), "Rx angles must be real numbers, not ('1',)"),
+        ("Rxy", (0,), (0.5, False), "Rxy angles must be real numbers, not (0.5, False)"),
+        ("Rz", (0,), (None,), "Rz angles must be real numbers, not (None,)"),
+    ],
+)
+def test_non_integer_qubits_and_non_real_angles_are_rejected(kind, qubits, angles, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GateSpec(kind, qubits, angles)
+
+
+@pytest.mark.parametrize("num_qubits", [2.0, True, "2", None])
+def test_a_non_integer_register_size_is_rejected(num_qubits):
+    with pytest.raises(ValueError, match=f"^num_qubits must be an integer, not {re.escape(repr(num_qubits))}$"):
+        Circuit(num_qubits, (GateSpec("H", (0,)),))
+
+
+def test_numpy_integers_and_reals_are_accepted():
+    g = GateSpec("Rxy", (np.int64(1),), (np.float32(0.5), np.int16(2)))
+    assert g.angles == (0.5, 2.0) and all(type(a) is float for a in g.angles)
+    state = run_circuit(Circuit(np.int32(2), (g, GateSpec("CZ", (np.uint8(0), 1)))))
+    plain = run_circuit(Circuit(2, (GateSpec("Rxy", (1,), (0.5, 2.0)), GateSpec("CZ", (0, 1)))))
+    assert state.psi.tobytes() == plain.psi.tobytes()
 
 
 @pytest.mark.parametrize("kind, qubits", [("H", (-2,)), ("CZ", (1, -1)), ("CNOT", (-1, 0))])
@@ -166,6 +200,65 @@ def test_noisy_circuit_is_depolarized_pure_state(circuit, p):
     state = run_circuit(circuit, p)
     assert state.survival == p**k
     assert np.max(np.abs(density_matrix(state) - closed)) <= 1e-14
+
+
+def _random_circuit(rng, n: int) -> Circuit:
+    """Up to 24 gates of every kind that fits n qubits, angles in radians
+    over several scales."""
+    kinds = list(GATES) if n > 1 else ALL_1Q
+    gates = []
+    for _ in range(rng.integers(0, 25)):
+        kind = kinds[rng.integers(len(kinds))]
+        arity, n_angles, _ = GATES[kind]
+        angles = rng.uniform(-4 * np.pi, 4 * np.pi, n_angles) * rng.choice([1e-3, 1.0, 1e2], n_angles)
+        gates.append(GateSpec(kind, tuple(int(q) for q in rng.permutation(n)[:arity]), [float(a) for a in angles]))
+    return Circuit(n, tuple(gates))
+
+
+def test_run_circuit_is_bitwise_the_gatewise_reference():
+    # Each rotation kind is evaluated once per circuit, and a CNOT is applied
+    # in place; the amplitudes must keep every bit of the gate-by-gate path.
+    rng = np.random.default_rng(26)
+    kinds = set()
+    for trial in range(1200):
+        circuit = _random_circuit(rng, 1 + trial % 6)
+        p = float(rng.uniform())
+        state, reference = run_circuit(circuit, p), gatewise_run_circuit(circuit, p)
+        assert state.psi.tobytes() == reference.psi.tobytes(), circuit
+        assert state.survival == reference.survival
+        kinds.update(g.kind for g in circuit.gates)
+    assert kinds == set(GATES)
+
+
+@pytest.mark.parametrize("kind", list(GATES))
+def test_gate_matrix_is_bitwise_the_gatewise_reference_in_a_fresh_array(kind):
+    rng = np.random.default_rng(list(GATES).index(kind))
+    arity, n_angles, _ = GATES[kind]
+    for _ in range(300 if n_angles else 1):
+        angles = [float(a) for a in rng.uniform(-720, 720, n_angles) * rng.choice([1e-4, 1.0], n_angles)]
+        g = GateSpec(kind, tuple(range(arity)), angles)
+        u, want = gate_matrix(g), GATEWISE_MATRICES[kind](*g.angles)
+        assert u.dtype == want.dtype and u.shape == want.shape and u.tobytes() == want.tobytes()
+        assert u.flags.writeable
+        u[...] = 0
+        assert gate_matrix(g).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 3, 9, 15])
+def test_rotation_stacks_are_bitwise_their_gates(length):
+    theta, phi = np.random.default_rng(length).uniform(-4 * np.pi, 4 * np.pi, (2, length))
+    for kind, args in (("Rx", (theta,)), ("Ry", (theta,)), ("Rz", (theta,)), ("Rxy", (theta, phi))):
+        stack = GATES[kind][2](*args)
+        assert stack.shape == (length, 2, 2)
+        for i in range(length):
+            assert stack[i].tobytes() == GATEWISE_MATRICES[kind](*(float(a[i]) for a in args)).tobytes()
+
+
+def test_fixed_gates_are_read_only_constants():
+    for kind, (_, n_angles, u) in GATES.items():
+        if not n_angles:
+            assert not u.flags.writeable, kind
+            assert u.tobytes() == GATEWISE_MATRICES[kind]().tobytes(), kind
 
 
 CATALOGUE = [(sid, None) for sid in sorted(set(STATE_PARAMS) - {"nlm", "m_sweep"})]

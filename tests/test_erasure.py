@@ -19,7 +19,7 @@ from nlmagic import (
     state_circuit,
     sweep_landscape,
 )
-from nlmagic.circuits import ry_matrix, rz_matrix
+from nlmagic.circuits import GATES, rz_matrix
 from nlmagic.cli import main
 from nlmagic.erasure import (
     _correlation_matrix,
@@ -53,6 +53,7 @@ from helpers import (
 M_NONLOCAL = 0.1926451
 
 _SIGMA = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+ry_matrix = GATES["Ry"][2]
 
 
 def trace_rotation(u: np.ndarray) -> np.ndarray:

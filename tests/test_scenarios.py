@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,9 @@ from nlmagic import (
     synth_calibration_matrix,
 )
 from nlmagic.rcm import signed_bases
+from nlmagic.scenarios import _SCENARIO_FILE, _read
+
+from helpers import itemwise_read
 
 BASE = {"version": 1, "name": "s", "state": {"id": "m"}}
 EPS = [[0.05, 0.08], [0.04, 0.07]]
@@ -348,6 +354,148 @@ def circuit(num_qubits, *gates) -> dict:
 def test_readout_and_circuit_errors_name_their_file_key(changes, message):
     with pytest.raises(ValueError, match=f"^scenario key (noise|state)\\.{message}"):
         load(**changes)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            circuit(3, GATES[0], GATES[1], {"kind": "CZ", "qubits": [0, True]}),
+            "scenario key state.circuit.gates[2].qubits[1] must be a JSON integer, not true",
+        ),
+        (
+            circuit(2, GATES[1], {"kind": "Rxy", "qubits": [0], "angles_deg": [45, "90"]}),
+            'scenario key state.circuit.gates[1].angles_deg[1] must be a JSON number, not "90"',
+        ),
+        (
+            circuit(2, GATES[1], {"kind": "Rxy", "qubits": [0], "angles_deg": [45.0, float("nan")]}),
+            "scenario key state.circuit.gates[1].angles_deg[1] must be a finite JSON number, not NaN",
+        ),
+        (
+            circuit(2, *GATES, GATES[1], {"kind": "H", "qubits": [1], "angle": 3}),
+            "unknown scenario key state.circuit.gates[3].angle",
+        ),
+        (
+            readout(matrix=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]]),
+            "scenario key noise.readout.matrix[2] has length 3, noise.readout.matrix[0] has length 4",
+        ),
+    ],
+    ids=["bool-qubit", "string-angle", "nan-angle", "unknown-gate-key", "ragged-matrix-row"],
+)
+def test_an_item_past_the_first_is_named_in_full(changes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load(**changes)
+
+
+# A scenario file holding every key of the format, for the reader checks.
+EVERY_KEY = {
+    "version": 1,
+    "name": "every-key",
+    "state": {"id": "nlm", "params": {"theta_deg": 30}, "circuit": {"num_qubits": 2, "gates": GATES}},
+    "noise": {"readout": {"matrix": MATRIX, "per_qubit_eps": EPS, "correlation": 0.0}, "p_dep_cz": 0.9, "n_shot": 10},
+    "estimators": ["sre", {"rdm_purity": {"keep": [0]}}],
+    "n_rand": 10,
+    "seed": 3,
+    "mitigation": True,
+}
+ODD_VALUES = [None, True, 0, -3, 2.5, 10**400, float("nan"), float("-inf"), "x", [], [1, 2.5], [[1]], {}, {"kind": "H"}]
+
+
+def _places(value, path=()):
+    """The path of every value inside a JSON value, its own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _places(item, path + (key,))
+
+
+def _outcome(read, value):
+    try:
+        return "read", read(value, _SCENARIO_FILE, "", "scenario")
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_the_scenario_reader_gives_what_the_item_by_item_reader_gives():
+    # _read passes a file that reads as itself without naming an item, and
+    # reads any other item by item; either way the outcome is the same.
+    variants = [EVERY_KEY, None, [], {**EVERY_KEY, "noise": None}]
+    for path in list(_places(EVERY_KEY))[1:]:
+        for odd in ODD_VALUES + ["absent"]:
+            variant = copy.deepcopy(EVERY_KEY)
+            parent = variant
+            for key in path[:-1]:
+                parent = parent[key]
+            if odd != "absent":
+                parent[path[-1]] = odd
+            elif isinstance(parent, dict):
+                del parent[path[-1]]
+            variants.append(variant)
+    outcomes = {"read": 0, "error": 0}
+    for variant in variants:
+        got = _outcome(_read, copy.deepcopy(variant))
+        assert got == _outcome(itemwise_read, copy.deepcopy(variant)), variant
+        outcomes[got[0]] += 1
+    assert min(outcomes.values()) > 100
+
+
+def brickwork(rng, num_qubits: int, layers: int) -> list:
+    """Gate dicts of a random brickwork of every gate kind, angles in
+    degrees; a quarter of the rotations write them as JSON integers."""
+    gates = []
+    for layer in range(layers):
+        for q in range(num_qubits):
+            kind = ("Rx", "Ry", "Rz", "Rxy")[rng.integers(4)]
+            angles = rng.uniform(-360.0, 360.0, 2 if kind == "Rxy" else 1)
+            angles = [int(a) for a in angles] if rng.random() < 0.25 else [float(a) for a in angles]
+            gates.append({"kind": kind, "qubits": [q], "angles_deg": angles})
+            if rng.random() < 0.5:
+                gates.append({"kind": ("H", "S", "T", "X", "Y", "Z")[rng.integers(6)], "qubits": [q]})
+        for q in range(layer % 2, num_qubits - 1, 2):
+            gates.append({"kind": ("CZ", "CNOT")[rng.integers(2)], "qubits": [q, q + 1]})
+    return gates
+
+
+def scenario_field_by_field(payload: dict) -> Scenario:
+    """The scenario of a circuit file, built from its fields with every
+    angle converted by np.deg2rad."""
+    spec = payload["state"]["circuit"]
+    gates = [GateSpec(g["kind"], g["qubits"], [np.deg2rad(d) for d in g.get("angles_deg", ())]) for g in spec["gates"]]
+    estimators = [("rdm_purity", tuple(sorted(e["rdm_purity"]["keep"]))) if isinstance(e, dict) else e for e in payload["estimators"]]
+    return Scenario(
+        payload["name"], circuit=Circuit(spec["num_qubits"], gates), p_dep_cz=payload["noise"]["p_dep_cz"],
+        seed=payload["seed"], estimators=estimators,
+    )
+
+
+def angle_bits(scenario: Scenario) -> bytes:
+    return np.array([a for g in scenario.build_circuit().gates for a in g.angles] + [v for _, v in scenario.state_params]).tobytes()
+
+
+def test_circuit_files_load_as_their_scenario_built_field_by_field():
+    rng = np.random.default_rng(11)
+    golden = (Path(__file__).parent / "golden" / "exhaustive_n3.scenario.json").read_text()
+    texts = [golden]
+    for i in range(200):
+        n = 1 + i % 6
+        texts.append(json.dumps({
+            "version": 1, "name": f"brickwork-{i}", "state": {"circuit": {"num_qubits": n, "gates": brickwork(rng, n, 3)}},
+            "noise": {"p_dep_cz": float(rng.uniform(0.9, 1.0))}, "seed": int(rng.integers(0, 2**31)),
+            "estimators": ["purity", "sre"] + [{"rdm_purity": {"keep": [n - 1, 0][: n - 1]}}] * (n > 1),
+        }, indent=int(rng.integers(0, 2))))
+    for text in texts:
+        loaded, built = Scenario.from_json(text), scenario_field_by_field(json.loads(text))
+        assert loaded == built and hash(loaded) == hash(built)
+        assert angle_bits(loaded) == angle_bits(built)
+
+
+def test_degree_parameters_load_as_np_deg2rad_gives_them():
+    degrees = [30, 1.5, -400, 1e-7, 359.99999999999994, *np.random.default_rng(5).uniform(-720, 720, 200)]
+    for theta_deg in degrees:
+        loaded = load(state={"id": "nlm", "params": {"theta_deg": theta_deg}})
+        built = Scenario("s", state_id="nlm", state_params={"theta": np.deg2rad(theta_deg)})
+        assert loaded == built and hash(loaded) == hash(built)
+        assert angle_bits(loaded) == angle_bits(built)
 
 
 def test_mitigation_without_readout_is_an_error():
