@@ -15,11 +15,16 @@ where a scenario file is loaded (``--seed`` alone on the reports), and
 
 ``_OPTIONS`` declares each option once, by name: its flag and its argparse
 keywords. ``_COMMANDS`` is the one table of commands: their words, handlers,
-option names and help. An invocation builds only its own command's parser.
-The full tree, assembled from the same table (``_add_options`` serves both),
-is built only for help and usage errors that name no complete command
-(``nlmagic``, ``nlmagic -h``, ``nlmagic rcm``, ``nlmagic bogus``) and for an
-unrecognized argument, so every message stays argparse's own.
+option names and help. A well-formed command line is read straight from
+these tables, with no parser built: a command's words, then only exact
+flags of that command, each at most once, each value a token that does
+not start with ``-`` and that the option's ``type`` and ``choices``
+accept, and every required flag present. It reads as the namespace
+argparse would give it. Any other command line (help, a usage error, an
+incomplete or unknown command, ``--flag=value``, an abbreviation, a
+repeated flag, a value that starts with ``-``) is read by the full
+argparse tree, assembled from the same tables, so every message stays
+argparse's own.
 """
 
 from __future__ import annotations
@@ -91,12 +96,6 @@ _OPTIONS = {
 # The mitigate input, in the schema form of ``scenarios._SCENARIO_FILE``: a
 # calibration matrix or counts with their n_shot, and one vector or a table.
 _MITIGATE_INPUT = {"counts": [["integer"]], "n_shot": "integer", "calibration": [["number"]], "probabilities": "array"}
-
-
-def _add_options(parser, names: str) -> None:
-    for name in names.split():
-        flag, keywords = _OPTIONS[name]
-        parser.add_argument(flag, **keywords)
 
 
 def _load_scenario(args) -> Scenario:
@@ -252,17 +251,6 @@ def _help(text) -> dict:
     return {} if text is None else {"help": text}
 
 
-@functools.lru_cache(maxsize=None)
-def _leaf_parser(words: tuple) -> argparse.ArgumentParser:
-    """The parser of one command, built once per process: the one the full
-    tree would hand ``argv`` after the command words, with the same
-    ``command`` and ``action`` in its namespace."""
-    parser = _Parser(prog=" ".join(("nlmagic",) + words))
-    _add_options(parser, _COMMANDS[words][1])
-    parser.set_defaults(**dict(zip(("command", "action"), words)))
-    return parser
-
-
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser, built once per process from ``_COMMANDS``;
@@ -278,24 +266,59 @@ def build_parser() -> argparse.ArgumentParser:
                 group = commands.add_parser(words[0], **_help(helps[0]))
                 actions[words[0]] = group.add_subparsers(dest="action", required=True)
             leaf = actions[words[0]].add_parser(words[1], **_help(helps[1]))
-        _add_options(leaf, options)
+        for name in options.split():
+            flag, keywords = _OPTIONS[name]
+            leaf.add_argument(flag, **keywords)
     return parser
 
 
+def _read_argv(argv: list):
+    """The namespace the full tree gives a well-formed ``argv`` (see the
+    module docstring), with every dest of its command at its default unless
+    set and ``command`` and ``action`` as the tree sets them; None for any
+    other ``argv``."""
+    words = tuple(argv[:2])
+    if words not in _COMMANDS:
+        words = tuple(argv[:1])
+        if words not in _COMMANDS:
+            return None
+    options, values = {}, dict(zip(("command", "action"), words))
+    for name in _COMMANDS[words][1].split():
+        flag, keywords = _OPTIONS[name]
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        options[flag] = dest, keywords
+        values[dest] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if token not in options:
+            return None
+        dest, keywords = options.pop(token)  # popped, so a repeated flag is declined
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    if any(keywords.get("required") for _, keywords in options.values()):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list):
-    """``(handler, args)`` for ``argv``. A complete command is read by its own
-    parser alone. The full tree is built only when ``argv`` names no
-    complete command or leaves an argument unrecognized, and reads it as
-    it always did: it prints argparse's own help or usage error and exits,
-    or dispatches a command written in a form only the tree accepts."""
-    for n in (2, 1):
-        words = tuple(argv[:n])
-        if words in _COMMANDS:
-            args, extras = _leaf_parser(words).parse_known_args(argv[n:])
-            if not extras:
-                return _COMMANDS[words][0], args
-            break
-    args = build_parser().parse_args(argv)
+    """``(handler, args)`` for ``argv``. A well-formed command line is read
+    by ``_read_argv`` alone. Only another builds the full tree, which reads
+    it as it always did: it prints argparse's own help or usage error and
+    exits, or dispatches a command written in a form only argparse accepts."""
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     return _COMMANDS[(args.command, args.action) if "action" in args else (args.command,)][0], args
 
 

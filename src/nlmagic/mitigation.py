@@ -30,7 +30,10 @@ def calibration_from_counts(counts, n_shot: int) -> CalibrationMatrix:
     """The calibration matrix from a square table of counts, row i the
     outcome histogram recorded after preparing computational state i; every
     row must sum to ``n_shot``. Column j of the matrix is row j over n_shot."""
-    c = np.array(counts, dtype=int)
+    try:
+        c = np.array(counts, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("counts must each fit a 64-bit integer") from None
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("counts must form a square table")
     if (c < 0).any():

@@ -120,13 +120,22 @@ _SCENARIO_FILE = {
 _RDM_PURITY = {"rdm_purity": {"keep!": ["integer"]}}
 
 
+# The least integer that float() rounds past the largest float; a JSON
+# integer in a number slot must lie strictly between its negative and it.
+_FLOAT_INT_BOUND = 2**1024 - 2**970
+
+
 def _plain(values: list, schema) -> bool:
     """Whether all ``values`` match ``schema`` in the exact non-null types of
     json.loads and read as themselves, checked per schema, not per item."""
     if isinstance(schema, str):
-        types = set(map(type, values))
+        types, kind = set(map(type, values)), schema.rstrip("?")
         # x - x is 0 for a finite number, and NaN for NaN and the infinities.
-        return types.issubset(_JSON_TYPES[schema.rstrip("?")]) and (float not in types or all(x - x == 0 for x in values))
+        return (
+            types.issubset(_JSON_TYPES[kind])
+            and (float not in types or all(x - x == 0 for x in values))
+            and (int not in types or kind != "number" or all(-_FLOAT_INT_BOUND < x < _FLOAT_INT_BOUND for x in values))
+        )
     if not set(map(type, values)) <= ({dict} if isinstance(schema, dict) else {list}):
         return False
     if isinstance(schema, tuple):
@@ -155,15 +164,17 @@ def _read(value, schema, path: str, source: str):
     if isinstance(schema, str):
         if value is None and schema[-1] == "?":
             return None
-        kind = schema.rstrip("?")
+        kind, shown = schema.rstrip("?"), None
         if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
             problem = f"a JSON {kind}"
         elif isinstance(value, float) and not math.isfinite(value):
             problem = "a finite JSON number"
+        elif kind == "number" and not -_FLOAT_INT_BOUND < value < _FLOAT_INT_BOUND:
+            problem, shown = "a JSON number within float range", f"a {len(str(abs(value)))}-digit integer"
         else:
             return value
         where = f"{source} key {path}" if path else f"a {source} file"
-        raise ValueError(f"{where} must be {problem}, not {json.dumps(value)}")
+        raise ValueError(f"{where} must be {problem}, not {shown or json.dumps(value)}")
     if isinstance(schema, dict):
         if not isinstance(value, dict):
             value = {} if value is None and path else _read(value, "object", path, source)

@@ -126,21 +126,31 @@ def gatewise_run_circuit(circuit, p_dep_cz: float = 1.0) -> DepolarizedState:
     return DepolarizedState(psi, p_dep_cz**n_cz)
 
 
+def _fits_float(n: int) -> bool:
+    try:
+        float(n)
+    except OverflowError:
+        return False
+    return True
+
+
 def itemwise_read(value, schema, path: str, source: str):
     """Reference for ``scenarios._read``: every item read on its own and
     named by its path."""
     if isinstance(schema, str):
         if value is None and schema[-1] == "?":
             return None
-        kind = schema.rstrip("?")
+        kind, shown = schema.rstrip("?"), None
         if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
             problem = f"a JSON {kind}"
         elif isinstance(value, float) and not math.isfinite(value):
             problem = "a finite JSON number"
+        elif kind == "number" and isinstance(value, int) and not _fits_float(value):
+            problem, shown = "a JSON number within float range", f"a {len(str(abs(value)))}-digit integer"
         else:
             return value
         where = f"{source} key {path}" if path else f"a {source} file"
-        raise ValueError(f"{where} must be {problem}, not {json.dumps(value)}")
+        raise ValueError(f"{where} must be {problem}, not {shown or json.dumps(value)}")
     if isinstance(schema, dict):
         if not isinstance(value, dict):
             value = {} if value is None and path else itemwise_read(value, "object", path, source)

@@ -1,3 +1,5 @@
+import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -246,6 +248,53 @@ def test_malformed_mitigate_input_is_a_clear_error(payload, message, tmp_path, c
     code, _, err = run(capsys, ["mitigate", "--input", str(path)])
     assert code == 1
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (
+            ["magic", "exact", "--scenario"],
+            {"version": 1, "state": {"circuit": {"num_qubits": 1, "gates": [
+                {"kind": "Rx", "qubits": [0], "angles_deg": [10**400]}
+            ]}}},
+            "scenario key state.circuit.gates[0].angles_deg[0] must be a JSON number within float range, "
+            "not a 401-digit integer",
+        ),
+        (
+            ["magic", "exact", "--scenario"],
+            {"version": 1, "state": {"id": "nlm", "params": {"theta_deg": 10**400}}},
+            "scenario key state.params.theta_deg must be a JSON number within float range, not a 401-digit integer",
+        ),
+        (
+            ["rcm", "estimate", "--scenario"],
+            {"version": 1, "state": {"id": "m"}, "noise": {"readout": {"matrix": [
+                [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 10**400, 1]
+            ]}}},
+            "scenario key noise.readout.matrix[3][2] must be a JSON number within float range, not a 401-digit integer",
+        ),
+        (
+            ["mitigate", "--input"],
+            {"calibration": [[1, 0], [0, 10**400]], "probabilities": [0.5, 0.5]},
+            "mitigate input key calibration[1][1] must be a JSON number within float range, not a 401-digit integer",
+        ),
+        (
+            ["mitigate", "--input"],
+            {"calibration": [[1, 0], [0, 1]], "probabilities": [[0.5, 0.5], [-(10**400), 0.5]]},
+            "mitigate input key probabilities[1][0] must be a JSON number within float range, not a 401-digit integer",
+        ),
+        (
+            ["mitigate", "--input"],
+            {"counts": [[90, 10], [4, 10**400]], "n_shot": 100, "probabilities": [0.5, 0.5]},
+            "counts must each fit a 64-bit integer",
+        ),
+    ],
+    ids=["angle", "param", "readout-matrix", "calibration", "probabilities", "counts"],
+)
+def test_integers_beyond_range_are_one_error_line(command, payload, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, [*command, str(path)]) == (1, "", f"error: {message}\n")
 
 
 def test_rb_row_without_survival_is_a_clear_error(tmp_path, capsys):
@@ -524,17 +573,24 @@ OPTIONS = {
 }
 
 
+def tree_leaf(words):
+    """The full tree's subparser of the command ``words``."""
+    parser = build_parser()
+    for word in words:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[word]
+    return parser
+
+
 def test_each_command_takes_its_options_in_order():
     assert list(OPTIONS) == list(cli._COMMANDS)
     for words, expected in OPTIONS.items():
-        actions = cli._leaf_parser(words)._actions[1:]
+        actions = tree_leaf(words)._actions[1:]
         got = [(tuple(a.option_strings), a.dest, a.default, a.type, a.choices, a.required) for a in actions]
         assert got == expected, words
 
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, capsys):
     assert build_parser() is build_parser()
-    assert all(cli._leaf_parser(words) is cli._leaf_parser(words) for words in cli._COMMANDS)
     argv = ["magic", "exact", "--scenario", str(scenario_path)]
     code, out, _ = run(capsys, argv + ["--seed", "7", "--format", "json"])
     assert code == 0
@@ -542,11 +598,11 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(scenario_path, cap
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out.startswith(f"report: cli-test-exact (seed {SCENARIO['seed']})")
-    leaf = cli._leaf_parser(("magic", "exact"))
-    assert vars(leaf.parse_args(["--seed", "7"]))["seed"] == 7
-    assert vars(leaf.parse_args([])) == {
-        "scenario": None, "seed": None, "out": None, "fmt": "text", "command": "magic", "action": "exact"
-    }
+    for read in (lambda argv: cli._parse(argv)[1], build_parser().parse_args):
+        assert vars(read(["magic", "exact", "--seed", "7"]))["seed"] == 7
+        assert vars(read(["magic", "exact"])) == {
+            "scenario": None, "seed": None, "out": None, "fmt": "text", "command": "magic", "action": "exact"
+        }
 
 
 def tree_and_leaf(argv, capsys):
@@ -577,17 +633,84 @@ def test_each_command_parses_and_prints_as_the_full_tree_does(words, monkeypatch
         assert leaf[0] == 1 and leaf[1] == "" and leaf[2].startswith("usage: nlmagic")
 
 
-def test_a_command_builds_only_its_own_parser(scenario_path, monkeypatch, capsys):
+def test_a_well_formed_command_builds_no_parser(scenario_path, monkeypatch, capsys):
     built = []
-    real_init = cli._Parser.__init__
-    monkeypatch.setattr(cli._Parser, "__init__", lambda self, **kw: built.append(kw["prog"]) or real_init(self, **kw))
+    real_init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(kw.get("prog")) or real_init(self, *a, **kw)
+    )
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the full tree was built"))
-    cli._leaf_parser.cache_clear()
     for _ in range(2):
         code, _, _ = run(capsys, ["magic", "exact", "--scenario", str(scenario_path)])
         assert code == 0
-    assert built == ["nlmagic magic exact"]
-    cli._leaf_parser.cache_clear()
+    assert built == []
+
+
+def option_tokens(name: str) -> list:
+    """Option ``name``'s flag and a value it takes that is not its default:
+    its first choice, or a number or path its type reads."""
+    flag, keywords = cli._OPTIONS[name]
+    if keywords.get("action") == "store_true":
+        return [flag]
+    return [flag, keywords["choices"][0] if "choices" in keywords else {int: "7", float: "0.5", Path: "d/f"}[keywords["type"]]]
+
+
+def outcome(read, argv, capsys):
+    """What ``read`` makes of ``argv``: the namespace's dict, or the exit
+    code, stdout and stderr when it exits."""
+    try:
+        return vars(read(argv))
+    except SystemExit as exited:
+        captured = capsys.readouterr()
+        return exited.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("words", list(cli._COMMANDS), ids=" ".join)
+def test_every_well_formed_argv_reads_as_the_full_tree_reads_it(words, monkeypatch):
+    # Every subset of the command's flags, in every order.
+    tree = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the full tree was built"))
+    names = cli._COMMANDS[words][1].split()
+    required = {name for name in names if cli._OPTIONS[name][1].get("required")}
+    read = 0
+    for k in range(len(names) + 1):
+        for chosen in itertools.permutations(names, k):
+            if required <= set(chosen):
+                argv = [*words, *(token for name in chosen for token in option_tokens(name))]
+                handler, args = cli._parse(argv)
+                assert handler is cli._COMMANDS[words][0]
+                assert vars(args) == vars(tree.parse_args(argv)), argv
+                read += 1
+    assert read >= 2 ** (len(names) - len(required))
+
+
+@pytest.mark.parametrize("words", list(cli._COMMANDS), ids=" ".join)
+def test_every_declined_argv_is_read_by_the_full_tree(words, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    names = cli._COMMANDS[words][1].split()
+    required = [name for name in names if cli._OPTIONS[name][1].get("required")]
+    declined = [[*words]] if required else []
+    for name in names:
+        base = [*words, *(token for other in required if other != name for token in option_tokens(other))]
+        flag, keywords = cli._OPTIONS[name]
+        tokens = option_tokens(name)
+        forms = [[flag[:-1], *tokens[1:]], tokens + tokens]  # an abbreviation, a repeated flag
+        if len(tokens) == 2:
+            forms += [[f"{flag}={tokens[1]}"], [flag, "-1"], [flag, "-x"], [flag]]
+            if keywords.get("type") in (int, float):
+                forms.append([flag, "x"])
+            if "choices" in keywords:
+                forms.append([flag, "xml"])
+        declined += [base + form for form in forms]
+    complete = [*words, *(token for name in required for token in option_tokens(name))]
+    declined += [complete + ["-h"], complete + ["--"]]
+    results = []
+    for argv in declined:
+        assert cli._read_argv(argv) is None, argv
+        results.append(outcome(lambda argv: cli._parse(argv)[1], argv, capsys))
+        assert results[-1] == outcome(build_parser().parse_args, argv, capsys), argv
+    # argparse accepts some of these forms and exits on the others.
+    assert {type(result) for result in results} == {dict, tuple}
 
 
 TOP_USAGE = "usage: nlmagic [-h] {magic,rcm,mitigate,erase,fit,report} ...\n"

@@ -169,6 +169,7 @@ def test_calibration_matrix_rejects_entries_outside_the_unit_interval(bad):
         ([[5, -1], [2, 2]], 4, "nonnegative"),
         ([[0, 0], [0, 0]], 0, "positive"),
         ([[3, 1], [2, 1]], 4, "sum to n_shot"),
+        ([[90, 10], [4, 10**400]], 100, "^counts must each fit a 64-bit integer$"),
     ],
 )
 def test_initialization_counts_rejections(counts, n_shot, message):

@@ -387,6 +387,20 @@ def test_an_item_past_the_first_is_named_in_full(changes, message):
         load(**changes)
 
 
+def test_an_integer_is_a_number_while_float_can_round_it():
+    largest = 2**1024 - 2**970 - 1  # float() rounds it down to the largest float
+    assert float(largest) == float.fromhex("0x1.fffffffffffffp+1023")
+    assert _read([1.5, largest, -largest], ["number"], "x", "scenario") == [1.5, largest, -largest]
+    for value in (largest + 1, -largest - 1):
+        with pytest.raises(OverflowError):
+            float(value)
+        message = "scenario key x[1] must be a JSON number within float range, not a 309-digit integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _read([1.5, value], ["number"], "x", "scenario")
+    # An integer slot takes any integer.
+    assert _read(largest + 1, "integer", "x", "scenario") == largest + 1
+
+
 # A scenario file holding every key of the format, for the reader checks.
 EVERY_KEY = {
     "version": 1,
