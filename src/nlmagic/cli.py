@@ -88,7 +88,6 @@ _OPTIONS = {
     "step-deg": ("--step-deg", {"type": float, "default": 7.5}),
     "rb-input": ("--input", {"type": Path, "required": True, "help": "CSV of length,survival"}),
     "dim": ("--dim", {"type": int, "default": 2, "help": "Hilbert dimension for fidelity"}),
-    "p-dep": ("--p-dep", {"type": float}),
     "n-rand": ("--n-rand", {"type": int}),
     "n-shot": ("--n-shot", {"type": int}),
 }
@@ -205,17 +204,12 @@ def _cmd_fit_rb(args) -> int:
 def _cmd_report(args) -> int:
     if args.action == "fig4":
         return _emit(report_fig4(seed=args.seed), args)
-    # A file's noise.p_dep_cz may be 0, a valid fully mixed model that rcm
-    # estimate runs; the reports invert the survival in nonlocal_magic_noisy,
-    # so they need it above 0.
-    if args.p_dep is not None and not 0.0 < args.p_dep <= 1.0:
-        raise ValueError(f"--p-dep must lie in (0, 1], got {args.p_dep}")
     for flag, value, least in (("--n-rand", args.n_rand, 2), ("--n-shot", args.n_shot, 1)):
         if value is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
     build = report_table1 if args.action == "table1" else report_fig3
     kwargs = {k: getattr(args, k) for k in ("n_rand", "n_shot") if getattr(args, k) is not None}
-    return _emit(build(p_dep=args.p_dep, seed=args.seed, **kwargs), args)
+    return _emit(build(seed=args.seed, **kwargs), args)
 
 
 # The command words, each command's handler, the names of its options in
@@ -237,11 +231,9 @@ _COMMANDS = {
         ("local magic erasure", "two-angle residual landscape"),
     ),
     ("fit", "rb"): (_cmd_fit_rb, "out format rb-input dim", ("benchmarking fits", "exponential decay fit")),
-    ("report", "table1"): (
-        _cmd_report, "report-seed out format p-dep n-rand n-shot", ("bundled reference reports", None)
-    ),
+    ("report", "table1"): (_cmd_report, "report-seed out format n-rand n-shot", ("bundled reference reports", None)),
     ("report", "fig3"): (
-        _cmd_report, "report-seed out curve-format p-dep n-rand n-shot", ("bundled reference reports", None)
+        _cmd_report, "report-seed out curve-format n-rand n-shot", ("bundled reference reports", None)
     ),
     ("report", "fig4"): (_cmd_report, "report-seed out curve-format", ("bundled reference reports", None)),
 }

@@ -27,7 +27,9 @@ reaches a report along one path:
 - ``_compare`` emits an (estimate, oracle) value pair and its flags, for
   ``run_scenario`` and table1 alike.
 
-fig4 sweeps the erasure angles on exact states and draws nothing. A report
+fig4 sweeps the erasure angles on exact states and draws nothing. Every
+report runs at the one survival ``calibrate_p_dep()`` derives from the
+purity anchor; no noise parameter is fitted to another anchor. A report
 holds every number with its provenance (estimate, oracle, theory or
 anchor) and pass/fail flags with explicit tolerances. ``_SCENARIO_FILE``
 declares the scenario file format; angles are degrees in files and radians
@@ -59,18 +61,13 @@ DEFAULT_N_SHOT = 5000
 
 # Reference targets for the bundled reports: theory purity and magic of the
 # four catalogue states at the calibrated depolarizing level, and the
-# swept-minimum anchor with its frozen survival probability.
+# swept-minimum anchor.
 TABLE1_PURITY_ANCHOR = 0.94
 TABLE1_MAGIC_ANCHORS = {"lm": 0.48, "lm_erased": 0.08, "m": 0.46, "m_erased": 0.27}
 TABLE1_PURITY_TOL = 0.02
 TABLE1_MAGIC_TOL = 0.05
 SWEEP_MIN_ANCHOR = 0.29
 SWEEP_MIN_TOL = 0.01
-# Survival probability tuned so that the noisy fig4 grid minimum lands on
-# SWEEP_MIN_ANCHOR (0.2900 here). It is fitted to that anchor, not derived
-# from the table1 calibration: at calibrate_p_dep() = 0.9592 the same
-# minimum is 0.2710, so the anchor flag checks the tuning, not a prediction.
-SWEEP_P_DEP = 0.949
 SWEEP_GRID_STEP_DEG = 7.5
 FIG3_THETA_GRID_DEG = tuple(range(5, 50, 5))
 # The rows of the sampled reports, each (row name, state id, params).
@@ -250,12 +247,18 @@ class Scenario:
             )
         labels = set()
         for i, spec in enumerate(self.estimators):
-            label, moments, _, _ = _keyed(f"estimators[{i}]", estimator, spec)
-            if label in labels:
-                raise ValueError(f"scenario key estimators[{i}]: estimator {label} is listed twice")
-            labels.add(label)
-            for keep in (keep for keep, _ in moments if keep is not None):
-                _keyed(f"estimators[{i}].rdm_purity.keep", kept_qubits, keep, built.num_qubits)
+            # The key is named only when a check fails.
+            key = ""
+            try:
+                label, moments, _, _ = estimator(spec)
+                if label in labels:
+                    raise ValueError(f"estimator {label} is listed twice")
+                labels.add(label)
+                key = ".rdm_purity.keep"
+                for keep in (keep for keep, _ in moments if keep is not None):
+                    kept_qubits(keep, built.num_qubits)
+            except ValueError as exc:
+                raise ValueError(f"scenario key estimators[{i}]{key}: {exc}") from None
 
     def build_circuit(self) -> Circuit:
         return self._built
@@ -320,8 +323,9 @@ class Scenario:
         fields.update(noise)
         for i, spec in enumerate(fields.get("estimators", ())):
             if isinstance(spec, dict) and "rdm_purity" in spec:
-                keep = _read(spec, _RDM_PURITY, f"estimators[{i}]", "scenario")["rdm_purity"]["keep"]
-                fields["estimators"][i] = ("rdm_purity", tuple(sorted(keep)))
+                if not _plain([spec], _RDM_PURITY):
+                    spec = _read(spec, _RDM_PURITY, f"estimators[{i}]", "scenario")
+                fields["estimators"][i] = ("rdm_purity", tuple(sorted(spec["rdm_purity"]["keep"])))
             elif not isinstance(spec, str):
                 raise ValueError(f"scenario key estimators[{i}]: unknown estimator spec {spec!r}")
         return cls(**{"name": "scenario", **fields})
@@ -471,14 +475,11 @@ def _sampled_rows(rows, estimators: tuple, p_dep: float, seed: int, n_rand: int,
     estimated after ``estimators``. Yields ``(row, measure results,
     non-local magic inferred from the sampled reduced purity)`` per row, in
     order, or raises a ValueError naming the row whose sample the noise
-    model cannot reach. A negative ``seed`` or a ``p_dep`` outside (0, 1]
-    is named before any row is prepared.
+    model cannot reach. A negative ``seed`` is named before any row is
+    prepared.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    # nonlocal_magic_noisy inverts the survival, so it must be above 0.
-    if not 0.0 < p_dep <= 1.0:
-        raise ValueError(f"p_dep must lie in (0, 1], got {p_dep}")
     states = [run_circuit(state_circuit(state_id, dict(params)), p_dep) for _, state_id, params in rows]
     seeds = range(seed, seed + len(rows))
     ids = np.stack([sample_local_cliffords(state.num_qubits, n_rand, s) for state, s in zip(states, seeds)])
@@ -498,12 +499,7 @@ def _sampled_rows(rows, estimators: tuple, p_dep: float, seed: int, n_rand: int,
         yield row, results, nl_est
 
 
-def report_table1(
-    p_dep: Optional[float] = None,
-    seed: int = 0,
-    n_rand: int = DEFAULT_N_RAND,
-    n_shot: Optional[int] = DEFAULT_N_SHOT,
-) -> Report:
+def report_table1(seed: int = 0, n_rand: int = DEFAULT_N_RAND, n_shot: Optional[int] = DEFAULT_N_SHOT) -> Report:
     """Purity and magic of the four catalogue states under calibrated noise.
 
     The depolarizing survival is calibrated once so every preparation (each
@@ -512,7 +508,7 @@ def report_table1(
     anchors and against their own sampling errors.
     """
     report = Report(name="table1", seed=seed)
-    p_dep = calibrate_p_dep() if p_dep is None else p_dep
+    p_dep = calibrate_p_dep()
     sampled = _sampled_rows(TABLE1_ROWS, ("purity", "sre"), p_dep, seed, n_rand, n_shot)
     for (row, state_id, _), results, nl_est in sampled:
         (pur_est, pur_oracle), (sre_est, sre_oracle) = results["purity"], results["sre"]
@@ -543,12 +539,7 @@ def report_table1(
     return report
 
 
-def report_fig3(
-    p_dep: Optional[float] = None,
-    seed: int = 0,
-    n_rand: int = DEFAULT_N_RAND,
-    n_shot: Optional[int] = DEFAULT_N_SHOT,
-) -> Report:
+def report_fig3(seed: int = 0, n_rand: int = DEFAULT_N_RAND, n_shot: Optional[int] = DEFAULT_N_SHOT) -> Report:
     """Magic of the Schmidt-angle family versus the closed-form noisy curve.
 
     Emits one row per angle of ``FIG3_THETA_GRID_DEG`` with the estimate,
@@ -557,7 +548,7 @@ def report_fig3(
     """
     report = Report(name="fig3", seed=seed)
     rows = []
-    p_dep = calibrate_p_dep() if p_dep is None else p_dep
+    p_dep = calibrate_p_dep()
     sampled = _sampled_rows(FIG3_ROWS, ("sre",), p_dep, seed, n_rand, n_shot)
     for theta_deg, ((_, _, params), results, nl_est) in zip(FIG3_THETA_GRID_DEG, sampled):
         theta = dict(params)["theta"]
@@ -601,18 +592,21 @@ def report_fig4(seed: int = 0) -> Report:
     ``SWEEP_GRID_STEP_DEG`` grid.
 
     Runs the sweep twice: noise free, whose minimum must equal the state's
-    exact non-local magic, and at ``SWEEP_P_DEP``, whose grid minimum is
-    checked against the landscape anchor. That survival probability was
-    tuned to put this minimum on the anchor, so the anchor flag confirms the
-    tuning rather than tests a prediction.
+    exact non-local magic, and at the calibrated survival, whose grid
+    minimum is checked against the landscape anchor and against the
+    closed-form erasure floor: the noisy M2 of the Schmidt-form state with
+    the noise-free reduced purity P_A, at theta = arccos(sqrt(2 P_A - 1)).
     """
     grid = degree_grid(SWEEP_GRID_STEP_DEG)
     base = state_circuit("m")
-    noisy = run_circuit(base, SWEEP_P_DEP)
+    p_dep = calibrate_p_dep()
+    noisy = run_circuit(base, p_dep)
     clean = run_circuit(base)
     noisy_sweep = sweep_landscape(noisy, grid, grid)
     clean_sweep = sweep_landscape(clean, grid, grid)
-    nl_oracle = nonlocal_magic(reduced_purity(clean, {0}))
+    p_a = reduced_purity(clean, {0})
+    nl_oracle = nonlocal_magic(p_a)
+    floor = sre_nlm_depolarized(1.0 - p_dep, np.arccos(np.sqrt(2.0 * p_a - 1.0)))
 
     report = Report(name="fig4", seed=seed)
     report.values.append(
@@ -637,6 +631,7 @@ def report_fig4(seed: int = 0) -> Report:
             SWEEP_MIN_TOL,
         )
     )
+    report.flags.append(ReportFlag("sweep minimum vs erasure floor", noisy_sweep.residual_m2, floor, 1e-9))
     report.flags.append(
         ReportFlag(
             "noise-free minimum vs non-local magic",

@@ -47,10 +47,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def test_exit_0_when_all_flags_pass(capsys):
-    code, out, _ = run(capsys, ["report", "fig4"])
+    argv = ["rcm", "estimate", "--scenario", str(GOLDEN / "exhaustive_n3.scenario.json"), "--exhaustive"]
+    code, out, _ = run(capsys, argv)
     assert code == 0
-    assert out.startswith("report: fig4")
+    assert out.startswith("report: exhaustive-n3")
+    assert "FAIL" not in out
 
 
 def test_exit_1_on_error(capsys):
@@ -61,9 +66,10 @@ def test_exit_1_on_error(capsys):
 
 
 def test_exit_2_when_a_flag_fails(capsys):
-    code, out, _ = run(capsys, ["report", "table1", "--p-dep", "0.8", "--n-rand", "50"])
+    # At the calibrated survival the fig4 grid minimum is 0.2710, 0.019 off the 0.29 anchor.
+    code, out, _ = run(capsys, ["report", "fig4"])
     assert code == 2
-    assert "FAIL" in out
+    assert [line.split("  ")[0] for line in out.splitlines() if line.endswith("FAIL")] == ["sweep minimum vs anchor"]
 
 
 def test_exhaustive_over_six_qubits_exits_1_before_collecting(tmp_path, monkeypatch, capsys):
@@ -387,22 +393,19 @@ def test_negative_seed_is_a_named_error(argv, name, scenario_path, tmp_path, mon
     assert (code, out, err) == (1, "", f"error: {name} must be >= 0, got -1\n")
 
 
-@pytest.mark.parametrize(
-    "argv, got",
-    [
-        (["report", "table1", "--p-dep", "1.5"], "1.5"),
-        (["report", "table1", "--p-dep", "nan"], "nan"),
-        (["report", "fig3", "--p-dep", "0"], "0.0"),
-        (["report", "fig3", "--p-dep", "-0.2"], "-0.2"),
-    ],
-    ids=["table1-above-one", "table1-nan", "fig3-zero", "fig3-negative"],
-)
-def test_bad_p_dep_is_named_by_its_flag_before_sampling(argv, got, monkeypatch, capsys):
+@pytest.mark.parametrize("name", ["table1", "fig3"])
+def test_the_survival_is_no_option_of_the_reports(name, monkeypatch, capsys):
+    # Every report runs at calibrate_p_dep(); neither the CLI nor the API takes another survival.
     from nlmagic import scenarios
 
-    monkeypatch.setattr(scenarios, "collect_rows", lambda *a: pytest.fail("report sampled"))
-    code, out, err = run(capsys, argv)
-    assert (code, out, err) == (1, "", f"error: --p-dep must lie in (0, 1], got {got}\n")
+    monkeypatch.setattr(scenarios, "run_circuit", lambda *a: pytest.fail("a row was prepared"))
+    with pytest.raises(SystemExit) as exited:
+        main(["report", name, "--p-dep", "0.5"])
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nlmagic") and "unrecognized arguments: --p-dep 0.5" in err
+    with pytest.raises(TypeError, match="p_dep"):
+        getattr(scenarios, f"report_{name}")(p_dep=0.5)
 
 
 @pytest.mark.parametrize(
@@ -555,7 +558,6 @@ SCENARIO_OPTIONS = [
 ]
 REPORT_OPTIONS = [(("--seed",), "seed", 0, int, None, False), OUT]
 SAMPLING_OPTIONS = [
-    (("--p-dep",), "p_dep", None, float, None, False),
     (("--n-rand",), "n_rand", None, int, None, False),
     (("--n-shot",), "n_shot", None, int, None, False),
 ]

@@ -32,7 +32,7 @@ from nlmagic.erasure import (
 )
 from nlmagic.magic import m2_from_expectations, sre_exact
 from nlmagic.qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DepolarizedState
-from nlmagic.scenarios import SWEEP_GRID_STEP_DEG, SWEEP_P_DEP
+from nlmagic.scenarios import SWEEP_GRID_STEP_DEG, calibrate_p_dep
 
 from helpers import (
     bfgs_erasure,
@@ -237,7 +237,7 @@ def test_noise_free_sweep_minimum_is_nonlocal_magic():
 
 def test_fig4_minimum_is_stable_under_one_ulp_shifts():
     grid = np.deg2rad(np.arange(0.0, 360.0, SWEEP_GRID_STEP_DEG))
-    noisy = run_circuit(state_circuit("m"), SWEEP_P_DEP)
+    noisy = run_circuit(state_circuit("m"), calibrate_p_dep())
     values = sweep_landscape(noisy, grid, grid).landscape
     # Its 90-degree symmetry gives several minima that agree to rounding.
     assert np.sum(values <= values.min() + 1e-12) > 1
@@ -249,6 +249,19 @@ def test_fig4_minimum_is_stable_under_one_ulp_shifts():
     reported = {v.name: v.value for v in report_fig4().values}
     assert (reported["gamma_min_deg"], reported["phi_min_deg"]) == (0.0, 67.5)
     assert np.unravel_index(index, values.shape) == (0, int(67.5 / SWEEP_GRID_STEP_DEG))
+
+
+@pytest.mark.parametrize("step, gap, tol", [(7.5, 0.0, 1e-12), (7.0, 9.4e-4, 5e-6)], ids=["grid-7.5", "grid-7.0"])
+def test_fig4_floor_flag_fails_when_the_grid_misses_the_floor(step, gap, tol, monkeypatch):
+    # A 7-degree grid misses the minimum at phi = 67.5 degrees.
+    from nlmagic import scenarios
+
+    monkeypatch.setattr(scenarios, "SWEEP_GRID_STEP_DEG", step)
+    report = report_fig4()
+    flag = next(f for f in report.flags if f.name == "sweep minimum vs erasure floor")
+    assert abs(flag.value - flag.target - gap) <= tol
+    assert flag.passed == (step == 7.5)
+    assert abs(optimize_erasure(run_circuit(state_circuit("m"), calibrate_p_dep())).residual_m2 - flag.target) <= 1e-12
 
 
 
@@ -278,7 +291,7 @@ def test_sweep_matches_einsum_reference(seed, shape, mixed):
 
 def test_fig4_landscape_and_csv_match_references():
     grid = degree_grid(SWEEP_GRID_STEP_DEG)
-    noisy = run_circuit(state_circuit("m"), SWEEP_P_DEP)
+    noisy = run_circuit(state_circuit("m"), calibrate_p_dep())
     result = sweep_landscape(noisy, grid, grid)
     reference = einsum_landscape(density_matrix(noisy), grid, grid)
     np.testing.assert_allclose(result.landscape, reference, rtol=0, atol=_PAIR_TOL)
@@ -310,7 +323,7 @@ def _peak_mb(fn) -> float:
 def test_erasure_grids_stay_small_in_memory():
     # Peaks are about 0.003 and 0.5 MB.
     m = run_circuit(state_circuit("m"))
-    noisy = run_circuit(state_circuit("m"), SWEEP_P_DEP)
+    noisy = run_circuit(state_circuit("m"), calibrate_p_dep())
     grid = degree_grid(SWEEP_GRID_STEP_DEG)
     assert _peak_mb(lambda: optimize_erasure(m)) < 2.0
     assert _peak_mb(lambda: sweep_landscape(noisy, grid, grid)) < 2.0
