@@ -393,19 +393,28 @@ def test_negative_seed_is_a_named_error(argv, name, scenario_path, tmp_path, mon
     assert (code, out, err) == (1, "", f"error: {name} must be >= 0, got -1\n")
 
 
-@pytest.mark.parametrize("name", ["table1", "fig3"])
-def test_the_survival_is_no_option_of_the_reports(name, monkeypatch, capsys):
-    # Every report runs at calibrate_p_dep(); neither the CLI nor the API takes another survival.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "table1", "--p-dep", "1.5"],
+        ["report", "table1", "--p-dep", "nan"],
+        ["report", "fig3", "--p-dep", "0"],
+        ["report", "fig3", "--p-dep", "-0.2"],
+    ],
+    ids=["table1-above-one", "table1-nan", "fig3-zero", "fig3-negative"],
+)
+def test_bad_p_dep_is_named_by_its_flag_before_sampling(argv, monkeypatch, capsys):
+    # Every report runs at calibrate_p_dep(), so any --p-dep is a usage error.
     from nlmagic import scenarios
 
-    monkeypatch.setattr(scenarios, "run_circuit", lambda *a: pytest.fail("a row was prepared"))
+    monkeypatch.setattr(scenarios, "collect_rows", lambda *a: pytest.fail("report sampled"))
     with pytest.raises(SystemExit) as exited:
-        main(["report", name, "--p-dep", "0.5"])
+        main(argv)
     assert exited.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage: nlmagic") and "unrecognized arguments: --p-dep 0.5" in err
-    with pytest.raises(TypeError, match="p_dep"):
-        getattr(scenarios, f"report_{name}")(p_dep=0.5)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nlmagic")
+    assert captured.err.endswith(f"error: unrecognized arguments: --p-dep {argv[-1]}\n")
 
 
 @pytest.mark.parametrize(

@@ -711,12 +711,22 @@ def test_sampled_reports_build_no_scenario(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [report_table1, report_fig3], ids=["table1", "fig3"])
-@pytest.mark.parametrize("arguments, message", [({"seed": -1}, r"^seed must be >= 0, got -1$")], ids=["negative-seed"])
-def test_bad_report_arguments_are_named_before_any_row_is_prepared(build, arguments, message, monkeypatch):
+@pytest.mark.parametrize(
+    "arguments, error, message",
+    [
+        ({"seed": -1}, ValueError, r"^seed must be >= 0, got -1$"),
+        # The reports take no survival; they run at calibrate_p_dep().
+        ({"p_dep": 1.5}, TypeError, r"^report_\w+\(\) got an unexpected keyword argument 'p_dep'$"),
+        ({"p_dep": 0.0}, TypeError, r"^report_\w+\(\) got an unexpected keyword argument 'p_dep'$"),
+        ({"p_dep": float("nan")}, TypeError, r"^report_\w+\(\) got an unexpected keyword argument 'p_dep'$"),
+    ],
+    ids=["negative-seed", "p_dep-above-one", "p_dep-zero", "p_dep-nan"],
+)
+def test_bad_report_arguments_are_named_before_any_row_is_prepared(build, arguments, error, message, monkeypatch):
     from nlmagic import scenarios
 
     monkeypatch.setattr(scenarios, "run_circuit", lambda *a: pytest.fail("a row was prepared"))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         build(**arguments)
 
 
