@@ -598,10 +598,10 @@ def report_fig4(seed: int = 0) -> Report:
     the noise-free reduced purity P_A, at theta = arccos(sqrt(2 P_A - 1)).
     """
     grid = degree_grid(SWEEP_GRID_STEP_DEG)
-    base = state_circuit("m")
     p_dep = calibrate_p_dep()
-    noisy = run_circuit(base, p_dep)
-    clean = run_circuit(base)
+    noisy = run_circuit(state_circuit("m"), p_dep)
+    # run_circuit's psi does not depend on p: the noise-free state shares it.
+    clean = DepolarizedState(noisy.psi)
     noisy_sweep = sweep_landscape(noisy, grid, grid)
     clean_sweep = sweep_landscape(clean, grid, grid)
     p_a = reduced_purity(clean, {0})

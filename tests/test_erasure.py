@@ -19,12 +19,11 @@ from nlmagic import (
     state_circuit,
     sweep_landscape,
 )
-from nlmagic.circuits import GATES, rz_matrix
+from nlmagic.circuits import GATES, STATES, rz_matrix
 from nlmagic.cli import main
 from nlmagic.erasure import (
     _correlation_matrix,
     _euler,
-    _pair_m2,
     degree_grid,
     first_minimum,
     landscape_to_csv,
@@ -42,6 +41,7 @@ from helpers import (
     grid_candidates,
     loop_landscape_to_csv,
     m2_and_gradient,
+    pair_m2,
     per_row_pair_m2,
     random_depolarized,
     random_pure,
@@ -265,10 +265,20 @@ def test_fig4_floor_flag_fails_when_the_grid_misses_the_floor(step, gap, tol, mo
 
 
 
-# The pair product rounds differently from the einsum references, which read
-# the stack spectrum of the explicit matrix. Over 2,000 random states the M2
-# values (of order 1) moved by at most 10 eps; 16 eps is the stated tolerance.
+# The closed form and the pair product round differently from the einsum
+# references, which read the stack spectrum of the explicit matrix. Over
+# 2,000 random states and grids the M2 values (of order 1) moved by at most
+# 11 eps (closed form) and 10 eps (pair product); 16 eps is the stated
+# tolerance.
 _PAIR_TOL = 16 * np.finfo(float).eps
+
+
+def _assert_sweep_matches_einsum_reference(rho, gammas, phis):
+    result = sweep_landscape(rho, gammas, phis)
+    reference = einsum_landscape(density_matrix(rho), gammas, phis)
+    np.testing.assert_allclose(result.landscape, reference, rtol=0, atol=_PAIR_TOL)
+    assert first_minimum(result.landscape) == first_minimum(reference)
+    return result
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,12 +291,52 @@ def test_sweep_matches_einsum_reference(seed, shape, mixed):
     rng = np.random.default_rng(seed)
     rho = (random_depolarized if mixed else random_pure)(rng, 2)
     gammas, phis = (rng.uniform(-7.0, 7.0, size=n) for n in shape)
-    result = sweep_landscape(rho, gammas, phis)
-    reference = einsum_landscape(density_matrix(rho), gammas, phis)
+    result = _assert_sweep_matches_einsum_reference(rho, gammas, phis)
     assert result.landscape.shape == shape
-    np.testing.assert_allclose(result.landscape, reference, rtol=0, atol=_PAIR_TOL)
-    assert first_minimum(result.landscape) == first_minimum(reference)
     assert loop_landscape_to_csv(result) == landscape_to_csv(result)
+
+
+def _vanishing_parts(t: np.ndarray) -> np.ndarray:
+    """|a| and |b| of the X, Y block M = a-rotation + b-reflection, and the
+    summed size of the four I/Z-X/Y vectors."""
+    a = np.hypot(t[1, 1] + t[2, 2], t[2, 1] - t[1, 2]) / 2
+    b = np.hypot(t[1, 1] - t[2, 2], t[1, 2] + t[2, 1]) / 2
+    return np.array([a, b, np.abs(t[::3, 1:3]).sum() + np.abs(t[1:3, ::3]).sum()])
+
+
+_ROOT_03, _ROOT_07 = np.sqrt([0.3, 0.7])
+# States where terms of the closed form vanish, and which of
+# ``_vanishing_parts`` vanish.
+_DEGENERATE = {
+    # Both Bloch vectors along Z: T is zero outside its I, Z block.
+    "product-00": (lambda: DepolarizedState([1.0, 0.0, 0.0, 0.0], 0.9), [0, 1, 2]),
+    # One Bloch vector in the X-Y plane: a zero X, Y block, but not zero vectors.
+    "zero-xy-block": (lambda: DepolarizedState(np.kron([1.0, 0.0], [1.0, np.exp(0.7j)]) / np.sqrt(2), 0.8), [0, 1]),
+    # sqrt(0.3) |01> + sqrt(0.7) |10>: M is a multiple of the identity.
+    "pure-rotation": (lambda: DepolarizedState([0.0, _ROOT_03, _ROOT_07, 0.0]), [1, 2]),
+    # sqrt(0.3) |00> + sqrt(0.7) |11>: M is a multiple of diag(1, -1).
+    "pure-reflection": (lambda: DepolarizedState([_ROOT_03, 0.0, 0.0, _ROOT_07], 0.95), [0, 2]),
+    "bell-psi4": (lambda: run_circuit(state_circuit("psi4")), [0, 2]),
+    "s=0": (lambda: random_depolarized(np.random.default_rng(8), 2, 0.0), [0, 1, 2]),
+}
+_PARAMS = {"nlm": {"theta": np.pi / 5}, "m_sweep": {"gamma": 0.3, "phi": 1.1}}
+_CATALOGUE = [(state_id, p) for state_id, (n, _) in STATES.items() if n == 2 for p in (1.0, 0.9)]
+
+
+@pytest.mark.parametrize("name", list(_DEGENERATE))
+def test_sweep_matches_einsum_reference_on_degenerate_states(name):
+    build, vanishing = _DEGENERATE[name]
+    rho = build()
+    assert _vanishing_parts(_correlation_matrix(rho))[vanishing].max() <= 1e-15
+    _assert_sweep_matches_einsum_reference(rho, degree_grid(2.0), degree_grid(2.0))
+    gammas, phis = (np.random.default_rng(9).uniform(-7.0, 7.0, size=n) for n in (13, 29))
+    _assert_sweep_matches_einsum_reference(rho, gammas, phis)
+
+
+@pytest.mark.parametrize("state_id, p", _CATALOGUE, ids=[f"{i}-p{p}" for i, p in _CATALOGUE])
+def test_sweep_matches_einsum_reference_on_catalogue_states(state_id, p):
+    rho = run_circuit(state_circuit(state_id, _PARAMS.get(state_id)), p)
+    _assert_sweep_matches_einsum_reference(rho, degree_grid(2.0), degree_grid(2.0))
 
 
 def test_fig4_landscape_and_csv_match_references():
@@ -305,10 +355,10 @@ def test_blocked_erasure_grid_matches_per_row_form(state):
     rho = random_depolarized(rng, 2) if state == "random" else run_circuit(state_circuit(state))
     t = _correlation_matrix(rho)
     rots = pauli_rotation(*grid_candidates().T)
-    np.testing.assert_allclose(_pair_m2(rots, t, rots), per_row_pair_m2(rots, t, rots), rtol=0, atol=_PAIR_TOL)
+    np.testing.assert_allclose(pair_m2(rots, t, rots), per_row_pair_m2(rots, t, rots), rtol=0, atol=_PAIR_TOL)
     # Blocks of 10 side-A rows with a last block of 7.
     ra, rb = (pauli_rotation(*rng.uniform(0.0, 7.0, size=(3, n))) for n in (37, 100))
-    np.testing.assert_allclose(_pair_m2(ra, t, rb), per_row_pair_m2(ra, t, rb), rtol=0, atol=_PAIR_TOL)
+    np.testing.assert_allclose(pair_m2(ra, t, rb), per_row_pair_m2(ra, t, rb), rtol=0, atol=_PAIR_TOL)
 
 
 def _peak_mb(fn) -> float:
@@ -321,12 +371,16 @@ def _peak_mb(fn) -> float:
 
 
 def test_erasure_grids_stay_small_in_memory():
-    # Peaks are about 0.003 and 0.5 MB.
+    # Peaks are about 0.003, 0.03 and 4.5 MB.
     m = run_circuit(state_circuit("m"))
     noisy = run_circuit(state_circuit("m"), calibrate_p_dep())
     grid = degree_grid(SWEEP_GRID_STEP_DEG)
     assert _peak_mb(lambda: optimize_erasure(m)) < 2.0
     assert _peak_mb(lambda: sweep_landscape(noisy, grid, grid)) < 2.0
+    # A 0.5-degree sweep: its 720 x 720 landscape alone holds 4.0 MB, so
+    # no temporary of that size may sit beside it.
+    fine = degree_grid(0.5)
+    assert _peak_mb(lambda: sweep_landscape(noisy, fine, fine)) < 8.0
 
 
 @pytest.mark.parametrize("step", [0.0, -7.5, float("nan"), float("inf")])

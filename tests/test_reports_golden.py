@@ -10,6 +10,9 @@ regenerate the files and explain every changed digit.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from nlmagic.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("name", ["table1", "fig3"])
@@ -31,6 +35,34 @@ def test_fig4_text_and_landscape_match_golden(tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "fig4.txt").read_text()
     digest, filename = (GOLDEN / "fig4_fig4.csv.sha256").read_text().split()
     assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "NPY_DISABLE_CPU_FEATURES=X86_V3,X86_V4,AVX512_ICL,AVX512_SPR",
+        "OPENBLAS_CORETYPE=Haswell",
+        "OPENBLAS_CORETYPE=Sandybridge",
+    ],
+)
+def test_fig4_matches_golden_under_other_simd_and_blas_kernels(setting, tmp_path):
+    # Each setting picks other numpy SIMD loops or OpenBLAS kernels for the process.
+    key, value = setting.split("=")
+    env = {**os.environ, key: value, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "nlmagic.cli", "report", "fig4", "--seed", "0", "--out", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == (GOLDEN / "fig4.txt").read_text()
+    digest, filename = (GOLDEN / "fig4_fig4.csv.sha256").read_text().split()
+    assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest
+
+
+def test_erase_sweep_of_the_calibrated_m_state_is_the_fig4_landscape(tmp_path, capsys):
+    scenario = tmp_path / "sweep.json"
+    scenario.write_text('{"version": 1, "state": {"id": "m"}, "noise": {"p_dep_cz": 0.9591663046625438}}')
+    assert main(["erase", "sweep", "--scenario", str(scenario), "--format", "csv"]) == 0
+    digest, _ = (GOLDEN / "fig4_fig4.csv.sha256").read_text().split()
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_exhaustive_three_qubit_estimate_matches_golden(capsys):
